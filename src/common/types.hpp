@@ -103,6 +103,14 @@ struct MatchResult {
     if (priority != o.priority) return priority < o.priority;
     return rule_id < o.rule_id;
   }
+
+  /// The priority floor a later stage must be given so it can still return
+  /// a rule that ties this result (beats() then breaks the tie by id):
+  /// match_with_floor admits priorities strictly below the floor, so this is
+  /// priority + 1, saturating at INT32_MAX (a miss: no floor).
+  [[nodiscard]] constexpr int32_t tie_floor() const noexcept {
+    return priority == std::numeric_limits<int32_t>::max() ? priority : priority + 1;
+  }
 };
 
 /// A rule-set: rules with dense ids [0, n) in priority order by convention.

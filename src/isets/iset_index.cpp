@@ -4,8 +4,10 @@
 #include <stdexcept>
 
 #include "common/mem.hpp"
+#include "rqrmi/arch.hpp"
+#include "rqrmi/kernel.hpp"
 
-#if defined(__AVX2__)
+#if NM_X86_KERNELS
 #include <immintrin.h>
 #endif
 
@@ -13,12 +15,12 @@ namespace nuevomatch {
 
 namespace {
 
-/// Number of entries in [begin, begin+count) that are <= v, assuming the
-/// array is sorted ascending. Vectorized over 8 lanes (paper Section 4:
-/// field values are packed so the secondary search walks whole cache lines).
-size_t count_leq(const uint32_t* begin, size_t count, uint32_t v) noexcept {
-#if defined(__AVX2__)
-  // Unsigned compare via sign-bit bias; lanes are counted with popcount.
+#if NM_X86_KERNELS
+/// count_leq over 8 lanes per step (paper Section 4: field values are packed
+/// so the secondary search walks whole cache lines). Unsigned compare via
+/// sign-bit bias; lanes are counted with popcount.
+__attribute__((target("avx2"))) size_t count_leq_avx2(const uint32_t* begin, size_t count,
+                                                       uint32_t v) noexcept {
   const __m256i bias = _mm256_set1_epi32(static_cast<int32_t>(0x80000000u));
   const __m256i vv =
       _mm256_xor_si256(_mm256_set1_epi32(static_cast<int32_t>(v)), bias);
@@ -39,12 +41,35 @@ size_t count_leq(const uint32_t* begin, size_t count, uint32_t v) noexcept {
     ++n;
   }
   return n;
-#else
-  return static_cast<size_t>(std::upper_bound(begin, begin + count, v) - begin);
+}
 #endif
+
+size_t count_leq_serial(const uint32_t* begin, size_t count, uint32_t v) noexcept {
+  return static_cast<size_t>(std::upper_bound(begin, begin + count, v) - begin);
+}
+
+/// The search path's count_leq: the AVX2 kernel when the RQ-RMI batch
+/// kernels' rule picks it — the NM_SIMD_MAX-capped ceiling is kAvx and the
+/// CPU has AVX2 — decided once.
+size_t count_leq_default(const uint32_t* begin, size_t count, uint32_t v) noexcept {
+#if NM_X86_KERNELS
+  static const bool avx2 =
+      rqrmi::batch_level(rqrmi::dispatch_ceiling()) == rqrmi::SimdLevel::kAvx;
+  if (avx2) return count_leq_avx2(begin, count, v);
+#endif
+  return count_leq_serial(begin, count, v);
 }
 
 }  // namespace
+
+size_t count_leq(const uint32_t* begin, size_t count, uint32_t v,
+                 rqrmi::SimdLevel level) noexcept {
+#if NM_X86_KERNELS
+  if (rqrmi::batch_level(level) == rqrmi::SimdLevel::kAvx)
+    return count_leq_avx2(begin, count, v);
+#endif
+  return count_leq_serial(begin, count, v);
+}
 
 void IsetIndex::index_rules() {
   domain_ = kFieldDomain[static_cast<size_t>(field_)];
@@ -134,8 +159,8 @@ int32_t IsetIndex::search(uint32_t v, const rqrmi::Prediction& pred) const noexc
   if (first > last) return -1;
   // Last position in the window with lo <= v (ranges are disjoint & sorted,
   // so it is the only one that can contain v).
-  const size_t leq = count_leq(lo_.data() + first,
-                               static_cast<size_t>(last - first + 1), v);
+  const size_t leq = count_leq_default(lo_.data() + first,
+                                       static_cast<size_t>(last - first + 1), v);
   if (leq == 0) return -1;
   const auto pos = static_cast<int32_t>(static_cast<size_t>(first) + leq - 1);
   return hi_[static_cast<size_t>(pos)] >= v ? pos : -1;

@@ -18,6 +18,14 @@
 
 namespace nuevomatch {
 
+/// Number of entries in the ascending array [begin, begin+count) that are
+/// <= v: the secondary search's window scan. kAvx runs the 8-lane AVX2
+/// kernel when the CPU has AVX2; every other level, and CPUs without AVX2,
+/// use std::upper_bound. Results are identical at every level; the search
+/// path dispatches once at run time under the NM_SIMD_MAX cap.
+[[nodiscard]] size_t count_leq(const uint32_t* begin, size_t count, uint32_t v,
+                               rqrmi::SimdLevel level) noexcept;
+
 class IsetIndex {
  public:
   /// `rules` must be pairwise non-overlapping in `field` and sorted by the

@@ -175,7 +175,7 @@ MatchResult NuevoMatch::match_isets(const Packet& p) const {
   // bodies (cross-iSet early termination, an extension of paper Section 4).
   MatchResult best;
   for (const IsetIndex& is : isets_) {
-    const MatchResult r = is.lookup_with_floor(p, best.priority);
+    const MatchResult r = is.lookup_with_floor(p, best.tie_floor());
     if (r.beats(best)) best = r;
   }
   return best;
@@ -217,12 +217,12 @@ void NuevoMatch::match_isets_tile(const Packet* packets, size_t tile,
     const Packet& p = packets[t];
     MatchResult best;
     for (size_t s = 0; s < n_isets; ++s) {
-      const MatchResult r = isets_[s].validate(pos[s * kTile + t], p, best.priority);
+      const MatchResult r = isets_[s].validate(pos[s * kTile + t], p, best.tie_floor());
       if (r.beats(best)) best = r;
     }
     // Any iSets beyond the pipeline width take the scalar path.
     for (size_t s = n_isets; s < isets_.size(); ++s) {
-      const MatchResult r = isets_[s].lookup_with_floor(p, best.priority);
+      const MatchResult r = isets_[s].lookup_with_floor(p, best.tie_floor());
       if (r.beats(best)) best = r;
     }
     out[t] = best;
@@ -239,7 +239,7 @@ void NuevoMatch::match_batch(std::span<const Packet> packets,
       const Packet& p = packets[base + t];
       MatchResult best = out[base + t];
       const MatchResult rem = cfg_.early_termination && best.hit()
-                                  ? remainder_->match_with_floor(p, best.priority)
+                                  ? remainder_->match_with_floor(p, best.tie_floor())
                                   : remainder_->match(p);
       if (rem.beats(best)) best = rem;
       out[base + t] = best;
@@ -259,7 +259,7 @@ MatchResult NuevoMatch::match(const Packet& p) const {
   MatchResult best = match_isets(p);
   const MatchResult rem =
       cfg_.early_termination && best.hit()
-          ? remainder_->match_with_floor(p, best.priority)
+          ? remainder_->match_with_floor(p, best.tie_floor())
           : remainder_->match(p);
   if (rem.beats(best)) best = rem;
   return best;

@@ -47,13 +47,13 @@ MatchResult OnlineNuevoMatch::Pin::match(const Packet& p) const {
   const bool et = nm.config().early_termination;
   const Classifier& base =
       l_->base_override != nullptr ? *l_->base_override : nm.remainder();
-  MatchResult r = et && best.hit() ? base.match_with_floor(p, best.priority)
+  MatchResult r = et && best.hit() ? base.match_with_floor(p, best.tie_floor())
                                    : base.match(p);
   if (r.beats(best)) best = r;
   if (l_->churn != nullptr) {
     // The churn delta always takes the running best as its floor: a miss
     // carries priority INT32_MAX, so the unfloored case falls out for free.
-    r = l_->churn->match_with_floor(p, best.priority);
+    r = l_->churn->match_with_floor(p, best.tie_floor());
     if (r.beats(best)) best = r;
   }
   return best;
@@ -69,11 +69,11 @@ void OnlineNuevoMatch::Pin::match_batch(std::span<const Packet> packets,
   for (size_t i = 0; i < packets.size(); ++i) {
     const Packet& p = packets[i];
     MatchResult best = out[i];
-    MatchResult r = et && best.hit() ? base.match_with_floor(p, best.priority)
+    MatchResult r = et && best.hit() ? base.match_with_floor(p, best.tie_floor())
                                      : base.match(p);
     if (r.beats(best)) best = r;
     if (l_->churn != nullptr) {
-      r = l_->churn->match_with_floor(p, best.priority);
+      r = l_->churn->match_with_floor(p, best.tie_floor());
       if (r.beats(best)) best = r;
     }
     out[i] = best;
@@ -87,7 +87,7 @@ MatchResult OnlineNuevoMatch::Pin::remainder_match(const Packet& p) const {
       l_->base_override != nullptr ? *l_->base_override : g_->nm.remainder();
   MatchResult best = base.match(p);
   if (l_->churn != nullptr) {
-    const MatchResult r = l_->churn->match_with_floor(p, best.priority);
+    const MatchResult r = l_->churn->match_with_floor(p, best.tie_floor());
     if (r.beats(best)) best = r;
   }
   return best;

@@ -91,7 +91,7 @@ void TupleTable::rebuild(std::vector<Entry> live) {
   heads_.assign(n_buckets, 0);
   counts_.assign(n_buckets, 0);
 
-  // Group by bucket, order by priority inside each bucket so probes can
+  // Group by bucket, order by rank inside each bucket so probes can
   // terminate at the first entry that cannot beat the current best.
   std::vector<std::pair<uint32_t, uint32_t>> order;  // (bucket, index in live)
   order.reserve(live.size());
@@ -99,7 +99,7 @@ void TupleTable::rebuild(std::vector<Entry> live) {
     order.emplace_back(static_cast<uint32_t>(bucket_of(live[i].key)), i);
   std::sort(order.begin(), order.end(), [&](const auto& a, const auto& b) {
     if (a.first != b.first) return a.first < b.first;
-    return live[a.second].priority < live[b.second].priority;
+    return live[a.second].rank < live[b.second].rank;
   });
   entries_.clear();
   entries_.reserve(live.size());
@@ -120,11 +120,10 @@ void TupleTable::insert(const Rule& r, uint32_t rule_pos) {
   Entry e;
   e.key = key_of(r);
   e.rule_pos = rule_pos;
-  e.priority = r.priority;
-  e.exact_tuple = tuple_of(r);
+  e.rank = rule_rank(r.priority, r.id);
   overflow_.push_back(e);
   ++n_entries_;
-  best_priority_ = std::min(best_priority_, e.priority);
+  best_rank_ = std::min(best_rank_, e.rank);
   // Same-key multiplicity for the split trigger: count key twins.
   size_t twins = 1;
   const size_t b = bucket_of(e.key);
@@ -162,64 +161,43 @@ bool TupleTable::erase(uint32_t rule_pos, const Rule& r) {
   return false;
 }
 
-void TupleTable::probe(const Packet& p, std::vector<uint32_t>& out) const {
-  std::array<uint32_t, kNumFields> key{};
-  for (int f = 0; f < kNumFields; ++f)
-    key[static_cast<size_t>(f)] = mask_field(p[f], f, mask_.len[static_cast<size_t>(f)]);
-  const size_t b = bucket_of(key);
-  for (uint32_t i = heads_[b], c = 0; c < counts_[b]; ++i, ++c) {
-    const Entry& e = entries_[i];
-    if (e.rule_pos != kDead && e.key == key) out.push_back(e.rule_pos);
-  }
-  for (const Entry& e : overflow_) {
-    if (e.key == key) out.push_back(e.rule_pos);
-  }
-}
-
 void TupleTable::probe_best(const Packet& p, std::span<const Rule> rules,
                             std::span<const uint8_t> alive,
-                            MatchResult& best) const noexcept {
+                            uint64_t& best) const noexcept {
   std::array<uint32_t, kNumFields> key{};
   for (int f = 0; f < kNumFields; ++f)
     key[static_cast<size_t>(f)] = mask_field(p[f], f, mask_.len[static_cast<size_t>(f)]);
   const size_t b = bucket_of(key);
   for (uint32_t i = heads_[b], c = 0; c < counts_[b]; ++i, ++c) {
     const Entry& e = entries_[i];
-    if (e.priority >= best.priority) break;  // bucket sorted by priority
+    if (e.rank >= best) break;  // bucket sorted by rank
     if (e.rule_pos == kDead || e.key != key) continue;
-    const Rule& r = rules[e.rule_pos];
-    if (alive[e.rule_pos] && r.matches(p)) {
-      best.rule_id = static_cast<int32_t>(r.id);
-      best.priority = r.priority;
-    }
+    if (alive[e.rule_pos] && rules[e.rule_pos].matches(p)) best = e.rank;
   }
   for (const Entry& e : overflow_) {
-    if (e.priority >= best.priority || e.key != key) continue;
-    const Rule& r = rules[e.rule_pos];
-    if (alive[e.rule_pos] && r.matches(p)) {
-      best.rule_id = static_cast<int32_t>(r.id);
-      best.priority = r.priority;
-    }
+    if (e.rank >= best || e.key != key) continue;
+    if (alive[e.rule_pos] && rules[e.rule_pos].matches(p)) best = e.rank;
   }
 }
 
 void TupleTable::recompute_stats() noexcept {
   max_chain_ = 0;
-  best_priority_ = std::numeric_limits<int32_t>::max();
+  best_rank_ = std::numeric_limits<uint64_t>::max();
   std::unordered_map<uint64_t, size_t> per_key;
   const auto account = [&](const Entry& e) {
     if (e.rule_pos == kDead) return;
-    best_priority_ = std::min(best_priority_, e.priority);
+    best_rank_ = std::min(best_rank_, e.rank);
     max_chain_ = std::max(max_chain_, ++per_key[hash_key(e.key)]);
   };
   for (const Entry& e : entries_) account(e);
   for (const Entry& e : overflow_) account(e);
 }
 
-std::vector<TupleTable::Entry> TupleTable::extract_tuple(const TupleMask& t) {
+std::vector<TupleTable::Entry> TupleTable::extract_tuple(const TupleMask& t,
+                                                         std::span<const Rule> rules) {
   std::vector<Entry> moved;
   for (Entry& e : entries_) {
-    if (e.rule_pos != kDead && e.exact_tuple == t) {
+    if (e.rule_pos != kDead && tuple_of(rules[e.rule_pos]) == t) {
       moved.push_back(e);
       e.rule_pos = kDead;
       --n_entries_;
@@ -227,7 +205,7 @@ std::vector<TupleTable::Entry> TupleTable::extract_tuple(const TupleMask& t) {
     }
   }
   for (size_t i = overflow_.size(); i-- > 0;) {
-    if (overflow_[i].exact_tuple == t) {
+    if (tuple_of(rules[overflow_[i].rule_pos]) == t) {
       moved.push_back(overflow_[i]);
       overflow_.erase(overflow_.begin() + static_cast<long>(i));
       --n_entries_;

@@ -25,18 +25,21 @@ TupleMerge& TupleMerge::operator=(const TupleMerge& o) {
 
 namespace {
 
-/// Table mask for a new table holding rules of tuple `t`: TupleMerge relaxes
-/// IPv4 lengths so similar tuples can share the table; TSS keeps `t` as-is.
-/// Rounding down to a coarse granularity and capping the length keeps the
-/// total table count small — the quantity that dominates lookup cost —
-/// while the collision limit bounds how much relaxation can hurt.
+/// Table mask for a new table holding rules of tuple `t`: TupleMerge keys
+/// it on the IPv4 prefix lengths alone, rounded down to a coarse granularity
+/// and capped, with port and protocol lengths 0, so rules that differ only
+/// in port or protocol shape share the table; TSS keeps `t` as-is. The
+/// table count is the quantity that dominates lookup cost, and few tables
+/// let a priority floor skip whole tables; Rule::matches checks every
+/// candidate, and the collision limit splits an overfull key back out into
+/// an exact-tuple table that keeps its port bits.
 TupleMask relaxed_mask(const TupleMask& t, const TupleMergeConfig& cfg) {
   if (!cfg.enable_merging) return t;
-  TupleMask m = t;
+  TupleMask m{};
   for (int f : {kSrcIp, kDstIp}) {
     const int g = std::max(1, cfg.ip_len_granularity);
     m.len[static_cast<size_t>(f)] = static_cast<uint8_t>(
-        std::min(cfg.ip_len_cap, m.len[static_cast<size_t>(f)] / g * g));
+        std::min(cfg.ip_len_cap, t.len[static_cast<size_t>(f)] / g * g));
   }
   return m;
 }
@@ -86,7 +89,7 @@ void TupleMerge::insert_into_tables(uint32_t rule_pos) {
   // back into its own exact table.
   if (cfg_.enable_merging && best->max_collisions() > cfg_.collision_limit &&
       !(best->mask() == t)) {
-    auto moved = best->extract_tuple(t);
+    auto moved = best->extract_tuple(t, rules_);
     if (!moved.empty()) {
       tables_.push_back(std::make_unique<TupleTable>(t));
       TupleTable* fresh = tables_.back().get();
@@ -97,7 +100,7 @@ void TupleMerge::insert_into_tables(uint32_t rule_pos) {
 
 void TupleMerge::sort_tables() {
   std::sort(tables_.begin(), tables_.end(), [](const auto& a, const auto& b) {
-    return a->best_priority() < b->best_priority();
+    return a->best_rank() < b->best_rank();
   });
 }
 
@@ -106,13 +109,18 @@ MatchResult TupleMerge::match(const Packet& p) const {
 }
 
 MatchResult TupleMerge::match_with_floor(const Packet& p, int32_t priority_floor) const {
-  MatchResult best;
-  best.priority = priority_floor;  // acts as the pruning bound; not a hit yet
+  // The running best is a rule_rank bound that starts at the floor, so the
+  // tie order of MatchResult::beats holds across tables as well as inside
+  // buckets: a table whose best rule ties the current best's priority is
+  // still probed when that rule's id is smaller.
+  const uint64_t floor = rule_rank(priority_floor, 0);
+  uint64_t best = floor;
   for (const auto& tbl : tables_) {
-    if (tbl->best_priority() >= best.priority) break;  // sorted: nothing better left
+    if (tbl->best_rank() >= best) break;  // sorted: nothing better left
     tbl->probe_best(p, rules_, alive_, best);
   }
-  return best.rule_id != MatchResult::kNoMatch ? best : MatchResult{};
+  if (best == floor) return MatchResult{};
+  return MatchResult{static_cast<int32_t>(static_cast<uint32_t>(best)), rank_priority(best)};
 }
 
 bool TupleMerge::insert(const Rule& r) {
@@ -140,17 +148,17 @@ bool TupleMerge::erase(uint32_t rule_id) {
   }
   if (!alive_[pos]) return false;
   for (auto& tbl : tables_) {
-    const int32_t best_before = tbl->best_priority();
+    const uint64_t best_before = tbl->best_rank();
     if (tbl->erase(pos, rules_[pos])) {
       alive_[pos] = 0;
       --live_rules_;
       if (it != pos_by_id_.end()) pos_by_id_.erase(it);
-      // Erasing a table's best rule RAISES its best_priority, breaking the
+      // Erasing a table's best rule RAISES its best_rank, breaking the
       // ascending order match_with_floor's early-termination break relies
       // on — later tables with better rules would be skipped. Restore it
       // (only when the bound actually moved: this runs inside the online
       // writer's generation-exclusive section).
-      if (tbl->best_priority() != best_before) sort_tables();
+      if (tbl->best_rank() != best_before) sort_tables();
       return true;
     }
   }

@@ -2,13 +2,24 @@
 // Space Search (Srinivasan et al., SIGCOMM'99 — the Open vSwitch slow path).
 //
 // TupleMerge reduces the number of hash tables by storing rules in tables
-// with *relaxed* (less specific) masks; a collision limit (40 in the paper)
-// triggers splitting an overfull table back out into an exact-tuple table.
-// Tables are kept sorted by their best priority so lookups (and the
+// with *relaxed* (less specific) masks. Mask policy: a new table keys on the
+// IPv4 prefix lengths only, rounded down to `ip_len_granularity` and capped
+// at `ip_len_cap`; its port and protocol lengths are 0, so rules that differ
+// only in port or protocol shape share one table and the full-rule
+// candidate check tells them apart. A collision limit (40 in the paper)
+// splits an overfull key back out into an exact-tuple table, which keeps the
+// rules' port and protocol bits. Tuple Space Search gives every exact tuple
+// its own table.
+//
+// Tables are kept sorted by their best rule, so lookups (and the
 // early-termination variant, paper Section 4) stop as soon as no remaining
-// table can beat the current best match. Hash tables support O(1) rule
-// insertion/deletion, which is why the paper uses tm as the updatable
-// remainder backend (Section 3.9).
+// table can beat the current best match. Fewer, coarser tables are what let
+// a NuevoMatch iSet floor skip whole tables. Ties follow MatchResult::beats
+// — (priority, id) — in bucket order, in table order and in the pruning
+// bound, so equal-priority rules resolve to the smaller id exactly as
+// LinearSearch does. Hash tables support O(1) rule insertion/deletion,
+// which is why the paper uses tm as the updatable remainder backend
+// (Section 3.9).
 #pragma once
 
 #include <memory>
@@ -24,7 +35,8 @@ struct TupleMergeConfig {
   /// Longest tolerated bucket chain before a table is split (paper: 40).
   size_t collision_limit = 40;
   /// Relax IPv4 prefix lengths down to multiples of this granularity when
-  /// creating tables, letting nearby tuples share one table.
+  /// creating tables, letting nearby tuples share one table (ports and
+  /// protocol are always relaxed to length 0; see the mask policy above).
   int ip_len_granularity = 8;
   /// Cap table IPv4 mask lengths: /32 host rules live in the /24 table and
   /// are disambiguated by the candidate check (Daly et al. Section 5.1 keeps
@@ -79,7 +91,7 @@ class TupleMerge : public Classifier {
   std::vector<uint8_t> alive_;
   std::unordered_map<uint32_t, uint32_t> pos_by_id_;  // first-wins on dup ids
   size_t live_rules_ = 0;
-  std::vector<std::unique_ptr<TupleTable>> tables_;  // sorted by best priority
+  std::vector<std::unique_ptr<TupleTable>> tables_;  // sorted by best rank
 };
 
 /// Classic Tuple Space Search: one exact table per tuple.

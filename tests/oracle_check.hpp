@@ -46,6 +46,15 @@ inline void expect_matches_oracle(Classifier& cls, const RuleSet& rules,
   }
 }
 
+/// Re-draw every rule's priority from `n_values` values, so many
+/// rules tie and the (priority, id) order of MatchResult::beats — the order
+/// LinearSearch uses — decides between overlapping matches.
+inline RuleSet with_tied_priorities(RuleSet rules, uint64_t n_values, uint64_t seed) {
+  Rng rng{seed};
+  for (Rule& r : rules) r.priority = static_cast<int32_t>(rng.below(n_values));
+  return rules;
+}
+
 /// Assert match_with_floor is consistent with match for any engine: it must
 /// return the same rule when the floor does not exclude it, and a miss (or a
 /// strictly better rule) when it does.

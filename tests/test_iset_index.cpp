@@ -2,6 +2,9 @@
 // multi-field validation (paper Figure 1 left path).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "classbench/generator.hpp"
 #include "common/rng.hpp"
 #include "isets/iset_index.hpp"
@@ -148,6 +151,41 @@ TEST(IsetIndex, PortFieldIndexing) {
     const MatchResult m = idx.lookup(p);
     ASSERT_TRUE(m.hit());
     EXPECT_EQ(static_cast<uint32_t>(m.rule_id), r.id);
+  }
+}
+
+// The window scan of the secondary search agrees with std::upper_bound at
+// every SIMD level (a level the CPU lacks degrades to a narrower kernel), on
+// every window width the search uses, for probes at, between and beyond the
+// stored values — including values across the sign bit the AVX2 kernel
+// biases away.
+TEST(IsetIndex, CountLeqAgreesWithUpperBoundAtEveryLevel) {
+  Rng rng{17};
+  for (size_t width = 1; width <= 40; ++width) {
+    for (int rep = 0; rep < 20; ++rep) {
+      std::vector<uint32_t> window(width);
+      for (uint32_t& x : window) x = rng.next_u32();
+      if (rep % 2 == 0) window[0] = 0;
+      if (rep % 3 == 0) window[width - 1] = 0xFFFFFFFFu;
+      std::sort(window.begin(), window.end());
+      window.erase(std::unique(window.begin(), window.end()), window.end());
+      std::vector<uint32_t> probes{0u, 0x7FFFFFFFu, 0x80000000u, 0xFFFFFFFFu};
+      for (uint32_t x : window) {
+        probes.push_back(x);
+        probes.push_back(x - 1);
+        probes.push_back(x + 1);
+      }
+      for (uint32_t v : probes) {
+        const auto want = static_cast<size_t>(
+            std::upper_bound(window.begin(), window.end(), v) - window.begin());
+        for (rqrmi::SimdLevel level : {rqrmi::SimdLevel::kSerial, rqrmi::SimdLevel::kSse,
+                                       rqrmi::SimdLevel::kAvx}) {
+          ASSERT_EQ(count_leq(window.data(), window.size(), v, level), want)
+              << "width " << window.size() << " probe " << v << " level "
+              << rqrmi::to_string(level);
+        }
+      }
+    }
   }
 }
 

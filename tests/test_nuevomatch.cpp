@@ -18,6 +18,7 @@ namespace {
 
 using testing_support::expect_floor_consistency;
 using testing_support::expect_matches_oracle;
+using testing_support::with_tied_priorities;
 
 NuevoMatchConfig base_config(ClassifierFactory remainder) {
   NuevoMatchConfig cfg;
@@ -95,6 +96,30 @@ TEST(NuevoMatch, FloorConsistency) {
   NuevoMatch nm{base_config([] { return std::make_unique<TupleMerge>(); })};
   nm.build(rules);
   expect_floor_consistency(nm, rules);
+}
+
+// Equal priorities resolve to the smaller id on every path: the iSet hit's
+// floor must still admit an equal-priority rule in a later iSet or in the
+// remainder, and beats() then breaks the tie by id as LinearSearch does.
+TEST(NuevoMatch, TiedPrioritiesBreakByIdOnEveryPath) {
+  const RuleSet rules =
+      with_tied_priorities(generate_classbench(AppClass::kAcl, 1, 5000, 70), 50, 71);
+  NuevoMatch nm{base_config([] { return std::make_unique<TupleMerge>(); })};
+  nm.build(rules);
+  ASSERT_FALSE(nm.isets().empty());
+  expect_matches_oracle(nm, rules, 20000, 72);
+
+  LinearSearch oracle;
+  oracle.build(rules);
+  TraceConfig tc;
+  tc.n_packets = 20000;
+  tc.seed = 73;
+  const auto trace = generate_trace(rules, tc);
+  std::vector<MatchResult> batched(trace.size());
+  nm.match_batch(trace, batched);
+  for (size_t i = 0; i < trace.size(); ++i)
+    ASSERT_EQ(batched[i].rule_id, oracle.match(trace[i]).rule_id)
+        << "match_batch, packet " << i << ": " << to_string(trace[i]);
 }
 
 TEST(NuevoMatch, StanfordSingleFieldDataset) {

@@ -253,7 +253,7 @@ TEST(SupervisorWatchdog, FlagsStalledTaskAndCountsBudgetOverruns) {
   Task& liar = sched.add(
       [&]() -> TaskState {
         volatile uint64_t sink = 0;
-        for (int i = 0; i < 1000; ++i) sink += static_cast<uint64_t>(i);
+        for (int i = 0; i < 1000; ++i) sink = sink + static_cast<uint64_t>(i);
         return ++liar_fires >= 40 ? TaskState::kDone : TaskState::kWorked;
       },
       std::move(liar_opt));

@@ -12,6 +12,7 @@ namespace {
 
 using testing_support::expect_floor_consistency;
 using testing_support::expect_matches_oracle;
+using testing_support::with_tied_priorities;
 
 struct TmCase {
   AppClass app;
@@ -174,6 +175,90 @@ TEST(TupleMerge, CollisionLimitTriggersSplit) {
   TupleMerge tm{cfg};
   tm.build(rules);
   expect_matches_oracle(tm, rules, 1000, 15);
+}
+
+// Equal priorities resolve to the smaller id — MatchResult::beats, the
+// LinearSearch order — inside a bucket, across tables and through the
+// pruning bound. With priorities drawn from 50 values most overlapping
+// matches tie.
+TEST(TupleMerge, TiedPrioritiesBreakByIdLikeLinearSearch) {
+  const RuleSet rules =
+      with_tied_priorities(generate_classbench(AppClass::kAcl, 1, 5000, 60), 50, 61);
+  TupleMerge tm;
+  TupleSpaceSearch tss;
+  tm.build(rules);
+  tss.build(rules);
+  expect_matches_oracle(tm, rules, 20000, 62);
+  expect_matches_oracle(tss, rules, 20000, 62);
+  expect_floor_consistency(tm, rules, 63);
+  expect_floor_consistency(tss, rules, 63);
+}
+
+Rule dst_block_rule(uint32_t dst_port_lo, uint32_t dst_port_hi, uint32_t proto_lo,
+                    uint32_t proto_hi) {
+  Rule r;
+  for (int f = 0; f < kNumFields; ++f) r.field[static_cast<size_t>(f)] = full_range(f);
+  r.field[kDstIp] = Range{0x0A000000u, 0x0A0000FFu};  // 10.0.0.0/24
+  r.field[kDstPort] = Range{dst_port_lo, dst_port_hi};
+  r.field[kProto] = Range{proto_lo, proto_hi};
+  return r;
+}
+
+// Mask policy: merged tables key on IPv4 prefix lengths only, so rules that
+// differ only in port or protocol shape share one table — until the
+// collision limit splits the overfull key back out into an exact-tuple
+// table, which keeps its port and protocol bits.
+TEST(TupleMerge, PortAndProtocolShapesShareOneTableUntilSplit) {
+  // Priority = id = index. The most specific shape comes first, so an
+  // exact-tuple policy would open one table per shape.
+  RuleSet rules;
+  for (uint32_t i = 0; i < 20; ++i) rules.push_back(dst_block_rule(80 + i, 80 + i, 6, 6));
+  for (uint32_t i = 0; i < 5; ++i) rules.push_back(dst_block_rule(0, 65535, 17, 17));
+  for (uint32_t i = 0; i < 10; ++i) rules.push_back(dst_block_rule(1024, 65535, 0, 255));
+  for (uint32_t i = 20; i < 35; ++i) rules.push_back(dst_block_rule(80 + i, 80 + i, 6, 6));
+  canonicalize(rules);
+  const RuleSet initial(rules.begin(), rules.begin() + 35);
+
+  TupleMerge tm;
+  tm.build(initial);
+  TupleSpaceSearch tss;
+  tss.build(initial);
+  EXPECT_EQ(tss.num_tables(), 3u);  // one table per port/protocol shape
+  ASSERT_EQ(tm.num_tables(), 1u);
+  TupleMask relaxed;
+  relaxed.len[kDstIp] = 24;
+  EXPECT_EQ(tm.tables()[0]->mask(), relaxed);
+  EXPECT_EQ(tm.tables()[0]->max_collisions(), 35u);
+  expect_matches_oracle(tm, initial, 2000, 64);
+
+  // The 41st rule on the one key passes the limit of 40: every exact-port
+  // rule moves to a table that hashes the port and protocol.
+  for (size_t i = initial.size(); i < rules.size(); ++i) ASSERT_TRUE(tm.insert(rules[i]));
+  ASSERT_EQ(tm.num_tables(), 2u);
+  TupleMask exact = relaxed;
+  exact.len[kDstPort] = 16;
+  exact.len[kProto] = 8;
+  size_t exact_rules = 0;
+  for (const auto& t : tm.tables()) {
+    EXPECT_LE(t->max_collisions(), 40u);
+    if (t->mask() == exact) exact_rules = t->size();
+    else EXPECT_EQ(t->mask(), relaxed);
+  }
+  EXPECT_EQ(exact_rules, 35u);
+  expect_matches_oracle(tm, rules, 2000, 65);
+}
+
+// The ClassBench firewall seed whose port ranges change the table inventory
+// most under the IP-only mask policy.
+TEST(TupleMerge, PortRangeHeavyFirewallMatchesLinearSearch) {
+  const RuleSet rules = generate_classbench(AppClass::kFw, 3, 5000, 66);
+  TupleMerge tm;
+  tm.build(rules);
+  TupleSpaceSearch tss;
+  tss.build(rules);
+  EXPECT_LT(tm.num_tables() * 10, tss.num_tables());
+  expect_matches_oracle(tm, rules, 20000, 67);
+  expect_floor_consistency(tm, rules, 68);
 }
 
 }  // namespace
