@@ -3,10 +3,8 @@
 //
 // Methodology mirrors the paper (§5.1.1): per rule-set, generate a packet
 // trace, run warm-up passes, then measure; report ns/packet (latency) and
-// packets/second (throughput). On this container only one hardware core is
-// available, so the two-core experiments (Figure 8) are *projected* from
-// separately measured phases — see DESIGN.md "Substitutions" and the
-// model documented in bench_fig8_classbench_multicore.cpp.
+// packets/second (throughput). The multi-core experiment (Figure 8) runs N
+// independent instances on N threads; see bench_fig8_classbench_multicore.cpp.
 //
 // Scale control: NM_BENCH_SCALE=quick (default) runs reduced sizes/suites so
 // the full battery completes in minutes; NM_BENCH_SCALE=full reproduces the

@@ -33,7 +33,8 @@ int main() {
     auto nm = make_nm("tuplemerge", s);
     nm->build(rules);
     const double t_nm = measure_ns_per_packet(*nm, trace, s.reps);
-    // Two-core projection for latency, as in Figure 8's model.
+    // Two-core latency projection (paper §4: iSets on one core, remainder on
+    // the other, so a packet costs the slower half).
     const double t_isets = measure_ns_per_packet_fn(
         [&](const Packet& p) { return nm->match_isets(p).rule_id; }, trace, s.reps);
     const double t_rem = measure_ns_per_packet_fn(

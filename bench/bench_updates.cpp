@@ -17,9 +17,10 @@
 //       that starved writers to ~0 updates/s on the PR 3 reader-preferring
 //       rwlock (old section (d) worked around it with a reader duty cycle;
 //       the epoch path needs no workaround). W batch-committing writer
-//       threads race two flat-out online parallel-engine readers; on this
-//       one-core container updates/s scales with the writers' CPU share,
-//       which is precisely what reader-starvation used to deny them;
+//       threads race two flat-out match_batch() readers (one pinned
+//       generation per 128-packet batch); updates/s must scale with the
+//       writers' CPU share, which is precisely what reader-starvation used
+//       to deny them;
 //   (e) writer progress vs reader saturation: one saturated writer against
 //       0/2/4 spinning readers — the no-starvation regression row;
 //   (f) replicated-pipeline readers during churn: the reader side is the
@@ -44,7 +45,6 @@
 #include "classifiers/linear.hpp"
 #include "common/rng.hpp"
 #include "nuevomatch/online.hpp"
-#include "nuevomatch/parallel.hpp"
 #include "pipeline/elements.hpp"
 #include "pipeline/replicate.hpp"
 #include "trace/verification.hpp"
@@ -255,8 +255,8 @@ int main() {
 
   // (c) phase 2: saturated update ceiling — a writer spinning flat out,
   // single-op commits vs batched commits, with one verified reader still
-  // racing every swap (its Mpps here records CPU fair-share under writer
-  // saturation on one core, not lock behavior — the reader holds no lock).
+  // racing every swap (its Mpps here records CPU share under writer
+  // saturation, not lock behavior — the reader holds no lock).
   std::printf("\n-- (c2) saturated update ceiling (writer spins, reader verifies) --\n");
   std::printf("%-14s | %12s %12s %7s\n", "commit mode", "updates/s", "rd Mpps", "mism");
   for (const bool batched : {false, true}) {
@@ -365,7 +365,7 @@ int main() {
         .set("rules", base.size()).set("updates_per_sec", r_sl);
   }
 
-  // (d) multi-writer batch commits under SATURATED parallel-engine readers.
+  // (d) multi-writer batch commits under SATURATED match_batch() readers.
   // This is the configuration that used to starve writers outright (PR 3
   // measured ~0 updates/s without a reader duty-cycle workaround, and
   // NEGATIVE scaling with it: 0.38x at 4 writers). Methodology: each writer
@@ -374,12 +374,12 @@ int main() {
   // deliver W times the updates while two readers spin flat out, which is
   // exactly what reader-preference and per-op locking used to deny. (The
   // saturated single-writer ceiling — ~10-100x any row here — is section
-  // (c2)'s number; at writer saturation on one core, adding writers can
+  // (c2)'s number; once writers outnumber free cores, adding writers can
   // only split the same CPU, so a saturated scaling row would measure the
   // scheduler, not the engine.)
-  std::printf("\n-- (d) multi-writer offered-load absorption + saturated parallel readers --\n");
-  std::printf("%-8s %-7s | %12s %10s %12s %7s %6s\n", "writers", "shards",
-              "updates/s", "vs 1w", "lookups", "swaps", "mism");
+  std::printf("\n-- (d) multi-writer offered-load absorption + saturated batch readers --\n");
+  std::printf("%-8s | %12s %10s %12s %7s %6s\n", "writers", "updates/s", "vs 1w",
+              "lookups", "swaps", "mism");
   const RuleSet mw_base = generate_classbench(
       AppClass::kAcl, 1, std::min<size_t>(s.large_n, 30'000), 61);
   const StableCore mw_core = make_stable_core(mw_base, s.trace_len / 2, 62);
@@ -390,7 +390,6 @@ int main() {
     mcfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
     mcfg.base.min_iset_coverage = 0.05;
     mcfg.retrain_threshold = 0.05;
-    mcfg.update_shards = writers;
     OnlineNuevoMatch mw{mcfg};
     mw.build(mw_base);
     const uint64_t g0 = mw.generations();
@@ -404,13 +403,12 @@ int main() {
     for (int t = 0; t < 2; ++t) {
       rd.emplace_back([&, t] {
         // Saturated: no duty cycle, no yield — back-to-back pinned batches.
-        BatchParallelEngine engine{mw};
-        std::vector<MatchResult> out(kDefaultBatchSize);
+        constexpr size_t kBatch = 128;
+        std::vector<MatchResult> out(kBatch);
         size_t off = static_cast<size_t>(t) * 64 % mw_core.packets.size();
         while (!halt_readers.load(std::memory_order_relaxed)) {
-          const size_t len =
-              std::min(kDefaultBatchSize, mw_core.packets.size() - off);
-          engine.classify({mw_core.packets.data() + off, len}, {out.data(), len});
+          const size_t len = std::min(kBatch, mw_core.packets.size() - off);
+          mw.match_batch({mw_core.packets.data() + off, len}, {out.data(), len});
           for (size_t i = 0; i < len; ++i) {
             if (out[i].rule_id != mw_core.expected[off + i]) mw_bad.fetch_add(1);
           }
@@ -474,8 +472,7 @@ int main() {
     if (writers == 1) upd_1w = upd_rate;
     const uint64_t mw_swaps = mw.generations() - g0;
     mw_bad_total += mw_bad.load();
-    std::printf("%-8d %-7d | %12.0f %9.2fx %12llu %7llu %6llu\n", writers,
-                mw.update_shards(), upd_rate,
+    std::printf("%-8d | %12.0f %9.2fx %12llu %7llu %6llu\n", writers, upd_rate,
                 upd_1w > 0.0 ? upd_rate / upd_1w : 1.0,
                 static_cast<unsigned long long>(mw_lookups.load()),
                 static_cast<unsigned long long>(mw_swaps),
@@ -484,7 +481,6 @@ int main() {
     j.row()
         .set("section", "multi_writer")
         .set("writers", static_cast<size_t>(writers))
-        .set("shards", static_cast<size_t>(mw.update_shards()))
         .set("rules", mw_base.size())
         .set("updates_per_sec", upd_rate)
         .set("scaling_vs_1w", upd_1w > 0.0 ? upd_rate / upd_1w : 1.0)
@@ -561,10 +557,11 @@ int main() {
         .set("lookups_per_sec", static_cast<double>(pr_lookups.load()) / p_secs)
         .set("mismatches", static_cast<size_t>(pr_bad.load()));
   }
-  std::printf("note: one hardware core on this container — saturated threads "
-              "timeshare, so\nthe scaling rows measure CPU-share recovery (the "
-              "thing reader-preference used\nto deny writers); multi-core hosts "
-              "add real concurrency on top\n");
+  std::printf("note: %u hardware threads on this host; once saturated threads "
+              "outnumber them they\ntimeshare, and the scaling rows measure "
+              "CPU-share recovery (the thing\nreader-preference used to deny "
+              "writers)\n",
+              std::thread::hardware_concurrency());
 
   // (f) replicated-pipeline readers during churn: the reader side is the
   // REAL dataplane — a 2-replica TraceSource -> FlowCache -> Classifier ->

@@ -11,9 +11,9 @@
 //
 // The controller pushes each round as ONE erase_batch + ONE insert_batch:
 // a burst costs one writer-lock hold and one copy-on-write commit total,
-// not one per rule. Lookups are served two ways at once: scalar match()
-// calls AND the online BatchParallelEngine (per-batch generation pinning) —
-// the multi-core serving path.
+// not one per rule. Lookups are served two ways: scalar match() calls and
+// match_batch() over 128-packet batches (one pinned generation per batch) —
+// the path the pipeline's Classifier element serves from.
 //
 //   $ ./online_updates [n_rules]        (default 30000)
 #include <algorithm>
@@ -27,7 +27,6 @@
 #include "classbench/generator.hpp"
 #include "common/rng.hpp"
 #include "nuevomatch/online.hpp"
-#include "nuevomatch/parallel.hpp"
 #include "trace/trace.hpp"
 #include "tuplemerge/tuplemerge.hpp"
 
@@ -46,13 +45,14 @@ double mpps(const Classifier& cls, const std::vector<Packet>& trace) {
              std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
 }
 
-/// Same trace through the online parallel engine, kDefaultBatchSize a time.
-double mpps_parallel(BatchParallelEngine& engine, const std::vector<Packet>& trace) {
+/// Same trace through match_batch(), 128 packets a time.
+double mpps_batched(const OnlineNuevoMatch& nm, const std::vector<Packet>& trace) {
+  constexpr size_t kBatch = 128;
   std::vector<MatchResult> out(trace.size());
   const auto t0 = std::chrono::steady_clock::now();
-  for (size_t off = 0; off < trace.size(); off += kDefaultBatchSize) {
-    const size_t len = std::min(kDefaultBatchSize, trace.size() - off);
-    engine.classify({trace.data() + off, len}, {out.data() + off, len});
+  for (size_t off = 0; off < trace.size(); off += kBatch) {
+    const size_t len = std::min(kBatch, trace.size() - off);
+    nm.match_batch({trace.data() + off, len}, {out.data() + off, len});
   }
   const auto t1 = std::chrono::steady_clock::now();
   static volatile int64_t g_sink;
@@ -77,20 +77,14 @@ int main(int argc, char** argv) {
   cfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
   cfg.base.min_iset_coverage = 0.05;
   cfg.retrain_threshold = 0.08;  // retrain when 8% of rules have migrated
-  cfg.update_shards = 4;         // multi-writer update path (one here, but
-                                 // the journal/swap machinery is identical)
   OnlineNuevoMatch nm{cfg};
   nm.build(rules);
-  std::printf("built: %zu rules, generation %llu, %d update shards\n", nm.size(),
-              static_cast<unsigned long long>(nm.generations()), nm.update_shards());
-
-  // The multi-core serving path: per-batch generation pinning means this
-  // engine keeps answering at full speed across every swap below.
-  BatchParallelEngine engine{nm};
+  std::printf("built: %zu rules, generation %llu\n", nm.size(),
+              static_cast<unsigned long long>(nm.generations()));
 
   Rng rng{7};
   std::printf("\n%-8s %-10s %10s %10s %12s %10s %6s\n", "batch", "updates", "Mpps",
-              "par Mpps", "absorption", "retrain?", "gen");
+              "batch Mpps", "absorption", "retrain?", "gen");
   const size_t batch = n / 50;
   size_t total_updates = 0;
   uint32_t next_id = 1'000'000;
@@ -117,16 +111,16 @@ int main(int argc, char** argv) {
     }
     total_updates += nm.erase_batch(victims) + nm.insert_batch(moved);
     std::printf("%-8d %-10zu %10.2f %10.2f %11.1f%% %10s %6llu\n", round,
-                total_updates, mpps(nm, trace), mpps_parallel(engine, trace),
+                total_updates, mpps(nm, trace), mpps_batched(nm, trace),
                 nm.absorption() * 100, nm.retrain_in_progress() ? "bg" : "-",
                 static_cast<unsigned long long>(nm.generations()));
   }
 
   nm.quiesce();
   std::printf("\nquiesced: generation %llu, absorption %.1f%%, %10.2f Mpps "
-              "(%.2f parallel)\n",
+              "(%.2f batched)\n",
               static_cast<unsigned long long>(nm.generations()),
-              nm.absorption() * 100, mpps(nm, trace), mpps_parallel(engine, trace));
+              nm.absorption() * 100, mpps(nm, trace), mpps_batched(nm, trace));
   std::printf("every lookup stayed exact throughout (see tests/test_updates.cpp "
               "and tests/test_churn.cpp)\n");
   return 0;

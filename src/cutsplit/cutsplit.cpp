@@ -42,7 +42,9 @@ MatchResult CutSplit::match_with_floor(const Packet& p, int32_t priority_floor) 
     const MatchResult r = t.match_with_floor(p, floor);
     if (r.beats(best)) {
       best = r;
-      floor = best.priority;  // later trees prune against the running best
+      // Later trees prune against the running best, but must still admit an
+      // equal-priority rule with a smaller id (beats() breaks the tie).
+      floor = best.tie_floor();
     }
   }
   // Overflow probe: bound by the CALLER's floor (strict, per the

@@ -45,7 +45,7 @@ double NeuroCutsLike::score(const std::vector<CutTree>& trees,
   for (const Packet& p : probes) {
     MatchResult best;
     for (const CutTree& t : trees) {
-      const MatchResult r = t.match_with_floor(p, best.priority);
+      const MatchResult r = t.match_with_floor(p, best.tie_floor());
       if (r.beats(best)) best = r;
     }
     sink += best.rule_id;
@@ -124,7 +124,7 @@ MatchResult NeuroCutsLike::match_with_floor(const Packet& p, int32_t priority_fl
     const MatchResult r = t.match_with_floor(p, floor);
     if (r.beats(best)) {
       best = r;
-      floor = best.priority;
+      floor = best.tie_floor();  // admit equal-priority rules with smaller ids
     }
   }
   return best;

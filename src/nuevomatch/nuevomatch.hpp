@@ -71,7 +71,7 @@ class NuevoMatch final : public Classifier {
   [[nodiscard]] MatchResult match_with_floor(const Packet& p,
                                              int32_t priority_floor) const override;
 
-  /// iSet path only (used by the parallel engine and breakdown benches).
+  /// iSet path only (used by the online engine and breakdown benches).
   [[nodiscard]] MatchResult match_isets(const Packet& p) const;
 
   /// Batched lookup (paper §5.1 processes packets in batches of 128): a
@@ -85,9 +85,8 @@ class NuevoMatch final : public Classifier {
 
   /// Batched iSet-only path: the first two pipeline stages of match_batch
   /// plus validation, without the remainder merge. Element-for-element
-  /// identical to match_isets(). The parallel engine's calling core runs
-  /// this so the iSet half of the two-core split gets the SIMD batch
-  /// kernels too.
+  /// identical to match_isets(). OnlineNuevoMatch's batched path runs this,
+  /// then merges its own remainder view (override + churn delta).
   void match_isets_batch(std::span<const Packet> packets,
                          std::span<MatchResult> out) const;
 

@@ -18,9 +18,6 @@ OnlineNuevoMatch::OnlineNuevoMatch(OnlineConfig cfg) : cfg_(std::move(cfg)) {
   layer_owner_ = std::make_shared<const Layer>();
   gen_owner_->layer.store(layer_owner_.get(), std::memory_order_relaxed);
   gen_pub_.store(gen_owner_.get(), std::memory_order_seq_cst);
-  const int n_shards = std::clamp(cfg_.update_shards, 1, 256);
-  shards_.reserve(static_cast<size_t>(n_shards));
-  for (int i = 0; i < n_shards; ++i) shards_.push_back(std::make_unique<Shard>());
   worker_ = std::thread([this] { worker_loop(); });
 }
 
@@ -80,19 +77,6 @@ void OnlineNuevoMatch::Pin::match_batch(std::span<const Packet> packets,
   }
 }
 
-MatchResult OnlineNuevoMatch::Pin::remainder_match(const Packet& p) const {
-  // The parallel engine's worker half: remainder + churn, no floor (the
-  // iSet result is being computed concurrently on the other core).
-  const Classifier& base =
-      l_->base_override != nullptr ? *l_->base_override : g_->nm.remainder();
-  MatchResult best = base.match(p);
-  if (l_->churn != nullptr) {
-    const MatchResult r = l_->churn->match_with_floor(p, best.tie_floor());
-    if (r.beats(best)) best = r;
-  }
-  return best;
-}
-
 MatchResult OnlineNuevoMatch::match(const Packet& p) const { return Pin{*this}.match(p); }
 
 MatchResult OnlineNuevoMatch::match_with_floor(const Packet& p,
@@ -110,11 +94,10 @@ void OnlineNuevoMatch::match_batch(std::span<const Packet> packets,
 // --- writer commits ---------------------------------------------------------
 
 void OnlineNuevoMatch::journal_locked(Op op) {
-  Shard& sh = shard_for(op.kind == Op::Kind::kInsert ? op.rule.id : op.id);
-  sh.ops.fetch_add(1, std::memory_order_relaxed);
+  update_ops_.fetch_add(1, std::memory_order_relaxed);
   if (journal_open_) {
-    sh.journal.push_back(std::move(op));
-    journal_depth_.fetch_add(1, std::memory_order_relaxed);
+    journal_.push_back(std::move(op));
+    journal_depth_.store(journal_.size(), std::memory_order_relaxed);
   }
 }
 
@@ -257,8 +240,7 @@ size_t OnlineNuevoMatch::insert_batch(std::span<const Rule> rules) {
   size_t accepted = 0;
   size_t next = 0;  // first op not yet admitted
   // Unbounded (the default): the loop body runs exactly once — one
-  // writer-lock hold, one op-sequence range, one publication, identical to
-  // the pre-overload-control commit. With a cap armed, each iteration
+  // writer-lock hold, one publication. With a cap armed, each iteration
   // commits the slice overload control admits; kBlock waits for capacity
   // between slices, kShed (and a kBlock timeout) drops the rest.
   for (;;) {
@@ -268,22 +250,19 @@ size_t OnlineNuevoMatch::insert_batch(std::span<const Rule> rules) {
       std::lock_guard lk{wmu_};
       pending_inserts_.clear();
       pending_churn_erases_.clear();
-      uint64_t seq =
-          op_seq_.fetch_add(rules.size() - next, std::memory_order_relaxed);
       size_t room = bounded ? insert_room_locked() : SIZE_MAX;
       bool churn_dirty = false;
       int min_band = kCoherenceCatchAll;
       while (next < rules.size() && room > 0) {
         const Rule& r = rules[next++];
         if (insert_locked(r, churn_dirty)) {
-          journal_locked(Op{Op::Kind::kInsert, r, r.id, seq});
+          journal_locked(Op{Op::Kind::kInsert, r, r.id});
           min_band = std::min(min_band, coherence_band(r.priority));
           ++slice;
           // Each accepted insert grows the churn delta and (journal open)
           // the journal by one; duplicates consume no capacity.
           if (room != SIZE_MAX) --room;
         }
-        ++seq;
       }
       if (churn_dirty) publish_layer_locked(churn_dirty, /*base_dirty=*/false);
       // The commit is reader-visible; invalidate decision caches (the bump
@@ -339,16 +318,14 @@ size_t OnlineNuevoMatch::erase_batch(std::span<const uint32_t> rule_ids) {
     std::lock_guard lk{wmu_};
     pending_inserts_.clear();
     pending_churn_erases_.clear();
-    uint64_t seq = op_seq_.fetch_add(rule_ids.size(), std::memory_order_relaxed);
     bool churn_dirty = false;
     bool base_dirty = false;
     uint32_t bands = 0;
     for (const uint32_t id : rule_ids) {
       if (erase_locked(id, churn_dirty, base_dirty, bands)) {
-        journal_locked(Op{Op::Kind::kErase, Rule{}, id, seq});
+        journal_locked(Op{Op::Kind::kErase, Rule{}, id});
         ++accepted;
       }
-      ++seq;
     }
     // iSet tombstones are already visible in place; only churn/base changes
     // need a copy-on-write publication.
@@ -383,9 +360,7 @@ bool OnlineNuevoMatch::erase(uint32_t rule_id) {
 
 // --- generation installation ------------------------------------------------
 
-void OnlineNuevoMatch::install_generation_locked(
-    std::shared_ptr<Generation> fresh, const std::vector<uint64_t>* shard_ops,
-    bool reset_counters) {
+void OnlineNuevoMatch::install_generation_locked(std::shared_ptr<Generation> fresh) {
   auto fresh_layer = std::make_shared<const Layer>();
   fresh->layer.store(fresh_layer.get(), std::memory_order_relaxed);
   fresh->seq = generation_count_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -434,13 +409,7 @@ void OnlineNuevoMatch::install_generation_locked(
   migrated_ = fresh->nm.migrated();
   live_count_.store(fresh->nm.size(), std::memory_order_relaxed);
   journal_open_ = false;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i]->journal.clear();
-    if (reset_counters) {
-      shards_[i]->ops.store(shard_ops != nullptr ? (*shard_ops)[i] : 0,
-                            std::memory_order_relaxed);
-    }
-  }
+  journal_.clear();
   journal_depth_.store(0, std::memory_order_relaxed);
   churn_size_.store(0, std::memory_order_relaxed);  // fresh layer is empty
 
@@ -457,7 +426,7 @@ void OnlineNuevoMatch::install_generation_locked(
         "epoch-domain retire-list depth after collection");
     g.set(static_cast<int64_t>(retired_.size()));
   }
-  // A swap preserves every answer (journals replayed), but cached decisions
+  // A swap preserves every answer (journal replayed), but cached decisions
   // predate the replayed erases' tombstone relocations, and the band map
   // just moved — mark EVERY band; conservative invalidation is always
   // coherent.
@@ -465,7 +434,7 @@ void OnlineNuevoMatch::install_generation_locked(
 }
 
 void OnlineNuevoMatch::publish_fresh(std::shared_ptr<Generation> fresh,
-                                     const std::vector<uint64_t>* shard_ops) {
+                                     uint64_t update_ops) {
   // Cancel any pending retrain and wait out a running one, so a stale
   // generation trained on pre-build rules can never swap over this one.
   {
@@ -488,7 +457,8 @@ void OnlineNuevoMatch::publish_fresh(std::shared_ptr<Generation> fresh,
   // or it already ran and the journal_open_ reset here discards it at replay.
   {
     std::lock_guard lk{wmu_};
-    install_generation_locked(std::move(fresh), shard_ops, /*reset_counters=*/true);
+    install_generation_locked(std::move(fresh));
+    update_ops_.store(update_ops, std::memory_order_relaxed);
   }
   notify_overload();  // the install reset the delta and the journal
 }
@@ -527,21 +497,8 @@ void OnlineNuevoMatch::adopt(NuevoMatch nm) {
   publish_fresh(std::make_shared<Generation>(std::move(nm)));
 }
 
-void OnlineNuevoMatch::adopt(NuevoMatch nm, std::span<const uint64_t> shard_ops) {
-  std::vector<uint64_t> counts(shards_.size(), 0);
-  if (shard_ops.size() == shards_.size()) {
-    counts.assign(shard_ops.begin(), shard_ops.end());
-  } else {
-    // Shard count changed between save and load: id→shard assignment is
-    // recomputed from the hash anyway, so only the aggregate count is
-    // meaningful. Spread it evenly.
-    uint64_t total = 0;
-    for (const uint64_t c : shard_ops) total += c;
-    const auto n = static_cast<uint64_t>(shards_.size());
-    for (size_t i = 0; i < shards_.size(); ++i)
-      counts[i] = total / n + (i < total % n ? 1 : 0);
-  }
-  publish_fresh(std::make_shared<Generation>(std::move(nm)), &counts);
+void OnlineNuevoMatch::adopt(NuevoMatch nm, uint64_t update_ops) {
+  publish_fresh(std::make_shared<Generation>(std::move(nm)), update_ops);
 }
 
 // --- retraining -------------------------------------------------------------
@@ -622,19 +579,6 @@ void OnlineNuevoMatch::with_stable_view(
   tmp.restore(std::move(isets_copy), std::move(rem),
               /*erased_ids=*/{}, built_size_, migrated_);
   fn(tmp);
-}
-
-std::vector<uint64_t> OnlineNuevoMatch::shard_op_counts() const {
-  std::vector<uint64_t> out(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i)
-    out[i] = shards_[i]->ops.load(std::memory_order_relaxed);
-  return out;
-}
-
-uint64_t OnlineNuevoMatch::update_ops() const {
-  uint64_t total = 0;
-  for (const uint64_t c : shard_op_counts()) total += c;
-  return total;
 }
 
 size_t OnlineNuevoMatch::memory_bytes() const {
@@ -748,10 +692,10 @@ OnlineNuevoMatch::CycleOutcome OnlineNuevoMatch::abandon_cycle(const char* what)
     // installed over this cycle: it is superseded, not failed — recording a
     // failure against the fresh install would be a lie.
     if (!journal_open_) return CycleOutcome::kCancelled;
-    // The journals are dropped because every journaled update was also
+    // The journal is dropped because every journaled update was also
     // applied to the live view — nothing is lost.
     journal_open_ = false;
-    for (const auto& sh : shards_) sh->journal.clear();
+    journal_.clear();
     journal_depth_.store(0, std::memory_order_relaxed);
   }
   {
@@ -763,7 +707,7 @@ OnlineNuevoMatch::CycleOutcome OnlineNuevoMatch::abandon_cycle(const char* what)
 }
 
 OnlineNuevoMatch::CycleOutcome OnlineNuevoMatch::retrain_cycle() {
-  // 1) Snapshot the logical rule-set and open the journals. Writers are
+  // 1) Snapshot the logical rule-set and open the journal. Writers are
   //    excluded only for the duration of one composition pass. `prev` keeps
   //    the donor generation alive for the model-reuse scan during training
   //    (a concurrent build()/adopt() is excluded while a retrain runs, but
@@ -775,7 +719,7 @@ OnlineNuevoMatch::CycleOutcome OnlineNuevoMatch::retrain_cycle() {
     prev = gen_owner_;
     snapshot = compose_rules_locked();
     journal_open_ = true;
-    for (const auto& sh : shards_) sh->journal.clear();
+    journal_.clear();
   }
 
   // 2) Train with no locks held — this is the seconds-long part, and the
@@ -798,31 +742,25 @@ OnlineNuevoMatch::CycleOutcome OnlineNuevoMatch::retrain_cycle() {
   }
   last_retrain_reused_.store(fresh->nm.reused_isets(), std::memory_order_relaxed);
 
-  // 3) Replay the shard journals onto the fresh generation, then install
-  //    it. Writers are excluded only while journals are DRAINED (a vector
+  // 3) Replay the journal onto the fresh generation, then install it.
+  //    Writers are excluded only while the journal is DRAINED (a vector
   //    move) and for the final residue: the bulk replay runs with no lock
   //    held, in catch-up rounds — under heavy multi-writer churn the
   //    journal accumulated during training can rival the training time
   //    itself, and replaying it under the writer lock would lock every
   //    writer out for exactly that long (measured as a multi-writer
   //    throughput collapse). Correctness is unchanged: only this worker
-  //    consumes journals, writers only append, and op seq is monotone in
-  //    lock-acquisition order — so each drained batch sorts internally and
-  //    follows every earlier batch. An update still lands either in a
-  //    journal (replayed here) or on the fresh generation after the
-  //    install — never lost, never duplicated. Readers are untouched
+  //    consumes the journal, and writers append under the writer lock — so
+  //    append order is apply order, and each drained batch follows every
+  //    earlier batch. An update still lands either in the journal (replayed
+  //    here) or on the fresh generation after the install — never lost,
+  //    never duplicated. Readers are untouched
   //    throughout: in-flight lookups finish on the old generation, which
   //    the epoch machinery keeps alive until the last pinned reader exits.
-  const auto drain_locked = [&]() -> std::vector<Op> {
-    std::vector<Op> merged;
-    for (const auto& sh : shards_) {
-      merged.insert(merged.end(), sh->journal.begin(), sh->journal.end());
-      sh->journal.clear();
-    }
+  const auto drain_locked = [&] {
+    std::vector<Op> drained = std::exchange(journal_, {});
     journal_depth_.store(0, std::memory_order_relaxed);
-    std::sort(merged.begin(), merged.end(),
-              [](const Op& a, const Op& b) { return a.seq < b.seq; });
-    return merged;
+    return drained;
   };
   const auto replay = [&](const std::vector<Op>& ops) {
     for (const Op& op : ops) {
@@ -835,7 +773,7 @@ OnlineNuevoMatch::CycleOutcome OnlineNuevoMatch::retrain_cycle() {
       }
     }
   };
-  std::vector<Op> carry;  // drained but not yet replayed (always in seq order)
+  std::vector<Op> carry;  // drained but not yet replayed (in apply order)
   try {
     for (int round = 0; round < 4; ++round) {
       {
@@ -857,8 +795,7 @@ OnlineNuevoMatch::CycleOutcome OnlineNuevoMatch::retrain_cycle() {
       if (!journal_open_) return CycleOutcome::kCancelled;
       replay(carry);            // the last drained batch, if the loop broke early
       replay(drain_locked());   // stragglers journaled since
-      install_generation_locked(std::move(fresh), /*shard_ops=*/nullptr,
-                                /*reset_counters=*/false);
+      install_generation_locked(std::move(fresh));
     }
   } catch (const std::exception& e) {
     // A replay failure abandons the fresh generation exactly like a

@@ -28,13 +28,13 @@ namespace nuevomatch::serialize {
 
 /// v2 added the updatable state to classifier checkpoints: per-iSet
 /// tombstone (dead-id) lists and the update-pressure counters, so a
-/// classifier with pending remainder rules round-trips exactly. v3 makes the
-/// online checkpoint shard-aware: save_online wraps the classifier body in
-/// its own frame carrying the writer-shard count and per-shard applied-op
-/// counters, so churn accounting survives a checkpoint — including across a
-/// shard-count change (load redistributes, preserving the total). Version
-/// mismatches are rejected outright — no compatibility shims until a
-/// release has shipped artifacts worth migrating.
+/// classifier with pending remainder rules round-trips exactly. v3 gives the
+/// online checkpoint its own frame: a counter count plus that many applied-op
+/// counters ahead of the classifier body, so churn accounting survives a
+/// checkpoint. save_online writes one counter; load_online accepts any count
+/// (frames from the former sharded journal carry one per shard) and sums
+/// them. Version mismatches are rejected outright — no compatibility shims
+/// until a release has shipped artifacts worth migrating.
 inline constexpr uint32_t kFormatVersion = 3;
 
 /// --- RQ-RMI model ----------------------------------------------------------
@@ -58,11 +58,10 @@ inline constexpr uint32_t kFormatVersion = 3;
                                                         NuevoMatchConfig cfg);
 
 /// --- online classifier -------------------------------------------------------
-/// Checkpoint the live view of an online classifier plus its sharded
-/// update-path state (shard count and per-shard applied-op counters). The
-/// classifier body is the epoch engine's *composed* stable view — the
-/// frozen generation with the copy-on-write update layer folded back in
-/// (churn inserts in the remainder rule-set, base-remainder deletions
+/// Checkpoint the live view of an online classifier plus its applied-op
+/// counter. The classifier body is the epoch engine's *composed* stable
+/// view — the frozen generation with the copy-on-write update layer folded
+/// back in (churn inserts in the remainder rule-set, base-remainder deletions
 /// dropped, iSet tombstones as v2 dead-id lists) — so the frame carries no
 /// per-reader or per-layer runtime state and the v3 wire format is
 /// unchanged from the rwlock-era encoder. Snapshots with writers excluded
@@ -70,10 +69,9 @@ inline constexpr uint32_t kFormatVersion = 3;
 /// OnlineNuevoMatch::with_stable_view), so the bytes are a consistent view
 /// and the call is bounded even under sustained updates.
 [[nodiscard]] std::vector<uint8_t> save_online(const OnlineNuevoMatch& nm);
-/// Restore into a fresh online classifier: the journals start empty, the
-/// absorption and per-shard op counters resume where the checkpoint left
-/// them (a different cfg.update_shards redistributes counts, preserving the
-/// total — the id→shard map is recomputed from the hash anyway). Returns
+/// Restore into a fresh online classifier: the journal starts empty, the
+/// absorption and the applied-op counter resume where the checkpoint left
+/// them (update_ops() is the sum of the frame's counters). Returns
 /// nullptr on malformed input (the class is not movable, so this is the one
 /// loader that hands back a pointer instead of an optional).
 [[nodiscard]] std::unique_ptr<OnlineNuevoMatch> load_online(

@@ -1,12 +1,12 @@
 // Churn-test harness: a seeded generator of interleaved insert/erase/lookup
 // schedules with a step-synchronized linear oracle, used to differentially
-// test the online update subsystem (OnlineNuevoMatch) and the online
-// parallel engine under real multi-writer / multi-reader concurrency.
+// test the online update subsystem (OnlineNuevoMatch) and its batched read
+// path under real multi-writer / multi-reader concurrency.
 //
 // Verification runs on two levels at once:
 //
 //  * CONCURRENT (readers race writers and retrain swaps): reader threads —
-//    scalar match() readers and BatchParallelEngine batch readers — hammer a
+//    scalar match() readers and match_batch() batch readers — hammer a
 //    stable verification core (trace/verification.hpp) for the whole run.
 //    Schedules only ever insert rules with strictly worse priority than
 //    every base rule and only ever erase (a) churn rules or (b) base rules
@@ -47,7 +47,6 @@
 #include "common/rng.hpp"
 #include "cutsplit/cutsplit.hpp"
 #include "nuevomatch/online.hpp"
-#include "nuevomatch/parallel.hpp"
 #include "pipeline/flow_cache.hpp"
 #include "pipeline/replicate.hpp"
 #include "trace/trace.hpp"
@@ -64,7 +63,7 @@ struct ChurnConfig {
 
   int n_writers = 2;
   int n_scalar_readers = 1;  ///< OnlineNuevoMatch::match readers
-  int n_batch_readers = 1;   ///< BatchParallelEngine (online mode) readers
+  int n_batch_readers = 1;   ///< OnlineNuevoMatch::match_batch readers
   /// Readers fronted by ONE shared update-coherent pipeline::FlowCache:
   /// hits serve cached decisions, misses classify-and-fill, every served
   /// answer is still checked against the stable core while writers and
@@ -131,7 +130,6 @@ struct ChurnConfig {
   uint32_t backoff_initial_ms = 4;
   uint32_t backoff_max_ms = 64;
 
-  int update_shards = 4;
   double retrain_threshold = 0.02;
   bool auto_retrain = true;
   /// run() keeps forcing (background) retrains until at least this many
@@ -145,9 +143,9 @@ struct ChurnConfig {
 };
 
 /// Fuzzer mode (ROADMAP "Churn harness as a fuzzer"): one seeded draw of the
-/// whole knob space — rule-set shape, writer/reader mix, shard count,
-/// retrain policy, remainder engine. A long-running loop over successive
-/// draws (tests/test_churn.cpp, ChurnFuzzer; iterations via
+/// whole knob space — rule-set shape, writer/reader mix, retrain policy,
+/// remainder engine. A long-running loop over successive draws
+/// (tests/test_churn.cpp, ChurnFuzzer; iterations via
 /// NM_CHURN_FUZZ_ITERS, base seed via NM_CHURN_FUZZ_SEED) turns the harness
 /// into an overnight concurrency fuzzer; the TSAN CI leg runs a short smoke
 /// slice of the same loop on every PR.
@@ -167,7 +165,6 @@ struct ChurnConfig {
   c.erases_per_writer_step = static_cast<int>(rng.between(4, 24));
   c.core_trace_len = 1200 + rng.below(1500);
   c.probes_per_step = 120 + rng.below(150);
-  c.update_shards = static_cast<int>(rng.between(1, 8));
   constexpr double kThresholds[] = {0.005, 0.02, 0.1, 1.0};
   c.retrain_threshold = kThresholds[rng.below(4)];
   c.auto_retrain = rng.chance(0.5);
@@ -264,7 +261,6 @@ class ChurnHarness {
     ocfg.base.min_iset_coverage = 0.05;
     ocfg.retrain_threshold = cfg_.retrain_threshold;
     ocfg.auto_retrain = cfg_.auto_retrain;
-    ocfg.update_shards = cfg_.update_shards;
     ocfg.max_retrain_failures = cfg_.max_retrain_failures;
     ocfg.backoff_initial_ms = cfg_.backoff_initial_ms;
     ocfg.backoff_max_ms = cfg_.backoff_max_ms;
@@ -427,16 +423,14 @@ class ChurnHarness {
     }
     for (int t = 0; t < cfg_.n_batch_readers; ++t) {
       readers.emplace_back([&, t] {
-        // Each batch reader owns an engine; classify() pins one generation
-        // per batch, so every result is checkable against the core even
-        // while a swap lands between batches.
-        BatchParallelEngine engine{online};
-        std::vector<MatchResult> out(kDefaultBatchSize);
+        // match_batch() pins one generation per batch, so every result is
+        // checkable against the core even while a swap lands between
+        // batches.
+        std::vector<MatchResult> out(kBatchSize);
         size_t off = (static_cast<size_t>(t) * 41) % core_.packets.size();
         while (!stop.load(std::memory_order_relaxed)) {
-          const size_t len =
-              std::min(kDefaultBatchSize, core_.packets.size() - off);
-          engine.classify({core_.packets.data() + off, len}, {out.data(), len});
+          const size_t len = std::min(kBatchSize, core_.packets.size() - off);
+          online.match_batch({core_.packets.data() + off, len}, {out.data(), len});
           for (size_t i = 0; i < len; ++i) {
             if (out[i].rule_id != core_.expected[off + i]) mismatches.fetch_add(1);
           }
@@ -446,9 +440,6 @@ class ChurnHarness {
       });
     }
 
-    // Probe engine: exercises the batched two-core path during the
-    // step-synchronized phases (no writers active, swaps still possible).
-    BatchParallelEngine probe_engine{online};
     // Persistent probe cache for the staleness oracle: entries survive from
     // step to step — exactly what must NOT survive is a decision whose rule
     // the next step's writers erase.
@@ -510,7 +501,7 @@ class ChurnHarness {
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
       }
-      verify_step(online, probe_engine, oracle, probe_cache, s, res);
+      verify_step(online, oracle, probe_cache, s, res);
     }
 
     if (cfg_.fault_retrain_failures > 0) {
@@ -588,9 +579,8 @@ class ChurnHarness {
     }
   }
 
-  void verify_step(const OnlineNuevoMatch& online, BatchParallelEngine& engine,
-                   const LinearSearch& oracle, pipeline::FlowCache& cache,
-                   int step, ChurnResult& res) {
+  void verify_step(const OnlineNuevoMatch& online, const LinearSearch& oracle,
+                   pipeline::FlowCache& cache, int step, ChurnResult& res) {
     // Seeded probes over the base distribution...
     TraceConfig tc;
     tc.n_packets = cfg_.probes_per_step;
@@ -620,9 +610,9 @@ class ChurnHarness {
     }
 
     std::vector<MatchResult> batched(probes.size());
-    for (size_t off = 0; off < probes.size(); off += kDefaultBatchSize) {
-      const size_t len = std::min(kDefaultBatchSize, probes.size() - off);
-      engine.classify({probes.data() + off, len}, {batched.data() + off, len});
+    for (size_t off = 0; off < probes.size(); off += kBatchSize) {
+      const size_t len = std::min(kBatchSize, probes.size() - off);
+      online.match_batch({probes.data() + off, len}, {batched.data() + off, len});
     }
     for (size_t i = 0; i < probes.size(); ++i) {
       const int32_t want = oracle.match(probes[i]).rule_id;
@@ -690,6 +680,7 @@ class ChurnHarness {
     }
   }
 
+  static constexpr size_t kBatchSize = 128;  // paper §5.1 batch size
   static constexpr uint32_t kChurnIdBase = 1'000'000;
   static constexpr uint32_t kChurnIdStride = 1'000'000;
   static constexpr int32_t kChurnPriorityBase = 2'000'000;

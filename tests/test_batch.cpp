@@ -141,7 +141,6 @@ TEST(Batch, BatchEqualsScalarOnPinnedGenerationAcrossSwap) {
   cfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
   cfg.base.min_iset_coverage = 0.05;
   cfg.retrain_threshold = 0.01;
-  cfg.update_shards = 4;
   OnlineNuevoMatch online{cfg};
   online.build(rules);
   const uint64_t gen0 = online.generations();

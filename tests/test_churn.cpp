@@ -1,7 +1,7 @@
 // Churn tests (the concurrency proof for the online serving path): the
 // seeded churn harness (churn_harness.hpp) runs multi-writer insert/erase
-// schedules against OnlineNuevoMatch while scalar readers and online
-// BatchParallelEngine readers race the updates and the background
+// schedules against OnlineNuevoMatch while scalar match() readers and
+// match_batch() readers race the updates and the background
 // retrain/swap cycles — every lookup differentially checked, first against
 // the churn-invariant stable core (concurrently), then against a
 // step-synchronized LinearSearch oracle (exactly). Run under ThreadSanitizer
@@ -22,11 +22,10 @@ namespace {
 
 struct ChurnCase {
   uint64_t seed;
-  int shards;
   double threshold;
   bool auto_retrain;
   friend std::ostream& operator<<(std::ostream& os, const ChurnCase& c) {
-    return os << "seed" << c.seed << "_shards" << c.shards << "_thr" << c.threshold
+    return os << "seed" << c.seed << "_thr" << c.threshold
               << (c.auto_retrain ? "_auto" : "_manual");
   }
 };
@@ -37,7 +36,6 @@ TEST_P(ChurnDifferential, MultiWriterMultiReaderThroughSwaps) {
   const ChurnCase& c = GetParam();
   ChurnConfig cfg;
   cfg.seed = c.seed;
-  cfg.update_shards = c.shards;
   cfg.retrain_threshold = c.threshold;
   cfg.auto_retrain = c.auto_retrain;
   cfg.n_writers = 2;
@@ -65,16 +63,14 @@ TEST_P(ChurnDifferential, MultiWriterMultiReaderThroughSwaps) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ChurnDifferential,
     ::testing::Values(
-        // One shard reproduces the single-writer-mutex semantics under the
-        // same concurrency; the other cases scale the sharded path.
-        ChurnCase{11, 1, 0.02, true},
-        ChurnCase{22, 4, 0.01, true},
+        ChurnCase{11, 0.02, true},
+        ChurnCase{22, 0.01, true},
         // Threshold never fires: swaps come only from the harness's forced
         // background retrains (manual-retrain deployments).
-        ChurnCase{33, 8, 1.0, false}));
+        ChurnCase{33, 1.0, false}));
 
 // Fuzzer mode: seeded draws over the whole knob space — rule-set shape,
-// writer/reader mix, shard count, retrain policy, TupleMerge vs CutSplit
+// writer/reader mix, retrain policy, TupleMerge vs CutSplit
 // remainder. Every draw must satisfy the same invariants as the fixed sweep
 // above. Defaults to a 2-iteration smoke slice (what the TSAN CI leg runs on
 // every PR); an overnight run is
@@ -93,8 +89,7 @@ TEST(ChurnFuzzer, EnvSeededRandomizedConfigs) {
                  << "iter " << i << " seed " << seed << ": app "
                  << static_cast<int>(cfg.app) << "/" << cfg.app_variant << " n "
                  << cfg.n_rules << " w " << cfg.n_writers << " r "
-                 << cfg.n_scalar_readers << "+" << cfg.n_batch_readers
-                 << " shards " << cfg.update_shards << " thr "
+                 << cfg.n_scalar_readers << "+" << cfg.n_batch_readers << " thr "
                  << cfg.retrain_threshold << (cfg.auto_retrain ? " auto" : " manual")
                  << (cfg.cutsplit_remainder ? " cutsplit" : " tuplemerge"));
     ChurnHarness harness{cfg};
@@ -334,7 +329,6 @@ TEST(ChurnRaces, ConcurrentDuplicateInsertAcceptedExactlyOnce) {
   cfg.base.min_iset_coverage = 0.05;
   cfg.retrain_threshold = 1.0;
   cfg.auto_retrain = false;
-  cfg.update_shards = 4;
   OnlineNuevoMatch online{cfg};
   online.build(base);
 
@@ -371,18 +365,16 @@ TEST(ChurnRaces, ConcurrentDuplicateInsertAcceptedExactlyOnce) {
   }
 }
 
-// The per-shard op counters are the serialized churn telemetry; they must
-// agree with the number of accepted updates regardless of shard count.
-TEST(ChurnRaces, ShardOpCountsSumToAppliedOps) {
+// The applied-op counter is the serialized churn telemetry; under racing
+// writers it must agree with the number of accepted updates.
+TEST(ChurnRaces, UpdateOpsCountsAppliedOps) {
   const RuleSet base = generate_classbench(AppClass::kFw, 1, 600, 46);
   OnlineConfig cfg;
   cfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
   cfg.base.min_iset_coverage = 0.05;
   cfg.retrain_threshold = 1.0;
-  cfg.update_shards = 3;
   OnlineNuevoMatch online{cfg};
   online.build(base);
-  EXPECT_EQ(online.update_shards(), 3);
 
   std::atomic<uint64_t> accepted{0};
   std::vector<std::thread> writers;
@@ -400,11 +392,6 @@ TEST(ChurnRaces, ShardOpCountsSumToAppliedOps) {
   }
   for (auto& th : writers) th.join();
 
-  const auto counts = online.shard_op_counts();
-  EXPECT_EQ(counts.size(), 3u);
-  uint64_t total = 0;
-  for (const uint64_t c : counts) total += c;
-  EXPECT_EQ(total, accepted.load());
   EXPECT_EQ(online.update_ops(), accepted.load());
 
   // The counters are "updates since build/load": a rebuild starts them over.

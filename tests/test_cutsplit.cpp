@@ -38,6 +38,22 @@ INSTANTIATE_TEST_SUITE_P(Sweep, CutSplitOracle,
                                            CsCase{AppClass::kIpc, 1, 2500, 5},
                                            CsCase{AppClass::kIpc, 2, 600, 6}));
 
+// Equal priorities across trees: a later tree must still return an
+// equal-priority rule with a smaller id, so the tree floor is tie_floor(),
+// not the running best's priority.
+TEST(CutSplit, TiedPrioritiesBreakByIdLikeLinearSearch) {
+  for (const auto& [app, variant] :
+       {std::pair{AppClass::kAcl, 1}, std::pair{AppClass::kFw, 1},
+        std::pair{AppClass::kIpc, 1}}) {
+    SCOPED_TRACE(ruleset_name(app, variant));
+    const RuleSet rules = testing_support::with_tied_priorities(
+        generate_classbench(app, variant, 5000, 70), 50, 71);
+    CutSplit cs;
+    cs.build(rules);
+    expect_matches_oracle(cs, rules, 20'000);
+  }
+}
+
 TEST(CutSplit, FloorConsistency) {
   const RuleSet rules = generate_classbench(AppClass::kIpc, 2, 1200, 7);
   CutSplit cs;

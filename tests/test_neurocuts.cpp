@@ -24,6 +24,22 @@ TEST(NeuroCuts, MatchesOracleFw) {
   expect_matches_oracle(nc, rules);
 }
 
+// Equal priorities across trees: a later tree must still return an
+// equal-priority rule with a smaller id, so the tree floor is tie_floor(),
+// not the running best's priority.
+TEST(NeuroCuts, TiedPrioritiesBreakByIdLikeLinearSearch) {
+  for (const auto& [app, variant] :
+       {std::pair{AppClass::kAcl, 1}, std::pair{AppClass::kFw, 1},
+        std::pair{AppClass::kIpc, 1}}) {
+    SCOPED_TRACE(ruleset_name(app, variant));
+    const RuleSet rules = testing_support::with_tied_priorities(
+        generate_classbench(app, variant, 5000, 70), 50, 71);
+    NeuroCutsLike nc;
+    nc.build(rules);
+    expect_matches_oracle(nc, rules, 20'000);
+  }
+}
+
 TEST(NeuroCuts, FloorConsistency) {
   const RuleSet rules = generate_classbench(AppClass::kIpc, 1, 1000, 3);
   NeuroCutsLike nc;

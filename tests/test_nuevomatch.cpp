@@ -10,6 +10,7 @@
 #include "cutsplit/cutsplit.hpp"
 #include "neurocuts/neurocuts.hpp"
 #include "nuevomatch/nuevomatch.hpp"
+#include "nuevomatch/online.hpp"
 #include "oracle_check.hpp"
 #include "tuplemerge/tuplemerge.hpp"
 
@@ -99,8 +100,9 @@ TEST(NuevoMatch, FloorConsistency) {
 }
 
 // Equal priorities resolve to the smaller id on every path: the iSet hit's
-// floor must still admit an equal-priority rule in a later iSet or in the
-// remainder, and beats() then breaks the tie by id as LinearSearch does.
+// floor must still admit an equal-priority rule in a later iSet, in the
+// remainder or in the online churn delta, and beats() then breaks the tie by
+// id as LinearSearch does.
 TEST(NuevoMatch, TiedPrioritiesBreakByIdOnEveryPath) {
   const RuleSet rules =
       with_tied_priorities(generate_classbench(AppClass::kAcl, 1, 5000, 70), 50, 71);
@@ -120,6 +122,23 @@ TEST(NuevoMatch, TiedPrioritiesBreakByIdOnEveryPath) {
   for (size_t i = 0; i < trace.size(); ++i)
     ASSERT_EQ(batched[i].rule_id, oracle.match(trace[i]).rule_id)
         << "match_batch, packet " << i << ": " << to_string(trace[i]);
+
+  // Online: the second half of the rules arrives after build(), so it sits
+  // in the churn delta and ties with base rules of the same priority.
+  OnlineConfig ocfg;
+  ocfg.base = base_config([] { return std::make_unique<TupleMerge>(); });
+  ocfg.auto_retrain = false;
+  OnlineNuevoMatch online{ocfg};
+  const std::span<const Rule> all{rules};
+  const auto late = all.subspan(all.size() / 2);
+  online.build(all.first(all.size() / 2));
+  ASSERT_EQ(online.insert_batch(late), late.size());
+  ASSERT_EQ(online.health().churn_rules, late.size());
+  expect_matches_oracle(online, rules, 20000, 72);
+  online.match_batch(trace, batched);
+  for (size_t i = 0; i < trace.size(); ++i)
+    ASSERT_EQ(batched[i].rule_id, oracle.match(trace[i]).rule_id)
+        << "online match_batch, packet " << i << ": " << to_string(trace[i]);
 }
 
 TEST(NuevoMatch, StanfordSingleFieldDataset) {

@@ -326,6 +326,48 @@ TEST(CorruptionFuzz, OnlineBitFlipBehindValidCrcNeverCrashes) {
   }
 }
 
+TEST(OnlineSerialize, V3FrameWithSeveralCountersLoadsTheirSum) {
+  // The NMOL header is magic(4) | version u32 | counter count u32 | that many
+  // u64 applied-op counters | classifier body | CRC. save_online writes one
+  // counter; frames from the former sharded journal carried one per shard,
+  // and load_online must accept them, summing the counters.
+  constexpr size_t kCountAt = 8;
+  constexpr size_t kCountersAt = 12;
+  OnlineNuevoMatch online{online_cfg()};
+  const RuleSet rules = generate_classbench(AppClass::kAcl, 1, 60, 22);
+  online.build(rules);
+  ASSERT_TRUE(online.erase(3));
+  ASSERT_TRUE(online.erase(4));
+  const auto bytes = save_online(online);
+
+  const auto get_le = [&](size_t at, int n) {
+    uint64_t v = 0;
+    for (int i = 0; i < n; ++i) v |= static_cast<uint64_t>(bytes[at + i]) << (8 * i);
+    return v;
+  };
+  ASSERT_EQ(get_le(kCountAt, 4), 1u);
+  ASSERT_EQ(get_le(kCountersAt, 8), 2u);
+
+  // Splice: count 1 -> 4, the one counter -> four counters.
+  std::vector<uint8_t> spliced(bytes.begin(), bytes.begin() + kCountAt);
+  const uint64_t counters[] = {5, 7, 11, 13};
+  for (int i = 0; i < 4; ++i) spliced.push_back(static_cast<uint8_t>(4u >> (8 * i)));
+  for (const uint64_t c : counters)
+    for (int i = 0; i < 8; ++i) spliced.push_back(static_cast<uint8_t>(c >> (8 * i)));
+  spliced.insert(spliced.end(), bytes.begin() + kCountersAt + 8, bytes.end());
+  refresh_crc(spliced);
+
+  const auto loaded = load_online(spliced, online_cfg());
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_EQ(loaded->update_ops(), 5u + 7u + 11u + 13u);
+  EXPECT_EQ(loaded->size(), online.size());
+  TraceConfig tc;
+  tc.n_packets = 500;
+  tc.seed = 23;
+  for (const Packet& p : generate_trace(rules, tc))
+    ASSERT_EQ(loaded->match(p).rule_id, online.match(p).rule_id) << to_string(p);
+}
+
 TEST(SerializeFailpoint, LoadFailpointFailsEveryLoader) {
   const auto model_bytes = save_model(trained_model(16, 44));
   const auto rule_bytes = save_rules(generate_classbench(AppClass::kIpc, 1, 40, 45));

@@ -329,13 +329,12 @@ TEST(OnlineUpdates, SerializeRoundTripAfterEraseThenReinsertSameId) {
   EXPECT_FALSE(back->erase(3));
 }
 
-TEST(OnlineUpdates, SerializeRoundTripCarriesShardOpCounters) {
-  // v3: the online frame is shard-aware — per-shard applied-op counters
-  // round-trip, and a checkpoint loaded into a different shard count keeps
-  // the aggregate (the id→shard map is recomputed from the hash anyway).
+TEST(OnlineUpdates, SerializeRoundTripCarriesUpdateOps) {
+  // v3: the online frame carries the applied-op counter, so churn
+  // accounting survives a checkpoint (test_serialize covers frames that
+  // carry several counters).
   const RuleSet rules = generate_classbench(AppClass::kAcl, 1, 900, 51);
-  OnlineConfig cfg = make_online_cfg(/*threshold=*/1.0);
-  cfg.update_shards = 4;
+  const OnlineConfig cfg = make_online_cfg(/*threshold=*/1.0);
   OnlineNuevoMatch nm{cfg};
   nm.build(rules);
 
@@ -352,24 +351,19 @@ TEST(OnlineUpdates, SerializeRoundTripCarriesShardOpCounters) {
   const auto bytes = serialize::save_online(nm);
   auto back = serialize::load_online(bytes, cfg);
   ASSERT_NE(back, nullptr);
-  EXPECT_EQ(back->update_shards(), 4);
-  EXPECT_EQ(back->shard_op_counts(), nm.shard_op_counts())
-      << "same shard count must restore counters verbatim";
   EXPECT_EQ(back->update_ops(), 80u);
 
-  OnlineConfig resharded = make_online_cfg(/*threshold=*/1.0);
-  resharded.update_shards = 7;
-  auto re = serialize::load_online(bytes, resharded);
-  ASSERT_NE(re, nullptr);
-  EXPECT_EQ(re->update_shards(), 7);
-  EXPECT_EQ(re->update_ops(), 80u) << "resharding must preserve the total";
+  // The loaded counter keeps counting from the checkpoint.
+  ASSERT_TRUE(back->erase(20));
+  EXPECT_EQ(back->update_ops(), 81u);
 
   // And the classifier behind the frame still answers identically.
+  ASSERT_TRUE(nm.erase(20));
   TraceConfig tc;
   tc.n_packets = 2000;
   tc.seed = 53;
   for (const Packet& p : generate_trace(rules, tc))
-    ASSERT_EQ(re->match(p).rule_id, nm.match(p).rule_id) << to_string(p);
+    ASSERT_EQ(back->match(p).rule_id, nm.match(p).rule_id) << to_string(p);
 }
 
 // Regression for the reader-preference starvation bench_updates §(d)
