@@ -1,11 +1,14 @@
 // Uniform classifier interface implemented by every engine in the repo
 // (LinearSearch, TupleMerge, TupleSpaceSearch, CutSplit, NeuroCutsLike,
-// NuevoMatch). Benchmarks and NuevoMatch's remainder path treat engines
-// interchangeably through this API.
+// NuevoMatch, OnlineNuevoMatch). Benchmarks and NuevoMatch's remainder path
+// treat engines interchangeably through this API. The one lookup an engine
+// implements is the floored one (match_with_floor); match() is that lookup
+// with no floor.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -21,18 +24,17 @@ class Classifier {
   /// Build the index from scratch. Rules must pass validate_ruleset().
   virtual void build(std::span<const Rule> rules) = 0;
 
-  /// Highest-priority matching rule, or MatchResult::kNoMatch.
-  [[nodiscard]] virtual MatchResult match(const Packet& p) const = 0;
-
-  /// Early-termination variant (paper Section 4): return the best match
-  /// strictly better than `priority_floor` (numerically smaller), or a miss.
-  /// Engines that cannot prune simply delegate to match() and let the caller
-  /// filter; the default does exactly that.
+  /// The one lookup every engine implements (paper Section 4 early
+  /// termination): the best matching rule strictly better than
+  /// `priority_floor` (numerically smaller), ties broken by smaller id
+  /// (MatchResult::beats), or a miss. Priority INT32_MAX is reserved for the
+  /// miss, so a floor of INT32_MAX excludes no rule.
   [[nodiscard]] virtual MatchResult match_with_floor(const Packet& p,
-                                                     int32_t priority_floor) const {
-    MatchResult r = match(p);
-    if (r.hit() && r.priority >= priority_floor) return MatchResult{};
-    return r;
+                                                     int32_t priority_floor) const = 0;
+
+  /// Highest-priority matching rule, or MatchResult::kNoMatch.
+  [[nodiscard]] MatchResult match(const Packet& p) const {
+    return match_with_floor(p, std::numeric_limits<int32_t>::max());
   }
 
   /// --- Incremental updates (paper Section 3.9) -------------------------

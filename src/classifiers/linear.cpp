@@ -16,13 +16,6 @@ void LinearSearch::build(std::span<const Rule> rules) {
   std::sort(rules_.begin(), rules_.end(), priority_less);
 }
 
-MatchResult LinearSearch::match(const Packet& p) const {
-  for (const Rule& r : rules_) {
-    if (r.matches(p)) return MatchResult{static_cast<int32_t>(r.id), r.priority};
-  }
-  return MatchResult{};
-}
-
 MatchResult LinearSearch::match_with_floor(const Packet& p, int32_t priority_floor) const {
   for (const Rule& r : rules_) {
     if (r.priority >= priority_floor) break;  // sorted: nothing better follows

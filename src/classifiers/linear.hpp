@@ -11,7 +11,6 @@ namespace nuevomatch {
 class LinearSearch final : public Classifier {
  public:
   void build(std::span<const Rule> rules) override;
-  [[nodiscard]] MatchResult match(const Packet& p) const override;
   [[nodiscard]] MatchResult match_with_floor(const Packet& p,
                                              int32_t priority_floor) const override;
 

@@ -17,6 +17,8 @@ std::string validate_ruleset(std::span<const Rule> rules) {
     if (r.id >= rules.size()) return "rule id out of dense range";
     if (seen[r.id]) return "duplicate rule id";
     seen[r.id] = true;
+    if (r.priority == std::numeric_limits<int32_t>::max())
+      return "priority INT32_MAX is reserved for the miss";
     for (int f = 0; f < kNumFields; ++f) {
       const Range& rg = r.field[static_cast<size_t>(f)];
       if (rg.lo > rg.hi) return "inverted range";

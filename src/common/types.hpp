@@ -120,7 +120,8 @@ using RuleSet = std::vector<Rule>;
 /// priority = index) preserving the current order.
 void canonicalize(RuleSet& rules);
 
-/// Sanity-check a rule-set: ranges within field domains, dense unique ids.
+/// Sanity-check a rule-set: ranges within field domains, dense unique ids,
+/// and no priority INT32_MAX (reserved: it is the miss's priority).
 /// Returns an empty string when valid, otherwise a description of the issue.
 [[nodiscard]] std::string validate_ruleset(std::span<const Rule> rules);
 

@@ -31,10 +31,6 @@ void CutSplit::build(std::span<const Rule> rules) {
   }
 }
 
-MatchResult CutSplit::match(const Packet& p) const {
-  return match_with_floor(p, std::numeric_limits<int32_t>::max());
-}
-
 MatchResult CutSplit::match_with_floor(const Packet& p, int32_t priority_floor) const {
   MatchResult best;
   int32_t floor = priority_floor;

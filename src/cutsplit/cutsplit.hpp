@@ -28,7 +28,6 @@ class CutSplit final : public Classifier {
   explicit CutSplit(CutSplitConfig cfg = {});
 
   void build(std::span<const Rule> rules) override;
-  [[nodiscard]] MatchResult match(const Packet& p) const override;
   [[nodiscard]] MatchResult match_with_floor(const Packet& p,
                                              int32_t priority_floor) const override;
 

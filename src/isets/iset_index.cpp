@@ -127,10 +127,6 @@ rqrmi::Prediction IsetIndex::predict(uint32_t v, rqrmi::SimdLevel level) const n
   return model_.lookup(rqrmi::normalize_key_mul(v, inv_domain_), level);
 }
 
-rqrmi::Prediction IsetIndex::predict(uint32_t v) const noexcept {
-  return model_.lookup(rqrmi::normalize_key_mul(v, inv_domain_));
-}
-
 void IsetIndex::predict_batch(std::span<const uint32_t> values,
                               std::span<rqrmi::Prediction> out,
                               rqrmi::SimdLevel level) const noexcept {
@@ -142,11 +138,6 @@ void IsetIndex::predict_batch(std::span<const uint32_t> values,
       keys[t] = rqrmi::normalize_key_mul(values[base + t], inv_domain_);
     model_.lookup_batch(std::span<const float>{keys, m}, out.subspan(base, m), level);
   }
-}
-
-void IsetIndex::predict_batch(std::span<const uint32_t> values,
-                              std::span<rqrmi::Prediction> out) const noexcept {
-  predict_batch(values, out, rqrmi::best_simd_level());
 }
 
 int32_t IsetIndex::search(uint32_t v, const rqrmi::Prediction& pred) const noexcept {
@@ -190,10 +181,6 @@ void IsetIndex::prefetch_window(const rqrmi::Prediction& pred) const noexcept {
   __builtin_prefetch(hi_.data() + first);
 }
 
-MatchResult IsetIndex::validate(int32_t pos, const Packet& p) const noexcept {
-  return validate(pos, p, std::numeric_limits<int32_t>::max());
-}
-
 MatchResult IsetIndex::validate(int32_t pos, const Packet& p,
                                 int32_t priority_floor) const noexcept {
   if (pos < 0) return MatchResult{};
@@ -208,18 +195,7 @@ MatchResult IsetIndex::validate(int32_t pos, const Packet& p,
   return MatchResult{static_cast<int32_t>(r.id), r.priority};
 }
 
-MatchResult IsetIndex::lookup(const Packet& p, rqrmi::SimdLevel level) const noexcept {
-  const uint32_t v = p[field_];
-  return validate(search(v, predict(v, level)), p);
-}
-
-MatchResult IsetIndex::lookup(const Packet& p) const noexcept {
-  const uint32_t v = p[field_];
-  return validate(search(v, predict(v)), p);
-}
-
-MatchResult IsetIndex::lookup_with_floor(const Packet& p,
-                                         int32_t priority_floor) const noexcept {
+MatchResult IsetIndex::lookup(const Packet& p, int32_t priority_floor) const noexcept {
   const uint32_t v = p[field_];
   return validate(search(v, predict(v)), p, priority_floor);
 }

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -38,26 +39,22 @@ class IsetIndex {
 
   /// Full lookup: predict, search, validate. Returns the validated match or
   /// a miss (validation may reject the candidate on another field, §3.6).
-  [[nodiscard]] MatchResult lookup(const Packet& p) const noexcept;
-  [[nodiscard]] MatchResult lookup(const Packet& p, rqrmi::SimdLevel level) const noexcept;
-  /// Early-termination variant: candidates at or below `priority_floor` are
-  /// rejected from packed metadata before the rule body is ever fetched.
-  [[nodiscard]] MatchResult lookup_with_floor(const Packet& p,
-                                              int32_t priority_floor) const noexcept;
+  /// A candidate that cannot beat `priority_floor` is rejected from packed
+  /// metadata before its rule body is ever fetched (paper §4).
+  [[nodiscard]] MatchResult lookup(
+      const Packet& p,
+      int32_t priority_floor = std::numeric_limits<int32_t>::max()) const noexcept;
 
   // --- staged API (used by the Figure 14 runtime-breakdown bench and the
   // --- batch pipeline) ---------------------------------------------------
-  [[nodiscard]] rqrmi::Prediction predict(uint32_t field_value) const noexcept;
-  [[nodiscard]] rqrmi::Prediction predict(uint32_t field_value,
-                                          rqrmi::SimdLevel level) const noexcept;
+  [[nodiscard]] rqrmi::Prediction predict(
+      uint32_t field_value,
+      rqrmi::SimdLevel level = rqrmi::best_simd_level()) const noexcept;
   /// Cross-packet batched prediction: normalizes the values (reciprocal
   /// multiply, no divide) and runs the RQ-RMI lane-per-packet kernels.
   /// Writes values.size() predictions to `out`.
-  void predict_batch(std::span<const uint32_t> values,
-                     std::span<rqrmi::Prediction> out) const noexcept;
-  void predict_batch(std::span<const uint32_t> values,
-                     std::span<rqrmi::Prediction> out,
-                     rqrmi::SimdLevel level) const noexcept;
+  void predict_batch(std::span<const uint32_t> values, std::span<rqrmi::Prediction> out,
+                     rqrmi::SimdLevel level = rqrmi::best_simd_level()) const noexcept;
   /// Bounded binary search around the prediction; -1 when no stored range
   /// contains the value.
   [[nodiscard]] int32_t search(uint32_t field_value,
@@ -71,14 +68,14 @@ class IsetIndex {
   /// Hint the cache that `pred`'s search window is about to be walked
   /// (the batch pipeline issues these one stage ahead).
   void prefetch_window(const rqrmi::Prediction& pred) const noexcept;
-  /// Validate candidate position against all packet fields (tombstone-aware).
-  [[nodiscard]] MatchResult validate(int32_t pos, const Packet& p) const noexcept;
-  /// Same with a priority floor: the packed priority/shape metadata decides
+  /// Validate candidate position against all packet fields (tombstone-aware)
+  /// under a priority floor: the packed priority/shape metadata decides
   /// cheap rejections (floor) and cheap accepts (rules wildcard outside the
   /// indexed field) without touching the rule body (paper Section 4 packs
   /// per-rule values exactly to avoid these memory accesses).
-  [[nodiscard]] MatchResult validate(int32_t pos, const Packet& p,
-                                     int32_t priority_floor) const noexcept;
+  [[nodiscard]] MatchResult validate(
+      int32_t pos, const Packet& p,
+      int32_t priority_floor = std::numeric_limits<int32_t>::max()) const noexcept;
 
   /// Tombstone a rule (paper §3.9 deletion path). Returns false if absent.
   /// O(1) via the id→position map; the sorted arrays and the trained model

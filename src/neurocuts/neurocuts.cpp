@@ -113,10 +113,6 @@ void NeuroCutsLike::build(std::span<const Rule> rules) {
   }
 }
 
-MatchResult NeuroCutsLike::match(const Packet& p) const {
-  return match_with_floor(p, std::numeric_limits<int32_t>::max());
-}
-
 MatchResult NeuroCutsLike::match_with_floor(const Packet& p, int32_t priority_floor) const {
   MatchResult best;
   int32_t floor = priority_floor;

@@ -29,7 +29,6 @@ class NeuroCutsLike final : public Classifier {
   explicit NeuroCutsLike(NeuroCutsConfig cfg = {});
 
   void build(std::span<const Rule> rules) override;
-  [[nodiscard]] MatchResult match(const Packet& p) const override;
   [[nodiscard]] MatchResult match_with_floor(const Packet& p,
                                              int32_t priority_floor) const override;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <unordered_set>
@@ -169,30 +170,14 @@ void NuevoMatch::build(std::span<const Rule> rules, const NuevoMatch* reuse_mode
   remainder_->build(part.remainder);
 }
 
-MatchResult NuevoMatch::match_isets(const Packet& p) const {
-  // The running best priority is threaded through as a floor so later iSets
-  // reject their candidates from packed metadata without fetching rule
-  // bodies (cross-iSet early termination, an extension of paper Section 4).
-  MatchResult best;
-  for (const IsetIndex& is : isets_) {
-    const MatchResult r = is.lookup_with_floor(p, best.tie_floor());
-    if (r.beats(best)) best = r;
-  }
-  return best;
-}
-
-namespace {
-constexpr size_t kTile = 32;  ///< batch pipeline tile width
-}
-
-void NuevoMatch::match_isets_tile(const Packet* packets, size_t tile,
-                                  MatchResult* out) const {
+void NuevoMatch::iset_stages(const Packet* packets, size_t tile, MatchResult* out) const {
   // Three-stage software pipeline for one tile (DESIGN.md "Batched inference
   // engine"). Stage 1 runs the whole tile through the lane-per-packet RQ-RMI
   // kernels — one predict_batch call per iSet instead of a scalar predict
   // per packet x iSet. Stage 2 walks the bounded search windows with
   // wave-ahead prefetch. Stage 3 validates per packet in iSet order so the
-  // cross-iSet early-termination floor behaves exactly like match_isets().
+  // cross-iSet early-termination floor behaves exactly like the per-key
+  // match_with_floor() composition.
   constexpr size_t kMaxIsets = 8;
   const size_t n_isets = std::min(isets_.size(), kMaxIsets);
   std::array<uint32_t, kTile * kMaxIsets> vals;
@@ -216,65 +201,31 @@ void NuevoMatch::match_isets_tile(const Packet* packets, size_t tile,
   for (size_t t = 0; t < tile; ++t) {
     const Packet& p = packets[t];
     MatchResult best;
-    for (size_t s = 0; s < n_isets; ++s) {
-      const MatchResult r = isets_[s].validate(pos[s * kTile + t], p, best.tie_floor());
-      if (r.beats(best)) best = r;
-    }
+    int32_t floor = std::numeric_limits<int32_t>::max();
+    for (size_t s = 0; s < n_isets; ++s)
+      take(isets_[s].validate(pos[s * kTile + t], p, floor), best, floor);
     // Any iSets beyond the pipeline width take the scalar path.
-    for (size_t s = n_isets; s < isets_.size(); ++s) {
-      const MatchResult r = isets_[s].lookup_with_floor(p, best.tie_floor());
-      if (r.beats(best)) best = r;
-    }
+    for (size_t s = n_isets; s < isets_.size(); ++s)
+      take(isets_[s].lookup(p, floor), best, floor);
     out[t] = best;
   }
 }
 
+MatchResult NuevoMatch::match_with_floor(const Packet& p, int32_t priority_floor) const {
+  return match_with_floor(p, priority_floor, *remainder_);
+}
+
 void NuevoMatch::match_batch(std::span<const Packet> packets,
                              std::span<MatchResult> out) const {
-  for (size_t base = 0; base < packets.size(); base += kTile) {
-    const size_t tile = std::min(kTile, packets.size() - base);
-    match_isets_tile(packets.data() + base, tile, out.data() + base);
-    // Remainder merge per packet, still within the tile for locality.
-    for (size_t t = 0; t < tile; ++t) {
-      const Packet& p = packets[base + t];
-      MatchResult best = out[base + t];
-      const MatchResult rem = cfg_.early_termination && best.hit()
-                                  ? remainder_->match_with_floor(p, best.tie_floor())
-                                  : remainder_->match(p);
-      if (rem.beats(best)) best = rem;
-      out[base + t] = best;
-    }
-  }
-}
-
-void NuevoMatch::match_isets_batch(std::span<const Packet> packets,
-                                   std::span<MatchResult> out) const {
-  for (size_t base = 0; base < packets.size(); base += kTile) {
-    const size_t tile = std::min(kTile, packets.size() - base);
-    match_isets_tile(packets.data() + base, tile, out.data() + base);
-  }
-}
-
-MatchResult NuevoMatch::match(const Packet& p) const {
-  MatchResult best = match_isets(p);
-  const MatchResult rem =
-      cfg_.early_termination && best.hit()
-          ? remainder_->match_with_floor(p, best.tie_floor())
-          : remainder_->match(p);
-  if (rem.beats(best)) best = rem;
-  return best;
-}
-
-MatchResult NuevoMatch::match_with_floor(const Packet& p, int32_t priority_floor) const {
-  MatchResult r = match(p);
-  if (r.hit() && r.priority >= priority_floor) return MatchResult{};
-  return r;
+  match_batch(packets, out, *remainder_);
 }
 
 bool NuevoMatch::supports_updates() const { return remainder_->supports_updates(); }
 
 bool NuevoMatch::insert(const Rule& r) {
-  if (pos_by_id_.contains(r.id)) return false;  // ids are unique; see header
+  // Ids are unique and priority INT32_MAX is the miss sentinel; see header.
+  if (r.priority == std::numeric_limits<int32_t>::max() || pos_by_id_.contains(r.id))
+    return false;
   if (!remainder_->insert(r)) return false;
   pos_by_id_.emplace(r.id, rules_.size());
   rules_.push_back(r);

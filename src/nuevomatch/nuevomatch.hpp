@@ -4,6 +4,7 @@
 // construct it with the factory of whichever classifier you want to speed up.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -28,10 +29,6 @@ struct NuevoMatchConfig {
   int initial_samples = 512;
   int adam_epochs = 100;
   int max_retrain_attempts = 4;
-
-  /// Query the remainder only when the iSet result can still be beaten, and
-  /// let the remainder engine cut its own search (paper §4).
-  bool early_termination = true;
 
   /// Retrain cost control (build(rules, reuse)): coverage — as a fraction
   /// of the rule-set — that a model-reusing build may lose vs a full
@@ -67,28 +64,33 @@ class NuevoMatch final : public Classifier {
   void build(std::span<const Rule> rules, const NuevoMatch* reuse_models_from);
   /// iSets whose model the last build() reused instead of training.
   [[nodiscard]] size_t reused_isets() const noexcept { return reused_isets_; }
-  [[nodiscard]] MatchResult match(const Packet& p) const override;
+  // --- lookup (paper Figure 1 + §4 early termination) --------------------
+  // One composition: a running priority floor starts at the caller's floor,
+  // tightens to best.tie_floor() after every hit, and is threaded through
+  // each iSet and then through each remainder stage in order, so a stage is
+  // only asked for a rule that can still win. The remainder stages default
+  // to the built remainder engine; OnlineNuevoMatch passes its pinned update
+  // layer (base remainder or its override, then the churn delta) instead.
+  // A stage is any type with match_with_floor(p, floor) — a Classifier, or
+  // a plain view that need not implement build()/size()/name().
   [[nodiscard]] MatchResult match_with_floor(const Packet& p,
                                              int32_t priority_floor) const override;
-
-  /// iSet path only (used by the online engine and breakdown benches).
-  [[nodiscard]] MatchResult match_isets(const Packet& p) const;
+  template <class... Stages>
+    requires(sizeof...(Stages) > 0)
+  [[nodiscard]] MatchResult match_with_floor(const Packet& p, int32_t priority_floor,
+                                             const Stages&... remainder) const;
 
   /// Batched lookup (paper §5.1 processes packets in batches of 128): a
   /// software pipeline feeds whole tiles through the cross-packet RQ-RMI
   /// kernels (one SIMD lane per packet, see rqrmi/kernel.hpp) per iSet, then
   /// runs the bounded searches with wave-ahead window prefetch, then
-  /// validation + remainder per packet. Early-termination semantics are
-  /// identical to match(). Results are written per packet; out.size() must
-  /// equal packets.size().
+  /// validation + the remainder stages per packet. Element-for-element
+  /// identical to match(). out.size() must equal packets.size().
   void match_batch(std::span<const Packet> packets, std::span<MatchResult> out) const;
-
-  /// Batched iSet-only path: the first two pipeline stages of match_batch
-  /// plus validation, without the remainder merge. Element-for-element
-  /// identical to match_isets(). OnlineNuevoMatch's batched path runs this,
-  /// then merges its own remainder view (override + churn delta).
-  void match_isets_batch(std::span<const Packet> packets,
-                         std::span<MatchResult> out) const;
+  template <class... Stages>
+    requires(sizeof...(Stages) > 0)
+  void match_batch(std::span<const Packet> packets, std::span<MatchResult> out,
+                   const Stages&... remainder) const;
 
   // --- updates (paper §3.9) ---------------------------------------------
   // Synchronous, single-threaded update primitives. The concurrent wrapper
@@ -97,7 +99,8 @@ class NuevoMatch final : public Classifier {
   [[nodiscard]] bool supports_updates() const override;
   /// New rules are absorbed by the remainder classifier (§3.9 insertion
   /// path). Rule ids must be unique across the live rule-set; inserting a
-  /// duplicate id fails. O(1) plus the remainder engine's insert cost.
+  /// duplicate id fails, and so does priority INT32_MAX (reserved for the
+  /// miss). O(1) plus the remainder engine's insert cost.
   bool insert(const Rule& r) override;
   /// Tombstone in the owning iSet, or remove from the remainder. O(1) id
   /// lookup plus the owning structure's erase cost.
@@ -156,10 +159,17 @@ class NuevoMatch final : public Classifier {
  private:
   [[nodiscard]] rqrmi::RqRmiConfig rqrmi_config(size_t iset_size) const;
   void rebuild_pos_map();
+  static constexpr size_t kTile = 32;  ///< batch pipeline tile width
   /// One tile (≤ kTile packets) of the batched iSet pipeline: stage 1 model
-  /// inference, stage 2 bounded search, stage 3 validation. Shared by
-  /// match_batch and match_isets_batch.
-  void match_isets_tile(const Packet* packets, size_t tile, MatchResult* out) const;
+  /// inference, stage 2 bounded search, stage 3 validation.
+  void iset_stages(const Packet* packets, size_t tile, MatchResult* out) const;
+  /// Fold one stage's answer into the running best and tighten the floor.
+  static void take(const MatchResult& r, MatchResult& best, int32_t& floor) noexcept {
+    if (r.beats(best)) {
+      best = r;
+      floor = best.tie_floor();
+    }
+  }
 
   NuevoMatchConfig cfg_;
   std::vector<Rule> rules_;          // current logical rule-set
@@ -170,5 +180,33 @@ class NuevoMatch final : public Classifier {
   size_t migrated_ = 0;              // updates routed to remainder since build
   size_t reused_isets_ = 0;          // models reused by the last build()
 };
+
+template <class... Stages>
+  requires(sizeof...(Stages) > 0)
+MatchResult NuevoMatch::match_with_floor(const Packet& p, int32_t priority_floor,
+                                         const Stages&... remainder) const {
+  MatchResult best;
+  int32_t floor = priority_floor;
+  for (const IsetIndex& is : isets_) take(is.lookup(p, floor), best, floor);
+  (take(remainder.match_with_floor(p, floor), best, floor), ...);
+  return best;
+}
+
+template <class... Stages>
+  requires(sizeof...(Stages) > 0)
+void NuevoMatch::match_batch(std::span<const Packet> packets, std::span<MatchResult> out,
+                             const Stages&... remainder) const {
+  for (size_t base = 0; base < packets.size(); base += kTile) {
+    const size_t tile = std::min(kTile, packets.size() - base);
+    iset_stages(packets.data() + base, tile, out.data() + base);
+    // Remainder stages per packet, still within the tile for locality.
+    for (size_t i = base; i < base + tile; ++i) {
+      MatchResult best = out[i];
+      int32_t floor = best.tie_floor();
+      (take(remainder.match_with_floor(packets[i], floor), best, floor), ...);
+      out[i] = best;
+    }
+  }
+}
 
 }  // namespace nuevomatch

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -34,56 +35,29 @@ OnlineNuevoMatch::~OnlineNuevoMatch() {
 
 // --- data path --------------------------------------------------------------
 
+const OnlineNuevoMatch::ChurnList OnlineNuevoMatch::kNoChurn{};
+
+const Classifier& OnlineNuevoMatch::Pin::base() const noexcept {
+  return l_->base_override != nullptr ? *l_->base_override : g_->nm.remainder();
+}
+
+const OnlineNuevoMatch::ChurnList& OnlineNuevoMatch::Pin::churn() const noexcept {
+  return l_->churn != nullptr ? *l_->churn : kNoChurn;
+}
+
 MatchResult OnlineNuevoMatch::Pin::match(const Packet& p) const {
-  // Same composition as NuevoMatch::match, with the layer folded in after
-  // the base remainder: iSets first, then the remainder engine (or its
-  // copy-on-write override), then the churn delta — each stage floored by
-  // the running best when early termination is on.
-  const NuevoMatch& nm = g_->nm;
-  MatchResult best = nm.match_isets(p);
-  const bool et = nm.config().early_termination;
-  const Classifier& base =
-      l_->base_override != nullptr ? *l_->base_override : nm.remainder();
-  MatchResult r = et && best.hit() ? base.match_with_floor(p, best.tie_floor())
-                                   : base.match(p);
-  if (r.beats(best)) best = r;
-  if (l_->churn != nullptr) {
-    // The churn delta always takes the running best as its floor: a miss
-    // carries priority INT32_MAX, so the unfloored case falls out for free.
-    r = l_->churn->match_with_floor(p, best.tie_floor());
-    if (r.beats(best)) best = r;
-  }
-  return best;
+  return g_->nm.match_with_floor(p, std::numeric_limits<int32_t>::max(), base(), churn());
 }
 
 void OnlineNuevoMatch::Pin::match_batch(std::span<const Packet> packets,
                                         std::span<MatchResult> out) const {
-  const NuevoMatch& nm = g_->nm;
-  nm.match_isets_batch(packets, out);  // SIMD tile pipeline for the iSet half
-  const bool et = nm.config().early_termination;
-  const Classifier& base =
-      l_->base_override != nullptr ? *l_->base_override : nm.remainder();
-  for (size_t i = 0; i < packets.size(); ++i) {
-    const Packet& p = packets[i];
-    MatchResult best = out[i];
-    MatchResult r = et && best.hit() ? base.match_with_floor(p, best.tie_floor())
-                                     : base.match(p);
-    if (r.beats(best)) best = r;
-    if (l_->churn != nullptr) {
-      r = l_->churn->match_with_floor(p, best.tie_floor());
-      if (r.beats(best)) best = r;
-    }
-    out[i] = best;
-  }
+  g_->nm.match_batch(packets, out, base(), churn());
 }
-
-MatchResult OnlineNuevoMatch::match(const Packet& p) const { return Pin{*this}.match(p); }
 
 MatchResult OnlineNuevoMatch::match_with_floor(const Packet& p,
                                                int32_t priority_floor) const {
-  const MatchResult r = Pin{*this}.match(p);
-  if (r.hit() && r.priority >= priority_floor) return MatchResult{};
-  return r;
+  const Pin pin{*this};
+  return pin.nm().match_with_floor(p, priority_floor, pin.base(), pin.churn());
 }
 
 void OnlineNuevoMatch::match_batch(std::span<const Packet> packets,
@@ -102,7 +76,9 @@ void OnlineNuevoMatch::journal_locked(Op op) {
 }
 
 bool OnlineNuevoMatch::insert_locked(const Rule& r, bool& churn_dirty) {
-  if (live_loc_.contains(r.id)) return false;  // ids are unique; see header
+  // Ids are unique and priority INT32_MAX is the miss sentinel; see header.
+  if (r.priority == std::numeric_limits<int32_t>::max() || live_loc_.contains(r.id))
+    return false;
   pending_inserts_.push_back(r);
   live_loc_.emplace(r.id, LiveInfo{Loc::kChurn, r.priority});
   ++migrated_;

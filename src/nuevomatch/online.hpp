@@ -191,6 +191,7 @@ struct EngineHealth {
 
 class OnlineNuevoMatch final : public Classifier {
  private:
+  struct ChurnList;   // immutable churn delta (rules inserted since the swap)
   struct Layer;       // immutable copy-on-write update overlay
   struct Generation;  // frozen trained index + published layer pointer
 
@@ -213,7 +214,9 @@ class OnlineNuevoMatch final : public Classifier {
   void adopt(NuevoMatch nm, uint64_t update_ops);
 
   // --- data path (wait-free; safe from any number of threads) -------------
-  [[nodiscard]] MatchResult match(const Packet& p) const override;
+  /// NuevoMatch's floored composition over one pinned view, with the update
+  /// layer (base remainder or its override, then the churn delta) as the
+  /// remainder stages; match() is this with no floor.
   [[nodiscard]] MatchResult match_with_floor(const Packet& p,
                                              int32_t priority_floor) const override;
   /// Batched lookup; out.size() must equal packets.size(). The whole batch
@@ -255,6 +258,9 @@ class OnlineNuevoMatch final : public Classifier {
 
    private:
     friend class OnlineNuevoMatch;
+    /// The pinned update layer as NuevoMatch's remainder stages.
+    [[nodiscard]] const Classifier& base() const noexcept;
+    [[nodiscard]] const ChurnList& churn() const noexcept;
     // Both protected loads are seq_cst: the epoch protocol's Dekker
     // argument (epoch.hpp) needs them ordered after the slot CAS in the
     // seq_cst total order, so a writer whose slot scan missed this reader
@@ -277,8 +283,9 @@ class OnlineNuevoMatch final : public Classifier {
   /// Batched writer commits: one writer-lock acquisition and ONE
   /// copy-on-write publication for the whole burst — the
   /// amortization that makes bulk controller pushes cheap. Returns the
-  /// number of accepted ops (duplicates / unknown ids are skipped, exactly
-  /// like their scalar counterparts). Visibility is batch-atomic for
+  /// number of accepted ops (duplicate ids, priority INT32_MAX — reserved
+  /// for the miss — and unknown ids are skipped, exactly like their scalar
+  /// counterparts). Visibility is batch-atomic for
   /// lookups that pin after the commit.
   size_t insert_batch(std::span<const Rule> rules);
   size_t erase_batch(std::span<const uint32_t> rule_ids);
@@ -432,6 +439,8 @@ class OnlineNuevoMatch final : public Classifier {
       return MatchResult{};
     }
   };
+  /// Stands in for a null Layer::churn on the read path.
+  static const ChurnList kNoChurn;
 
   /// Immutable update overlay. A commit never mutates the published layer —
   /// it builds a successor from the writer's pending state and publishes it
@@ -441,7 +450,7 @@ class OnlineNuevoMatch final : public Classifier {
     /// base-remainder deletion; null = use the generation's own.
     std::shared_ptr<const Classifier> base_override;
     /// The churn delta since the last swap; null while no churn is pending
-    /// (the common fast path skips the whole probe).
+    /// (readers then scan kNoChurn, which is empty).
     std::shared_ptr<const ChurnList> churn;
   };
 

@@ -104,10 +104,6 @@ void TupleMerge::sort_tables() {
   });
 }
 
-MatchResult TupleMerge::match(const Packet& p) const {
-  return match_with_floor(p, std::numeric_limits<int32_t>::max());
-}
-
 MatchResult TupleMerge::match_with_floor(const Packet& p, int32_t priority_floor) const {
   // The running best is a rule_rank bound that starts at the floor, so the
   // tie order of MatchResult::beats holds across tables as well as inside

@@ -58,7 +58,6 @@ class TupleMerge : public Classifier {
   TupleMerge& operator=(TupleMerge&&) noexcept = default;
 
   void build(std::span<const Rule> rules) override;
-  [[nodiscard]] MatchResult match(const Packet& p) const override;
   [[nodiscard]] MatchResult match_with_floor(const Packet& p,
                                              int32_t priority_floor) const override;
 

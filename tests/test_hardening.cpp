@@ -163,12 +163,12 @@ TEST(IsetFastPath, FloorRejectsWithoutChangingSemantics) {
     const MatchResult full = idx.lookup(p);
     // Floor above the hit keeps it; floor at/below the hit suppresses it.
     if (full.hit()) {
-      const MatchResult keep = idx.lookup_with_floor(p, full.priority + 1);
+      const MatchResult keep = idx.lookup(p, full.priority + 1);
       ASSERT_EQ(keep.rule_id, full.rule_id);
-      const MatchResult cut = idx.lookup_with_floor(p, full.priority);
+      const MatchResult cut = idx.lookup(p, full.priority);
       ASSERT_FALSE(cut.hit());
     } else {
-      ASSERT_FALSE(idx.lookup_with_floor(p, 123).hit());
+      ASSERT_FALSE(idx.lookup(p, 123).hit());
     }
   }
 }

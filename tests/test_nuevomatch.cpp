@@ -76,27 +76,40 @@ TEST(NuevoMatch, WithNeuroCutsRemainder) {
   expect_matches_oracle(nm, rules);
 }
 
-TEST(NuevoMatch, EarlyTerminationDoesNotChangeResults) {
-  const RuleSet rules = generate_classbench(AppClass::kFw, 2, 3000, 9);
-  NuevoMatchConfig with_et = base_config([] { return std::make_unique<TupleMerge>(); });
-  NuevoMatchConfig without_et = with_et;
-  without_et.early_termination = false;
-  NuevoMatch a{with_et};
-  NuevoMatch b{without_et};
-  a.build(rules);
-  b.build(rules);
-  TraceConfig tc;
-  tc.n_packets = 4000;
-  tc.seed = 10;
-  for (const Packet& p : generate_trace(rules, tc))
-    ASSERT_EQ(a.match(p).rule_id, b.match(p).rule_id);
-}
-
 TEST(NuevoMatch, FloorConsistency) {
   const RuleSet rules = generate_classbench(AppClass::kAcl, 4, 2000, 11);
   NuevoMatch nm{base_config([] { return std::make_unique<TupleMerge>(); })};
   nm.build(rules);
   expect_floor_consistency(nm, rules);
+}
+
+// The caller's floor must reach all three online stages: the iSets, the base
+// remainder (here replaced by its copy-on-write override after a base erase)
+// and the churn delta (rules inserted after build). Tied priorities make the
+// floor admit equal-priority rules across stage boundaries.
+TEST(OnlineNuevoMatch, FloorConsistencyThroughOverrideAndChurnDelta) {
+  const RuleSet rules =
+      with_tied_priorities(generate_classbench(AppClass::kAcl, 1, 3000, 16), 200, 17);
+  OnlineConfig ocfg;
+  ocfg.base = base_config([] { return std::make_unique<TupleMerge>(); });
+  ocfg.auto_retrain = false;
+  OnlineNuevoMatch online{ocfg};
+  const std::span<const Rule> all{rules};
+  const auto late = all.subspan(all.size() / 2);
+  online.build(all.first(all.size() / 2));
+  ASSERT_FALSE(online.pin().nm().isets().empty());
+  const std::vector<Rule> base_rem = online.pin().nm().remainder_rules();
+  ASSERT_FALSE(base_rem.empty());
+  const uint32_t erased = base_rem.front().id;
+  ASSERT_TRUE(online.erase(erased));
+  ASSERT_EQ(online.insert_batch(late), late.size());
+  ASSERT_EQ(online.health().churn_rules, late.size());
+
+  RuleSet live;
+  for (const Rule& r : rules)
+    if (r.id != erased) live.push_back(r);
+  expect_matches_oracle(online, live, 4000, 18);
+  expect_floor_consistency(online, live, 19);
 }
 
 // Equal priorities resolve to the smaller id on every path: the iSet hit's

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "common/types.hpp"
 
 namespace nuevomatch {
@@ -99,30 +103,30 @@ TEST(RuleSet, ValidateAcceptsCanonical) {
   EXPECT_EQ(validate_ruleset(rules), "");
 }
 
-TEST(RuleSet, ValidateRejectsInvertedRange) {
-  RuleSet rules(1);
-  canonicalize(rules);
-  rules[0].field[kSrcIp] = {10, 5};
-  EXPECT_NE(validate_ruleset(rules), "");
-}
-
-TEST(RuleSet, ValidateRejectsDomainOverflow) {
-  RuleSet rules(1);
-  canonicalize(rules);
-  rules[0].field[kSrcPort] = {0, 0x10000};
-  EXPECT_NE(validate_ruleset(rules), "");
-}
-
-TEST(RuleSet, ValidateRejectsDuplicateIds) {
-  RuleSet rules(2);
-  canonicalize(rules);
-  rules[1].id = 0;
-  EXPECT_NE(validate_ruleset(rules), "");
+// Each case breaks one rule of a canonical two-rule set.
+TEST(RuleSet, ValidateRejectsMalformed) {
+  const std::vector<std::pair<const char*, void (*)(RuleSet&)>> cases = {
+      {"inverted range", [](RuleSet& rs) { rs[0].field[kSrcIp] = {10, 5}; }},
+      {"domain overflow", [](RuleSet& rs) { rs[0].field[kSrcPort] = {0, 0x10000}; }},
+      {"duplicate id", [](RuleSet& rs) { rs[1].id = 0; }},
+      // The miss's priority: no engine could ever return such a rule.
+      {"priority INT32_MAX",
+       [](RuleSet& rs) { rs[1].priority = std::numeric_limits<int32_t>::max(); }},
+  };
+  RuleSet valid(2);
+  canonicalize(valid);
+  ASSERT_EQ(validate_ruleset(valid), "");
+  for (const auto& [what, mutate] : cases) {
+    RuleSet rules = valid;
+    mutate(rules);
+    EXPECT_NE(validate_ruleset(rules), "") << what;
+  }
 }
 
 TEST(ToString, RendersRuleAndPacket) {
   Rule r;
-  canonicalize(*new RuleSet{});  // no-op sanity for empty set
+  RuleSet empty;
+  canonicalize(empty);  // no-op sanity for empty set
   r.id = 3;
   r.priority = 1;
   EXPECT_NE(to_string(r).find("rule{id=3"), std::string::npos);

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -171,6 +172,26 @@ OnlineConfig make_online_cfg(double threshold = 0.05, bool auto_retrain = true) 
   cfg.retrain_threshold = threshold;
   cfg.auto_retrain = auto_retrain;
   return cfg;
+}
+
+// Priority INT32_MAX is the miss's priority, so no engine could ever return
+// such a rule: every insert path refuses it, as it refuses a duplicate id.
+TEST(Updates, MissSentinelPriorityInsertFails) {
+  const RuleSet rules = generate_classbench(AppClass::kAcl, 1, 400, 16);
+  Rule r = rules[0];
+  r.id = 90'000;
+  r.priority = std::numeric_limits<int32_t>::max();
+  NuevoMatch nm = make_nm();
+  nm.build(rules);
+  EXPECT_FALSE(nm.insert(r));
+  EXPECT_EQ(nm.size(), rules.size());
+
+  OnlineNuevoMatch online{make_online_cfg(/*threshold=*/1.0, /*auto_retrain=*/false)};
+  online.build(rules);
+  EXPECT_FALSE(online.insert(r));
+  EXPECT_EQ(online.insert_batch({&r, 1}), 0u);
+  EXPECT_EQ(online.size(), rules.size());
+  EXPECT_EQ(online.health().churn_rules, 0u);
 }
 
 TEST(OnlineUpdates, InsertThenMatchIsImmediatelyVisible) {
