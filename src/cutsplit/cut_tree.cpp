@@ -285,10 +285,6 @@ bool CutTree::erase(uint32_t rule_id) noexcept {
   return true;
 }
 
-MatchResult CutTree::match(const Packet& p) const noexcept {
-  return match_with_floor(p, std::numeric_limits<int32_t>::max());
-}
-
 MatchResult CutTree::match_with_floor(const Packet& p, int32_t priority_floor) const noexcept {
   if (nodes_.empty()) return MatchResult{};
   const Node* n = &nodes_[0];

@@ -51,7 +51,6 @@ class CutTree {
 
   void build(std::span<const Rule> rules, const CutTreeConfig& cfg);
 
-  [[nodiscard]] MatchResult match(const Packet& p) const noexcept;
   [[nodiscard]] MatchResult match_with_floor(const Packet& p,
                                              int32_t priority_floor) const noexcept;
 

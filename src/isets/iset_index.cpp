@@ -153,32 +153,24 @@ int32_t IsetIndex::search(uint32_t v, const rqrmi::Prediction& pred) const noexc
   const size_t leq = count_leq_default(lo_.data() + first,
                                        static_cast<size_t>(last - first + 1), v);
   if (leq == 0) return -1;
-  const auto pos = static_cast<int32_t>(static_cast<size_t>(first) + leq - 1);
-  return hi_[static_cast<size_t>(pos)] >= v ? pos : -1;
+  const size_t pos = static_cast<size_t>(first) + leq - 1;
+  if (hi_[pos] < v) return -1;
+  // Start the loads validate() makes, so they overlap with the searches of
+  // other iSets and packets instead of waiting behind them. A 52-byte Rule
+  // can straddle two cache lines: touch its first and last byte.
+  __builtin_prefetch(prio_.data() + pos);
+  __builtin_prefetch(alive_.data() + pos);
+  __builtin_prefetch(wild_rest_.data() + pos);
+  const auto* body = reinterpret_cast<const char*>(rules_.data() + pos);
+  __builtin_prefetch(body);
+  __builtin_prefetch(body + sizeof(Rule) - 1);
+  return static_cast<int32_t>(pos);
 }
 
 void IsetIndex::search_batch(std::span<const uint32_t> values,
                              std::span<const rqrmi::Prediction> preds,
                              std::span<int32_t> out) const noexcept {
-  // One wave of windows is prefetched ahead of the one being walked, so the
-  // bounded searches overlap their DRAM accesses instead of serializing.
-  constexpr size_t kWave = 4;
-  const size_t n = values.size();
-  for (size_t i = 0; i < n && i < kWave; ++i) prefetch_window(preds[i]);
-  for (size_t i = 0; i < n; ++i) {
-    if (i + kWave < n) prefetch_window(preds[i + kWave]);
-    out[i] = search(values[i], preds[i]);
-  }
-}
-
-void IsetIndex::prefetch_window(const rqrmi::Prediction& pred) const noexcept {
-  if (lo_.empty()) return;
-  const auto first = std::min<size_t>(
-      lo_.size() - 1,
-      static_cast<size_t>(std::max<int64_t>(
-          0, static_cast<int64_t>(pred.index) - pred.search_error)));
-  __builtin_prefetch(lo_.data() + first);
-  __builtin_prefetch(hi_.data() + first);
+  for (size_t i = 0; i < values.size(); ++i) out[i] = search(values[i], preds[i]);
 }
 
 MatchResult IsetIndex::validate(int32_t pos, const Packet& p,

@@ -56,18 +56,16 @@ class IsetIndex {
   void predict_batch(std::span<const uint32_t> values, std::span<rqrmi::Prediction> out,
                      rqrmi::SimdLevel level = rqrmi::best_simd_level()) const noexcept;
   /// Bounded binary search around the prediction; -1 when no stored range
-  /// contains the value.
+  /// contains the value. On a hit it prefetches everything validate() reads
+  /// for that position (packed metadata and both cache lines of the rule
+  /// body), so a caller that searches several iSets or packets before
+  /// validating any of them overlaps those misses.
   [[nodiscard]] int32_t search(uint32_t field_value,
                                const rqrmi::Prediction& pred) const noexcept;
-  /// Batched bounded secondary search: interleaves the per-packet windows,
-  /// prefetching one wave ahead so a window's cache lines are in flight
-  /// while earlier packets are still being searched.
+  /// search() over a batch; out[i] = search(values[i], preds[i]).
   void search_batch(std::span<const uint32_t> values,
                     std::span<const rqrmi::Prediction> preds,
                     std::span<int32_t> out) const noexcept;
-  /// Hint the cache that `pred`'s search window is about to be walked
-  /// (the batch pipeline issues these one stage ahead).
-  void prefetch_window(const rqrmi::Prediction& pred) const noexcept;
   /// Validate candidate position against all packet fields (tombstone-aware)
   /// under a priority floor: the packed priority/shape metadata decides
   /// cheap rejections (floor) and cheap accepts (rules wildcard outside the

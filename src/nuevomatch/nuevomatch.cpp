@@ -12,6 +12,8 @@ namespace nuevomatch {
 NuevoMatch::NuevoMatch(NuevoMatchConfig cfg) : cfg_(std::move(cfg)) {
   if (!cfg_.remainder_factory)
     throw std::invalid_argument{"NuevoMatchConfig.remainder_factory must be set"};
+  if (cfg_.max_isets > static_cast<int>(kMaxIsets))
+    throw std::invalid_argument{"NuevoMatchConfig.max_isets exceeds NuevoMatch::kMaxIsets"};
   remainder_ = cfg_.remainder_factory();
 }
 
@@ -174,12 +176,11 @@ void NuevoMatch::iset_stages(const Packet* packets, size_t tile, MatchResult* ou
   // Three-stage software pipeline for one tile (DESIGN.md "Batched inference
   // engine"). Stage 1 runs the whole tile through the lane-per-packet RQ-RMI
   // kernels — one predict_batch call per iSet instead of a scalar predict
-  // per packet x iSet. Stage 2 walks the bounded search windows with
-  // wave-ahead prefetch. Stage 3 validates per packet in iSet order so the
-  // cross-iSet early-termination floor behaves exactly like the per-key
-  // match_with_floor() composition.
-  constexpr size_t kMaxIsets = 8;
-  const size_t n_isets = std::min(isets_.size(), kMaxIsets);
+  // per packet x iSet. Stage 2 walks the bounded search windows; each hit
+  // prefetches the candidate stage 3 reads. Stage 3 validates per packet in
+  // iSet order so the cross-iSet early-termination floor behaves exactly
+  // like the per-key match_with_floor() composition.
+  const size_t n_isets = isets_.size();
   std::array<uint32_t, kTile * kMaxIsets> vals;
   std::array<rqrmi::Prediction, kTile * kMaxIsets> preds;
   std::array<int32_t, kTile * kMaxIsets> pos;
@@ -190,8 +191,7 @@ void NuevoMatch::iset_stages(const Packet* packets, size_t tile, MatchResult* ou
     for (size_t t = 0; t < tile; ++t) v[t] = packets[t][isets_[s].field()];
     isets_[s].predict_batch({v, tile}, {preds.data() + s * kTile, tile});
   }
-  // Stage 2: batched bounded secondary search (windows prefetched a wave
-  // ahead inside search_batch).
+  // Stage 2: batched bounded secondary search.
   for (size_t s = 0; s < n_isets; ++s) {
     isets_[s].search_batch({vals.data() + s * kTile, tile},
                            {preds.data() + s * kTile, tile},
@@ -204,9 +204,6 @@ void NuevoMatch::iset_stages(const Packet* packets, size_t tile, MatchResult* ou
     int32_t floor = std::numeric_limits<int32_t>::max();
     for (size_t s = 0; s < n_isets; ++s)
       take(isets_[s].validate(pos[s * kTile + t], p, floor), best, floor);
-    // Any iSets beyond the pipeline width take the scalar path.
-    for (size_t s = n_isets; s < isets_.size(); ++s)
-      take(isets_[s].lookup(p, floor), best, floor);
     out[t] = best;
   }
 }
@@ -301,6 +298,8 @@ void NuevoMatch::restore(std::vector<IsetIndex> isets, std::vector<Rule> remaind
 void NuevoMatch::restore(std::vector<IsetIndex> isets, std::vector<Rule> remainder_rules,
                          std::span<const uint32_t> erased_ids, size_t built_size,
                          size_t migrated) {
+  if (isets.size() > kMaxIsets)
+    throw std::invalid_argument{"NuevoMatch::restore: more iSets than kMaxIsets"};
   isets_ = std::move(isets);
   // Deletions applied after the last (re)build live as tombstones inside the
   // iSet arrays (the model needs the full array); re-apply them FIRST, so

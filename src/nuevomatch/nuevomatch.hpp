@@ -5,6 +5,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -18,7 +19,7 @@ namespace nuevomatch {
 
 struct NuevoMatchConfig {
   /// iSet extraction (paper §5.1 uses max 4 iSets; coverage floor 25% vs
-  /// decision trees, 5% vs TupleMerge).
+  /// decision trees, 5% vs TupleMerge). At most NuevoMatch::kMaxIsets.
   int max_isets = 4;
   double min_iset_coverage = 0.25;
 
@@ -46,6 +47,12 @@ struct NuevoMatchConfig {
 
 class NuevoMatch final : public Classifier {
  public:
+  /// Bound on the iSet count: the lookup paths keep every iSet's
+  /// prediction and candidate in fixed arrays of this width.
+  static constexpr size_t kMaxIsets = 8;
+
+  /// Throws std::invalid_argument without a remainder_factory, or when
+  /// cfg.max_isets exceeds kMaxIsets.
   explicit NuevoMatch(NuevoMatchConfig cfg);
 
   void build(std::span<const Rule> rules) override;
@@ -73,6 +80,9 @@ class NuevoMatch final : public Classifier {
   // layer (base remainder or its override, then the churn delta) instead.
   // A stage is any type with match_with_floor(p, floor) — a Classifier, or
   // a plain view that need not implement build()/size()/name().
+  // The iSet half runs in three passes — predict every iSet, search every
+  // iSet, validate in iSet order — so the candidate loads that search()
+  // prefetches for one iSet overlap with the work on the others.
   [[nodiscard]] MatchResult match_with_floor(const Packet& p,
                                              int32_t priority_floor) const override;
   template <class... Stages>
@@ -83,7 +93,7 @@ class NuevoMatch final : public Classifier {
   /// Batched lookup (paper §5.1 processes packets in batches of 128): a
   /// software pipeline feeds whole tiles through the cross-packet RQ-RMI
   /// kernels (one SIMD lane per packet, see rqrmi/kernel.hpp) per iSet, then
-  /// runs the bounded searches with wave-ahead window prefetch, then
+  /// runs the bounded searches (each prefetching its candidate), then
   /// validation + the remainder stages per packet. Element-for-element
   /// identical to match(). out.size() must equal packets.size().
   void match_batch(std::span<const Packet> packets, std::span<MatchResult> out) const;
@@ -121,7 +131,8 @@ class NuevoMatch final : public Classifier {
   /// Reinstate a built classifier from its parts without retraining the
   /// RQ-RMIs (the serializer's load path). The remainder classifier is
   /// rebuilt from `remainder_rules` via the configured factory — external
-  /// engines build fast; only model training is expensive.
+  /// engines build fast; only model training is expensive. Throws
+  /// std::invalid_argument for more than kMaxIsets iSets.
   void restore(std::vector<IsetIndex> isets, std::vector<Rule> remainder_rules);
 
   /// Serializer v2 load path: additionally re-applies iSet tombstones
@@ -185,9 +196,18 @@ template <class... Stages>
   requires(sizeof...(Stages) > 0)
 MatchResult NuevoMatch::match_with_floor(const Packet& p, int32_t priority_floor,
                                          const Stages&... remainder) const {
+  const size_t n = isets_.size();
+  std::array<uint32_t, kMaxIsets> vals{};
+  std::array<rqrmi::Prediction, kMaxIsets> preds{};
+  std::array<int32_t, kMaxIsets> pos{};
+  for (size_t s = 0; s < n; ++s) {
+    vals[s] = p[isets_[s].field()];
+    preds[s] = isets_[s].predict(vals[s]);
+  }
+  for (size_t s = 0; s < n; ++s) pos[s] = isets_[s].search(vals[s], preds[s]);
   MatchResult best;
   int32_t floor = priority_floor;
-  for (const IsetIndex& is : isets_) take(is.lookup(p, floor), best, floor);
+  for (size_t s = 0; s < n; ++s) take(isets_[s].validate(pos[s], p, floor), best, floor);
   (take(remainder.match_with_floor(p, floor), best, floor), ...);
   return best;
 }

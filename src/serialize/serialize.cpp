@@ -154,7 +154,7 @@ void put_classifier_body(ByteWriter& w, const NuevoMatch& nm) {
 [[nodiscard]] std::optional<NuevoMatch> get_classifier_body(ByteReader& r,
                                                             NuevoMatchConfig cfg) {
   const uint32_t n_isets = r.get_u32();
-  if (!r.can_hold(n_isets, 4)) return std::nullopt;
+  if (n_isets > NuevoMatch::kMaxIsets || !r.can_hold(n_isets, 4)) return std::nullopt;
   std::vector<IsetIndex> isets;
   isets.reserve(n_isets);
   std::vector<uint32_t> erased_ids;

@@ -115,20 +115,20 @@ TEST(CutTree, PureCutModeStillCorrect) {
   tc.n_packets = 2000;
   tc.seed = 12;
   for (const Packet& p : generate_trace(rules, tc))
-    ASSERT_EQ(tree.match(p).rule_id, oracle.match(p).rule_id);
+    ASSERT_EQ(tree.match_with_floor(p, INT32_MAX).rule_id, oracle.match(p).rule_id);
 }
 
 TEST(CutTree, EmptyAndSingleRule) {
   CutTree empty;
   empty.build({}, CutTreeConfig{});
-  EXPECT_FALSE(empty.match(Packet{}).hit());
+  EXPECT_FALSE(empty.match_with_floor(Packet{}, INT32_MAX).hit());
 
   RuleSet one(1);
   for (int f = 0; f < kNumFields; ++f) one[0].field[static_cast<size_t>(f)] = full_range(f);
   canonicalize(one);
   CutTree single;
   single.build(one, CutTreeConfig{});
-  EXPECT_EQ(single.match(Packet{}).rule_id, 0);
+  EXPECT_EQ(single.match_with_floor(Packet{}, INT32_MAX).rule_id, 0);
 }
 
 TEST(CutSplit, MemoryAccountedAndUpdateSupport) {

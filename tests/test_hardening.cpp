@@ -58,7 +58,7 @@ TEST_P(ReplicationBudget, HoldsOnAdversarialWildcardRules) {
   tc.n_packets = 3000;
   tc.seed = 18;
   for (const Packet& p : generate_trace(rules, tc))
-    ASSERT_EQ(tree.match(p).rule_id, oracle.match(p).rule_id);
+    ASSERT_EQ(tree.match_with_floor(p, INT32_MAX).rule_id, oracle.match(p).rule_id);
 }
 
 INSTANTIATE_TEST_SUITE_P(Budgets, ReplicationBudget, ::testing::Values(2.0, 8.0, 20.0));
@@ -77,7 +77,7 @@ TEST(ReplicationBudget, BudgetBelowOneStillBuilds) {
   tc.n_packets = 500;
   tc.seed = 20;
   for (const Packet& p : generate_trace(rules, tc))
-    ASSERT_EQ(tree.match(p).rule_id, oracle.match(p).rule_id);
+    ASSERT_EQ(tree.match_with_floor(p, INT32_MAX).rule_id, oracle.match(p).rule_id);
 }
 
 // --- TupleMerge: flat layout under update churn -------------------------------

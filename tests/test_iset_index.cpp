@@ -130,6 +130,57 @@ TEST(IsetIndex, RejectsOverlappingRules) {
   EXPECT_THROW(idx.build(kDstIp, rules, rqrmi::default_config(2)), std::invalid_argument);
 }
 
+// search() prefetches the candidate it returns, so every position it can
+// return must lie inside the arrays: at a one-rule iSet, and at keys 0 and
+// 2^32-1, whose windows clamp to positions 0 and n-1 (also for predictions
+// whose window reaches past either end of the array).
+TEST(IsetIndex, SearchAtArrayEdgesStaysInBounds) {
+  const auto edge_rule = [](uint32_t lo, uint32_t hi, uint32_t id) {
+    Rule r;
+    for (int f = 0; f < kNumFields; ++f) r.field[static_cast<size_t>(f)] = full_range(f);
+    r.field[kDstIp] = Range{lo, hi};
+    r.field[kProto] = Range{6, 6};  // not wildcard elsewhere: validate reads the body
+    r.id = id;
+    r.priority = static_cast<int32_t>(id);
+    return r;
+  };
+  Packet lo_key;
+  lo_key.field[kDstIp] = 0;
+  lo_key.field[kProto] = 6;
+  Packet hi_key = lo_key;
+  hi_key.field[kDstIp] = 0xFFFFFFFFu;
+
+  IsetIndex one;
+  one.build(kDstIp, {edge_rule(0, 0xFFFFFFFFu, 0)}, rqrmi::default_config(1));
+  for (const Packet& p : {lo_key, hi_key}) {
+    EXPECT_EQ(one.search(p[kDstIp], one.predict(p[kDstIp])), 0);
+    EXPECT_EQ(one.lookup(p).rule_id, 0);
+  }
+
+  std::vector<Rule> many;
+  for (uint32_t i = 0; i < 64; ++i)
+    many.push_back(edge_rule(i * 0x04000000u, i * 0x04000000u + 0x03FFFFFFu, i));
+  IsetIndex idx;
+  idx.build(kDstIp, many, rqrmi::default_config(many.size()));
+  const auto last = static_cast<int32_t>(many.size() - 1);
+  EXPECT_EQ(idx.search(0, idx.predict(0)), 0);
+  EXPECT_EQ(idx.search(0xFFFFFFFFu, idx.predict(0xFFFFFFFFu)), last);
+  EXPECT_EQ(idx.lookup(lo_key).rule_id, 0);
+  EXPECT_EQ(idx.lookup(hi_key).rule_id, last);
+
+  // Windows that overhang the array on either side, through both entry points.
+  const uint32_t vals[] = {0, 0xFFFFFFFFu, 0, 0xFFFFFFFFu};
+  const rqrmi::Prediction preds[] = {{0, 1000}, {static_cast<uint32_t>(last), 1000},
+                                     {5, 5}, {static_cast<uint32_t>(last) + 3, 4}};
+  const int32_t want[] = {0, last, 0, last};
+  int32_t got[4] = {};
+  idx.search_batch(vals, preds, got);
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(idx.search(vals[i], preds[i]), want[i]) << i;
+    EXPECT_EQ(got[i], want[i]) << i;
+  }
+}
+
 TEST(IsetIndex, PortFieldIndexing) {
   // iSets can be built on 16-bit fields too (paper Figure 6 uses Port).
   RuleSet rules(100);

@@ -3,6 +3,7 @@
 // repo's most important integration property.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "classbench/generator.hpp"
@@ -152,6 +153,68 @@ TEST(NuevoMatch, TiedPrioritiesBreakByIdOnEveryPath) {
   for (size_t i = 0; i < trace.size(); ++i)
     ASSERT_EQ(batched[i].rule_id, oracle.match(trace[i]).rule_id)
         << "online match_batch, packet " << i << ": " << to_string(trace[i]);
+}
+
+// The per-key walk predicts every iSet, then searches every iSet, then
+// validates in iSet order while threading the floor; match_batch does the
+// same per tile. Tombstoned candidates (whose metadata search() has already
+// prefetched) must still be rejected, a caller floor must still cut every
+// stage, and a ragged batch tail must not read past the packets it was given.
+TEST(NuevoMatch, StagedWalkMatchesLinearSearchUnderFloorsAndTombstones) {
+  const RuleSet rules =
+      with_tied_priorities(generate_classbench(AppClass::kAcl, 2, 4000, 80), 100, 81);
+  NuevoMatch nm{base_config([] { return std::make_unique<TupleMerge>(); })};
+  nm.build(rules);
+  ASSERT_FALSE(nm.isets().empty());
+
+  std::vector<uint32_t> doomed;
+  for (const IsetIndex& is : nm.isets())
+    for (size_t i = 0; i < is.rules().size(); i += 10) doomed.push_back(is.rules()[i].id);
+  for (const uint32_t id : doomed) ASSERT_TRUE(nm.erase(id)) << id;
+  RuleSet live;
+  for (const Rule& r : rules)
+    if (std::find(doomed.begin(), doomed.end(), r.id) == doomed.end()) live.push_back(r);
+  LinearSearch oracle;
+  oracle.build(live);
+
+  std::vector<int32_t> prios;
+  for (const Rule& r : live) prios.push_back(r.priority);
+  std::nth_element(prios.begin(), prios.begin() + prios.size() / 2, prios.end());
+  const int32_t floors[] = {INT32_MAX, prios[prios.size() / 2], 0};
+
+  // The trace is drawn from every rule, tombstoned ones included, so many
+  // packets land on a dead iSet candidate.
+  TraceConfig tc;
+  tc.n_packets = 6000;
+  tc.seed = 82;
+  const auto trace = generate_trace(rules, tc);
+  for (const Packet& p : trace)
+    for (const int32_t floor : floors)
+      ASSERT_EQ(nm.match_with_floor(p, floor).rule_id,
+                oracle.match_with_floor(p, floor).rule_id)
+          << "floor " << floor << ": " << to_string(p);
+
+  const std::span<const Packet> all{trace};
+  std::vector<MatchResult> got(33);
+  size_t at = 0;
+  for (size_t len = 1; len <= 33; ++len) {
+    const auto burst = all.subspan(at, len);
+    nm.match_batch(burst, std::span(got).first(len));
+    for (size_t i = 0; i < len; ++i)
+      ASSERT_EQ(got[i].rule_id, oracle.match(burst[i]).rule_id)
+          << "batch of " << len << ", packet " << i << ": " << to_string(burst[i]);
+    at += len;
+  }
+}
+
+TEST(NuevoMatch, IsetCountIsBoundedByKMaxIsets) {
+  NuevoMatchConfig cfg = base_config([] { return std::make_unique<TupleMerge>(); });
+  cfg.max_isets = static_cast<int>(NuevoMatch::kMaxIsets);
+  NuevoMatch nm{cfg};
+  cfg.max_isets = static_cast<int>(NuevoMatch::kMaxIsets) + 1;
+  EXPECT_THROW(NuevoMatch{cfg}, std::invalid_argument);
+  EXPECT_THROW(nm.restore(std::vector<IsetIndex>(NuevoMatch::kMaxIsets + 1), {}),
+               std::invalid_argument);
 }
 
 TEST(NuevoMatch, StanfordSingleFieldDataset) {

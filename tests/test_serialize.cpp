@@ -368,6 +368,45 @@ TEST(OnlineSerialize, V3FrameWithSeveralCountersLoadsTheirSum) {
     ASSERT_EQ(loaded->match(p).rule_id, online.match(p).rule_id) << to_string(p);
 }
 
+TEST(ClassifierSerialize, ImageWithMoreIsetsThanTheBoundIsRejected) {
+  // An NMCL image is magic(4) | version u32 | iSet count u32 | that many iSet
+  // sections | remainder rules (u64 count + rules) | built_size u64 |
+  // migrated u64 | CRC. A one-iSet classifier with an empty remainder gives
+  // one iSet section to repeat.
+  constexpr size_t kCountAt = 8;
+  constexpr size_t kIsetsAt = 12;
+  constexpr size_t kTail = 8 + 8 + 8 + 4;
+  RuleSet rules(40);
+  for (uint32_t i = 0; i < rules.size(); ++i) {
+    for (int f = 0; f < kNumFields; ++f) rules[i].field[static_cast<size_t>(f)] = full_range(f);
+    rules[i].field[kDstIp] = Range{i * 1000, i * 1000 + 999};
+    rules[i].id = i;
+    rules[i].priority = static_cast<int32_t>(i);
+  }
+  NuevoMatchConfig cfg = tm_config();
+  cfg.max_isets = 1;
+  NuevoMatch nm{cfg};
+  nm.build(rules);
+  ASSERT_EQ(nm.isets().size(), 1u);
+  ASSERT_EQ(nm.remainder_size(), 0u);
+  const auto bytes = save_classifier(nm);
+  ASSERT_EQ(bytes[kCountAt], 1u);
+
+  const auto with_isets = [&](uint32_t n) {
+    std::vector<uint8_t> out(bytes.begin(), bytes.begin() + kCountAt);
+    for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(n >> (8 * i)));
+    for (uint32_t k = 0; k < n; ++k)
+      out.insert(out.end(), bytes.begin() + kIsetsAt, bytes.end() - kTail);
+    out.insert(out.end(), bytes.end() - kTail, bytes.end());
+    refresh_crc(out);
+    return out;
+  };
+  const auto at_bound = load_classifier(with_isets(NuevoMatch::kMaxIsets), tm_config());
+  ASSERT_TRUE(at_bound.has_value()) << "the spliced image must be well formed";
+  EXPECT_EQ(at_bound->isets().size(), NuevoMatch::kMaxIsets);
+  EXPECT_FALSE(load_classifier(with_isets(NuevoMatch::kMaxIsets + 1), tm_config()).has_value());
+}
+
 TEST(SerializeFailpoint, LoadFailpointFailsEveryLoader) {
   const auto model_bytes = save_model(trained_model(16, 44));
   const auto rule_bytes = save_rules(generate_classbench(AppClass::kIpc, 1, 40, 45));
