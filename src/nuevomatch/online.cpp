@@ -208,74 +208,41 @@ void OnlineNuevoMatch::publish_layer_locked(bool churn_dirty, bool base_dirty) {
 size_t OnlineNuevoMatch::insert_batch(std::span<const Rule> rules) {
   if (rules.empty()) return 0;
   const uint64_t m_t0 = NM_METRICS_ENABLED ? telemetry::now_ns() : 0;
-  const bool bounded = cfg_.max_churn_rules > 0 || cfg_.max_journal_ops > 0;
-  const bool block = cfg_.overload_policy == OverloadPolicy::kBlock;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(cfg_.overload_block_timeout_ms);
   size_t accepted = 0;
-  size_t next = 0;  // first op not yet admitted
-  // Unbounded (the default): the loop body runs exactly once — one
-  // writer-lock hold, one publication. With a cap armed, each iteration
-  // commits the slice overload control admits; kBlock waits for capacity
-  // between slices, kShed (and a kBlock timeout) drops the rest.
-  for (;;) {
-    size_t slice = 0;
-    double pressure = 0.0;
-    {
-      std::lock_guard lk{wmu_};
-      pending_inserts_.clear();
-      pending_churn_erases_.clear();
-      size_t room = bounded ? insert_room_locked() : SIZE_MAX;
-      bool churn_dirty = false;
-      int min_band = kCoherenceCatchAll;
-      while (next < rules.size() && room > 0) {
-        const Rule& r = rules[next++];
-        if (insert_locked(r, churn_dirty)) {
-          journal_locked(Op{Op::Kind::kInsert, r, r.id});
-          min_band = std::min(min_band, coherence_band(r.priority));
-          ++slice;
-          // Each accepted insert grows the churn delta and (journal open)
-          // the journal by one; duplicates consume no capacity.
-          if (room != SIZE_MAX) --room;
-        }
+  double pressure = 0.0;
+  {
+    std::lock_guard lk{wmu_};
+    pending_inserts_.clear();
+    pending_churn_erases_.clear();
+    bool churn_dirty = false;
+    int min_band = kCoherenceCatchAll;
+    for (const Rule& r : rules) {
+      if (insert_locked(r, churn_dirty)) {
+        journal_locked(Op{Op::Kind::kInsert, r, r.id});
+        min_band = std::min(min_band, coherence_band(r.priority));
+        ++accepted;
       }
-      if (churn_dirty) publish_layer_locked(churn_dirty, /*base_dirty=*/false);
-      // The commit is reader-visible; invalidate decision caches (the bump
-      // must follow the publication — coherence_stamp()'s contract). An
-      // insert of r only beats cached decisions with WORSE priority, so it
-      // marks r's band and every band above it — plus the catch-all, since
-      // a cached miss can become a hit.
-      if (slice > 0)
-        bump_coherence((0x1FFFFu << min_band) & 0x1FFFFu);
-      pressure = built_size_ > 0
-                     ? static_cast<double>(migrated_) / static_cast<double>(built_size_)
-                     : 0.0;
     }
-    accepted += slice;
-    if (slice > 0 && cfg_.auto_retrain && pressure >= cfg_.retrain_threshold)
-      request_retrain(/*forced=*/false);
-    if (next >= rules.size()) break;
-    if (!block || std::chrono::steady_clock::now() >= deadline) {
-      // Shed the rest: the caller sees a short count, health() the tally.
-      shed_ops_.fetch_add(rules.size() - next, std::memory_order_relaxed);
-      break;
-    }
-    // Wait for a commit to free capacity (swap, erase, journal drain). The
-    // predicate reads the mirror atomics, so a notify that lands before we
-    // acquire ov_mu_ is still observed; the next slice re-checks
-    // authoritatively under wmu_.
-    std::unique_lock lk{ov_mu_};
-    ov_cv_.wait_until(lk, deadline, [&] { return approx_room(); });
+    if (churn_dirty) publish_layer_locked(churn_dirty, /*base_dirty=*/false);
+    // The commit is reader-visible; invalidate decision caches (the bump
+    // must follow the publication — coherence_stamp()'s contract). An
+    // insert of r only beats cached decisions with WORSE priority, so it
+    // marks r's band and every band above it — plus the catch-all, since
+    // a cached miss can become a hit.
+    if (accepted > 0) bump_coherence((0x1FFFFu << min_band) & 0x1FFFFu);
+    pressure = built_size_ > 0
+                   ? static_cast<double>(migrated_) / static_cast<double>(built_size_)
+                   : 0.0;
   }
+  if (accepted > 0 && cfg_.auto_retrain && pressure >= cfg_.retrain_threshold)
+    request_retrain(/*forced=*/false);
   if (NM_METRICS_ENABLED && accepted > 0) {
     static telemetry::Counter& mc = telemetry::registry().counter(
         "nm_engine_commits_total", "batch commits accepted (insert + erase)");
     static telemetry::Counter& mo = telemetry::registry().counter(
         "nm_engine_commit_ops_total", "individual ops accepted by commits");
     static telemetry::Histogram& mh = telemetry::registry().histogram(
-        "nm_engine_commit_ns",
-        "commit latency, call to publication (incl. overload waits)");
+        "nm_engine_commit_ns", "commit latency, call to publication");
     mc.add(1);
     mo.add(accepted);
     mh.record(telemetry::now_ns() - m_t0);
@@ -286,10 +253,7 @@ size_t OnlineNuevoMatch::insert_batch(std::span<const Rule> rules) {
 size_t OnlineNuevoMatch::erase_batch(std::span<const uint32_t> rule_ids) {
   if (rule_ids.empty()) return 0;
   const uint64_t m_t0 = NM_METRICS_ENABLED ? telemetry::now_ns() : 0;
-  // Erases never consume overload capacity — they shrink state, so capping
-  // them could wedge the one operation that relieves pressure.
   size_t accepted = 0;
-  bool freed = false;
   {
     std::lock_guard lk{wmu_};
     pending_inserts_.clear();
@@ -310,17 +274,14 @@ size_t OnlineNuevoMatch::erase_batch(std::span<const uint32_t> rule_ids) {
     // invalidates decision caches — but only the erased rules' OWN bands
     // (erase_locked's argument): cached decisions elsewhere provably stand.
     if (accepted > 0) bump_coherence(bands);
-    freed = churn_dirty;  // a churn erase shrank the delta
   }
-  if (freed) notify_overload();
   if (NM_METRICS_ENABLED && accepted > 0) {
     static telemetry::Counter& mc = telemetry::registry().counter(
         "nm_engine_commits_total", "batch commits accepted (insert + erase)");
     static telemetry::Counter& mo = telemetry::registry().counter(
         "nm_engine_commit_ops_total", "individual ops accepted by commits");
     static telemetry::Histogram& mh = telemetry::registry().histogram(
-        "nm_engine_commit_ns",
-        "commit latency, call to publication (incl. overload waits)");
+        "nm_engine_commit_ns", "commit latency, call to publication");
     mc.add(1);
     mo.add(accepted);
     mh.record(telemetry::now_ns() - m_t0);
@@ -436,7 +397,6 @@ void OnlineNuevoMatch::publish_fresh(std::shared_ptr<Generation> fresh,
     install_generation_locked(std::move(fresh));
     update_ops_.store(update_ops, std::memory_order_relaxed);
   }
-  notify_overload();  // the install reset the delta and the journal
 }
 
 void OnlineNuevoMatch::build(std::span<const Rule> rules) {
@@ -467,10 +427,6 @@ void OnlineNuevoMatch::build(std::span<const Rule> rules) {
     return;
   }
   publish_fresh(std::move(fresh));
-}
-
-void OnlineNuevoMatch::adopt(NuevoMatch nm) {
-  publish_fresh(std::make_shared<Generation>(std::move(nm)));
 }
 
 void OnlineNuevoMatch::adopt(NuevoMatch nm, uint64_t update_ops) {
@@ -678,7 +634,6 @@ OnlineNuevoMatch::CycleOutcome OnlineNuevoMatch::abandon_cycle(const char* what)
     std::lock_guard lk{wk_mu_};
     last_error_ = what;
   }
-  notify_overload();  // the dropped journal freed capacity
   return CycleOutcome::kFailed;
 }
 
@@ -761,7 +716,6 @@ OnlineNuevoMatch::CycleOutcome OnlineNuevoMatch::retrain_cycle() {
         if (!journal_open_) return CycleOutcome::kCancelled;
         carry = drain_locked();
       }
-      notify_overload();  // the drain freed journal capacity
       if (carry.size() < 256) break;  // small enough to finish under the lock
       replay(carry);
       carry.clear();
@@ -779,7 +733,6 @@ OnlineNuevoMatch::CycleOutcome OnlineNuevoMatch::retrain_cycle() {
     // so dropping the journal loses nothing.
     return abandon_cycle(e.what());
   }
-  notify_overload();  // the install reset the delta and the journal
   return CycleOutcome::kSwapped;
 }
 
@@ -794,7 +747,6 @@ EngineHealth OnlineNuevoMatch::health() const {
       retrain_failures_total_.load(std::memory_order_relaxed);
   h.journal_depth = journal_depth_.load(std::memory_order_relaxed);
   h.churn_rules = churn_size_.load(std::memory_order_relaxed);
-  h.shed_ops = shed_ops_.load(std::memory_order_relaxed);
   h.absorption = absorption();  // takes wmu_ (released before wk_mu_ below)
   {
     std::lock_guard lk{wk_mu_};
@@ -806,42 +758,6 @@ EngineHealth OnlineNuevoMatch::health() const {
     h.last_error = last_error_;
   }
   return h;
-}
-
-// --- overload control helpers ----------------------------------------------
-
-size_t OnlineNuevoMatch::insert_room_locked() const {
-  size_t room = SIZE_MAX;
-  if (cfg_.max_churn_rules > 0) {
-    const size_t used = churn_size_.load(std::memory_order_relaxed);
-    room = used >= cfg_.max_churn_rules ? 0 : cfg_.max_churn_rules - used;
-  }
-  if (cfg_.max_journal_ops > 0 && journal_open_) {
-    const size_t used = journal_depth_.load(std::memory_order_relaxed);
-    room = std::min(room, used >= cfg_.max_journal_ops
-                              ? size_t{0}
-                              : cfg_.max_journal_ops - used);
-  }
-  return room;
-}
-
-bool OnlineNuevoMatch::approx_room() const noexcept {
-  if (cfg_.max_churn_rules > 0 &&
-      churn_size_.load(std::memory_order_relaxed) >= cfg_.max_churn_rules)
-    return false;
-  if (cfg_.max_journal_ops > 0 &&
-      journal_depth_.load(std::memory_order_relaxed) >= cfg_.max_journal_ops)
-    return false;
-  return true;
-}
-
-void OnlineNuevoMatch::notify_overload() const {
-  // The empty critical section orders the capacity-freeing stores (made
-  // before this call) against a blocked writer's predicate check under
-  // ov_mu_, closing the lost-wakeup window without holding ov_mu_ while
-  // publishing.
-  { std::lock_guard lk{ov_mu_}; }
-  ov_cv_.notify_all();
 }
 
 }  // namespace nuevomatch

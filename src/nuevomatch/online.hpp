@@ -78,25 +78,6 @@
 
 namespace nuevomatch {
 
-/// Writer-side behavior when an insert would push the churn delta or the
-/// retrain journal past its configured cap (OnlineConfig::max_churn_rules /
-/// max_journal_ops).
-enum class OverloadPolicy : uint8_t {
-  /// Reject the overflowing inserts: insert() returns false, insert_batch()
-  /// accepts a prefix; every shed op is counted in health().shed_ops. The
-  /// controller sees the refusal immediately and can retry after the next
-  /// swap drains the delta.
-  kShed,
-  /// Block the writer (lock-free readers are unaffected) until a commit
-  /// frees capacity — a swap resets the delta, an erase shrinks it, a
-  /// journal drain empties the journal — or `overload_block_timeout_ms`
-  /// elapses, after which the remaining ops are shed as above. Under this
-  /// policy one insert_batch() may commit in several slices as capacity
-  /// frees up, so burst-atomic visibility is NOT guaranteed when the cap
-  /// is hit (each slice is still commit-atomic).
-  kBlock,
-};
-
 struct OnlineConfig {
   /// Configuration of every generation (initial build and each retrain).
   /// base.remainder_factory must build an updatable engine (e.g. TupleMerge
@@ -131,23 +112,11 @@ struct OnlineConfig {
   uint32_t backoff_initial_ms = 10;
   uint32_t backoff_max_ms = 2000;
   uint64_t backoff_seed = 0x9E3779B9u;
-
-  // --- overload control ----------------------------------------------------
-  /// Cap on the churn delta (update-layer insert count). 0 = unbounded
-  /// (the pre-PR-6 behavior). Erases always pass — they shrink state.
-  size_t max_churn_rules = 0;
-  /// Cap on journal depth (ops queued while a retrain is in flight).
-  /// 0 = unbounded. Only inserts are capped, as above.
-  size_t max_journal_ops = 0;
-  /// What a writer does when an insert hits either cap.
-  OverloadPolicy overload_policy = OverloadPolicy::kShed;
-  /// kBlock only: how long a writer waits for capacity before shedding.
-  uint32_t overload_block_timeout_ms = 100;
 };
 
-/// One consistent-enough snapshot of the engine's fault/overload state —
-/// the operator surface the pipeline's Classifier element and the churn
-/// harness consume. Counters are sampled individually (relaxed atomics plus
+/// One consistent-enough snapshot of the engine's fault state — the
+/// operator surface the pipeline's Classifier element and the churn harness
+/// consume. Counters are sampled individually (relaxed atomics plus
 /// one short writer/worker lock hold each), so a snapshot taken mid-commit
 /// can mix adjacent states; every field is monotone or self-describing, so
 /// that is benign for health reporting.
@@ -178,8 +147,6 @@ struct EngineHealth {
   size_t journal_depth = 0;
   /// Rules in the published churn delta right now.
   size_t churn_rules = 0;
-  /// Inserts rejected by overload control since construction.
-  uint64_t shed_ops = 0;
   /// Absorption ratio (mirrors absorption()).
   double absorption = 0.0;
 
@@ -207,11 +174,10 @@ class OnlineNuevoMatch final : public Classifier {
   void build(std::span<const Rule> rules) override;
 
   /// Install an already-built classifier as the live generation without
-  /// retraining (the serializer's load path). Same caveats as build().
-  void adopt(NuevoMatch nm);
-  /// Serializer load path: adopt + reinstate the applied-op counter
-  /// captured at save time.
-  void adopt(NuevoMatch nm, uint64_t update_ops);
+  /// retraining (the serializer's load path), with the applied-op counter
+  /// set to `update_ops` (a checkpoint's saved count; 0 for a fresh
+  /// install). Same caveats as build().
+  void adopt(NuevoMatch nm, uint64_t update_ops = 0);
 
   // --- data path (wait-free; safe from any number of threads) -------------
   /// NuevoMatch's floored composition over one pinned view, with the update
@@ -286,7 +252,9 @@ class OnlineNuevoMatch final : public Classifier {
   /// number of accepted ops (duplicate ids, priority INT32_MAX — reserved
   /// for the miss — and unknown ids are skipped, exactly like their scalar
   /// counterparts). Visibility is batch-atomic for
-  /// lookups that pin after the commit.
+  /// lookups that pin after the commit. The churn delta has no cap of its
+  /// own: the retrain_threshold trigger bounds it by swapping a fresh
+  /// generation in, which empties it.
   size_t insert_batch(std::span<const Rule> rules);
   size_t erase_batch(std::span<const uint32_t> rule_ids);
 
@@ -310,14 +278,10 @@ class OnlineNuevoMatch final : public Classifier {
   /// Breaks through a backoff wait, and is the operator's recovery path out
   /// of degraded mode: a successful forced retrain clears the flag.
   void retrain_now();
-  /// Fault/overload snapshot (see EngineHealth). Safe from any thread;
-  /// takes the writer and worker locks briefly (never nested), so it is a
+  /// Fault snapshot (see EngineHealth). Safe from any thread; takes the
+  /// writer and worker locks briefly (never nested), so it is a
   /// control-plane call, not a data-path one.
   [[nodiscard]] EngineHealth health() const;
-  /// The configuration this engine was constructed with (immutable after
-  /// construction). The pipeline scheduler's retrain maintenance task
-  /// reads the absorption threshold through this.
-  [[nodiscard]] const OnlineConfig& config() const noexcept { return cfg_; }
   /// Block until no retrain is pending or running. Tests, benchmarks and
   /// serialization use this to reach a stable state.
   void quiesce() const;
@@ -402,9 +366,8 @@ class OnlineNuevoMatch final : public Classifier {
   }
 
   /// Applied updates since the last build()/adopt() (telemetry; serialized
-  /// by save_online so churn accounting survives a checkpoint — build() and
-  /// plain adopt() reset it to zero, the checkpoint-loading adopt()
-  /// reinstates the saved count). Lock-free.
+  /// by save_online so churn accounting survives a checkpoint — build()
+  /// resets it to zero, adopt() sets it to the count it is given). Lock-free.
   [[nodiscard]] uint64_t update_ops() const noexcept {
     return update_ops_.load(std::memory_order_relaxed);
   }
@@ -516,16 +479,6 @@ class OnlineNuevoMatch final : public Classifier {
   void publish_fresh(std::shared_ptr<Generation> fresh, uint64_t update_ops = 0);
   void request_retrain(bool forced);
 
-  /// How many more inserts overload control admits right now (SIZE_MAX when
-  /// unbounded). Requires wmu_.
-  [[nodiscard]] size_t insert_room_locked() const;
-  /// Approximate room check from atomics only — the kBlock wait predicate
-  /// (the admitting slice re-checks authoritatively under wmu_).
-  [[nodiscard]] bool approx_room() const noexcept;
-  /// Wake writers blocked on overload capacity. Call WITHOUT wmu_ held,
-  /// after a commit that may have freed capacity (swap, erase, drain).
-  void notify_overload() const;
-
   OnlineConfig cfg_;
 
   // --- reader-visible publication state -----------------------------------
@@ -568,22 +521,15 @@ class OnlineNuevoMatch final : public Classifier {
   /// blocks behind a writer.
   std::atomic<uint64_t> update_ops_{0};
 
-  // --- fault/overload telemetry (atomics: health() reads them lock-free) --
+  // --- fault telemetry (atomics: health() reads them lock-free) -----------
   std::atomic<bool> degraded_{false};
   std::atomic<uint64_t> retrain_failures_{0};        // consecutive
   std::atomic<uint64_t> retrain_failures_total_{0};  // lifetime
-  std::atomic<uint64_t> shed_ops_{0};
-  /// Mirrors the journal's size (maintained under wmu_, read by
-  /// approx_room()/health() without it).
+  /// Mirrors the journal's size (maintained under wmu_, read by health()
+  /// without it).
   std::atomic<size_t> journal_depth_{0};
   /// Mirrors the published churn delta's size, same discipline.
   std::atomic<size_t> churn_size_{0};
-
-  /// Overload wait channel (kBlock). Leaf lock: taken with no other lock
-  /// held by waiters; notifiers touch it only via notify_overload() after
-  /// releasing wmu_.
-  mutable std::mutex ov_mu_;
-  mutable std::condition_variable ov_cv_;
 
   /// Worker signalling (guards the flags below plus the backoff schedule
   /// and the last-error string).

@@ -364,9 +364,6 @@ std::string ClassifierElement::report() const {
                     static_cast<unsigned long long>(h.backoff_ms));
       if (!h.last_error.empty()) line += ", last error: " + h.last_error;
     }
-    if (h.shed_ops > 0)
-      line += fmt("\n  overload: %llu inserts shed",
-                  static_cast<unsigned long long>(h.shed_ops));
   } else if (scalar_ != nullptr) {
     line += " (scalar engine: " + scalar_->name() + ")";
   }
@@ -535,7 +532,11 @@ std::unique_ptr<Element> make_flow_cache(const std::vector<std::string>& a) {
   if (a.empty() || a.size() > 2) usage("FlowCache(capacity[, shards])");
   const size_t cap = to_size(a[0], "cache capacity");
   const size_t shards = a.size() == 2 ? to_size(a[1], "shard count") : 8;
-  return std::make_unique<FlowCacheElement>(cap, shards);
+  try {
+    return std::make_unique<FlowCacheElement>(cap, shards);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());  // the constructor owns the shard bound
+  }
 }
 
 std::unique_ptr<Element> make_classifier(const std::vector<std::string>& a) {

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <stdexcept>
+#include <string>
 
 #include "common/failpoint.hpp"
 #include "nuevomatch/online.hpp"
@@ -9,7 +10,9 @@
 namespace nuevomatch::pipeline {
 
 FlowCache::FlowCache(size_t capacity, size_t shards) {
-  if (shards == 0) shards = 1;
+  if (shards == 0 || shards > kMaxShards)
+    throw std::invalid_argument("FlowCache shard count must be 1.." +
+                                std::to_string(kMaxShards));
   if (capacity < shards * kWays) capacity = shards * kWays;
   sets_per_shard_ = std::bit_ceil((capacity / shards + kWays - 1) / kWays);
   shards_.reserve(shards);
@@ -134,42 +137,33 @@ uint32_t FlowCache::lookup_burst(const Packet* pkts, uint32_t n,
   const uint32_t lanes = n == kBurstLanes ? active : active & ((1u << n) - 1);
   uint32_t hit_mask = 0;
   std::array<uint32_t, kBurstLanes> set_of;
-  // One pass buckets the lanes into per-shard masks (direct-indexed while
-  // the shard count fits the `touched` bitmap — every real instance; huge
-  // shard counts fall back to per-lane locking). Then each touched shard's
-  // lock is taken ONCE and the scalar probe body runs for its lanes. The
-  // band marks (and the stamp view for hit accounting) are read fresh per
-  // shard hold — NOT hoisted over the burst — so a commit landing mid-burst
-  // invalidates the lanes of every not-yet-probed shard exactly as
-  // per-packet probing would.
-  if (shards_.size() <= kMaxGroupedShards) {
-    std::array<uint32_t, kMaxGroupedShards> shard_mask{};
-    uint64_t touched = 0;
-    for (uint32_t m = lanes; m != 0; m &= m - 1) {
-      const auto i = static_cast<uint32_t>(std::countr_zero(m));
-      const uint64_t h = hash(pkts[i]);
-      const auto s = static_cast<uint32_t>(h % shards_.size());
-      set_of[i] =
-          static_cast<uint32_t>((h / shards_.size()) & (sets_per_shard_ - 1));
-      shard_mask[s] |= 1u << i;
-      touched |= uint64_t{1} << s;
-    }
-    for (; touched != 0; touched &= touched - 1) {
-      const auto s = static_cast<uint32_t>(std::countr_zero(touched));
-      Shard& sh = *shards_[s];
-      const uint64_t now = current_stamp();
-      std::lock_guard lk{sh.mu};
-      for (uint32_t m = shard_mask[s]; m != 0; m &= m - 1) {
-        const auto i = static_cast<uint32_t>(std::countr_zero(m));
-        if (probe_locked(sh, set_of[i], pkts[i], now, out[i]))
-          hit_mask |= 1u << i;
-      }
-    }
-    return hit_mask;
-  }
+  // One pass buckets the lanes into per-shard masks, then each touched
+  // shard's lock is taken ONCE and the scalar probe body runs for its
+  // lanes. The band marks (and the stamp view for hit accounting) are read
+  // fresh per shard hold — NOT hoisted over the burst — so a commit landing
+  // mid-burst invalidates the lanes of every not-yet-probed shard exactly
+  // as per-packet probing would.
+  std::array<uint32_t, kMaxShards> shard_mask{};
+  uint64_t touched = 0;
   for (uint32_t m = lanes; m != 0; m &= m - 1) {
     const auto i = static_cast<uint32_t>(std::countr_zero(m));
-    if (lookup(pkts[i], out[i])) hit_mask |= 1u << i;
+    const uint64_t h = hash(pkts[i]);
+    const auto s = static_cast<uint32_t>(h % shards_.size());
+    set_of[i] =
+        static_cast<uint32_t>((h / shards_.size()) & (sets_per_shard_ - 1));
+    shard_mask[s] |= 1u << i;
+    touched |= uint64_t{1} << s;
+  }
+  for (; touched != 0; touched &= touched - 1) {
+    const auto s = static_cast<uint32_t>(std::countr_zero(touched));
+    Shard& sh = *shards_[s];
+    const uint64_t now = current_stamp();
+    std::lock_guard lk{sh.mu};
+    for (uint32_t m = shard_mask[s]; m != 0; m &= m - 1) {
+      const auto i = static_cast<uint32_t>(std::countr_zero(m));
+      if (probe_locked(sh, set_of[i], pkts[i], now, out[i]))
+        hit_mask |= 1u << i;
+    }
   }
   return hit_mask;
 }
@@ -181,16 +175,9 @@ void FlowCache::insert_burst(const Packet* pkts, uint32_t n, uint32_t mask,
   if (stamp == kEmpty) return;
   if (n > kBurstLanes) n = kBurstLanes;
   const uint32_t lanes = n == kBurstLanes ? mask : mask & ((1u << n) - 1);
-  if (shards_.size() > kMaxGroupedShards) {
-    for (uint32_t m = lanes; m != 0; m &= m - 1) {
-      const auto i = static_cast<uint32_t>(std::countr_zero(m));
-      insert(pkts[i], ds[i], stamp);
-    }
-    return;
-  }
   std::array<uint32_t, kBurstLanes> set_of;
   std::array<uint8_t, kBurstLanes> band;
-  std::array<uint32_t, kMaxGroupedShards> shard_mask{};
+  std::array<uint32_t, kMaxShards> shard_mask{};
   uint64_t touched = 0;
   for (uint32_t m = lanes; m != 0; m &= m - 1) {
     const auto i = static_cast<uint32_t>(std::countr_zero(m));

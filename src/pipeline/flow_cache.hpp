@@ -56,12 +56,12 @@ class FlowCache {
   static constexpr size_t kWays = 4;
   /// Burst-probe width (mirrors pipeline::kBurstSize; lane masks are u32).
   static constexpr size_t kBurstLanes = 32;
-  /// Burst probes group lanes into direct-indexed per-shard masks while the
-  /// shard count fits one bitmap word; beyond that (no real configuration)
-  /// they degrade to per-lane locking.
-  static constexpr size_t kMaxGroupedShards = 64;
+  /// Largest shard count: burst probes group lanes into direct-indexed
+  /// per-shard masks, and the touched-shard set is one 64-bit word.
+  static constexpr size_t kMaxShards = 64;
 
-  /// `capacity` is rounded up to shards * ways * power-of-two sets.
+  /// `capacity` is rounded up to shards * ways * power-of-two sets. Throws
+  /// std::invalid_argument unless 1 <= shards <= kMaxShards.
   explicit FlowCache(size_t capacity, size_t shards = 8);
 
   /// Couple the cache to an online classifier: current_stamp() follows its

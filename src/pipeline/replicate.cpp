@@ -12,6 +12,12 @@
 namespace nuevomatch::pipeline {
 
 namespace {
+/// Width, in stream positions, of the re-steer window opened at a
+/// quarantine: [C, C+kResteerWindow) of the dead replica's RSS slice is
+/// served by survivors (C = a cutover ahead of every source's quiesced
+/// position), after which the rejoined replica owns its slice again.
+constexpr uint64_t kResteerWindow = 4 * kBurstSize;
+
 const char* replica_state_name(ReplicaHealth::State s) {
   switch (s) {
     case ReplicaHealth::State::kLive: return "live";
@@ -24,7 +30,6 @@ const char* replica_state_name(ReplicaHealth::State s) {
 const char* phase_name(TaskPhase p) {
   switch (p) {
     case TaskPhase::kRunnable: return "runnable";
-    case TaskPhase::kBackoff: return "backoff";
     case TaskPhase::kQuarantined: return "quarantined";
     case TaskPhase::kDone: return "done";
   }
@@ -35,14 +40,12 @@ const char* phase_name(TaskPhase p) {
 std::string PipelineHealth::to_string() const {
   std::string out = "runtime: " + std::to_string(runtime.tasks.size()) +
                     " tasks, " + std::to_string(runtime.quarantines) +
-                    " quarantines, " + std::to_string(runtime.restarts) +
-                    " restarts, " + std::to_string(runtime.suppressed_errors) +
+                    " quarantines, " + std::to_string(runtime.suppressed_errors) +
                     " suppressed errors\n";
   for (const TaskHealth& t : runtime.tasks) {
     out += "  task " + t.label + ": " + phase_name(t.phase) +
            (t.daemon ? " (daemon)" : "") + ", fires=" + std::to_string(t.fires) +
            " worked=" + std::to_string(t.worked) +
-           " restarts=" + std::to_string(t.restarts) +
            " quarantines=" + std::to_string(t.quarantines);
     if (t.budget_overruns > 0)
       out += " budget_overruns=" + std::to_string(t.budget_overruns);
@@ -59,10 +62,7 @@ std::string PipelineHealth::to_string() const {
            " drained=" + std::to_string(r.drained_entries) +
            " steps=" + std::to_string(r.steps) + "\n";
   }
-  out += "  trainer: ";
-  out += trainer == kNoTrainer ? "none" : ("replica " + std::to_string(trainer));
-  out += " (failovers=" + std::to_string(trainer_failovers) +
-         "), rejoin failures=" + std::to_string(rejoin_failures) +
+  out += "  rejoin failures=" + std::to_string(rejoin_failures) +
          ", steer epochs=" + std::to_string(steer_epochs) +
          ", recovery=" + std::to_string(recovery_ns / 1000) + " us\n";
   return out;
@@ -165,7 +165,7 @@ void ReplicatedGraph::quarantine_replica(uint32_t idx, Task& t,
   //    blocked thread is a catcher, not a pump — its crashed task already
   //    left the pumping_ bracket — so holding it cannot deadlock the
   //    quiesce below, and every ladder runs against a settled steering
-  //    table, trainer assignment, and health record.
+  //    table and health record.
   const std::lock_guard<std::mutex> rec(recovery_mu_);
   // 1. Quiesce: no source may advance while we pick the re-steer cutover.
   //    The catching thread sits BETWEEN fires of the crashed task, so only
@@ -216,7 +216,7 @@ void ReplicatedGraph::quarantine_replica(uint32_t idx, Task& t,
   const size_t need = rejoining ? 2 : 1;
   if (without != 0 && steering_->epochs() + need <= ReplicaSteering::kMaxEpochs) {
     steering_->append(cut, without);
-    if (rejoining) steering_->append(cut + opts.resteer_window, full);
+    if (rejoining) steering_->append(cut + kResteerWindow, full);
   }
 
   // 5. Drain: the replica's serving state — its flow cache — is dropped,
@@ -232,24 +232,7 @@ void ReplicatedGraph::quarantine_replica(uint32_t idx, Task& t,
     }
   }
 
-  // 6. Trainer failover: training duties migrate to the lowest live
-  //    replica the moment their host dies — no failback on rejoin (the
-  //    migrated daemon is already committing; moving it again buys
-  //    nothing). With no other replica to migrate to, duties stay with a
-  //    rejoining host, or are suspended entirely (kNoTrainer) on a lossy
-  //    non-rejoin quarantine.
-  bool failover = false;
-  if (trainer_.load(std::memory_order_acquire) == idx) {
-    if (without != 0) {
-      trainer_.store(static_cast<uint32_t>(std::countr_zero(without)),
-                     std::memory_order_release);
-      failover = true;
-    } else if (!rejoining) {
-      trainer_.store(PipelineHealth::kNoTrainer, std::memory_order_release);
-    }
-  }
-
-  // 7. Respawn: re-enter the task on its home queue. Happens before the
+  // 6. Respawn: re-enter the task on its home queue. Happens before the
   //    liveness release in the scheduler (the hook is synchronous), so the
   //    run can never slip out from under a rejoining replica.
   const bool rejoined = rejoining && sched.reinstate(t);
@@ -263,7 +246,6 @@ void ReplicatedGraph::quarantine_replica(uint32_t idx, Task& t,
     if (rejoined) ++rh.rejoins;
     rh.drained_entries += drained;
     if (opts.rejoin && !rejoined) ++rejoin_failures_;
-    if (failover) ++trainer_failovers_;
     recovery_ns_ += static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start)
@@ -294,7 +276,6 @@ uint64_t ReplicatedGraph::run(const ReplicatedRunOptions& opts) {
       }
     }
   }
-  trainer_.store(0, std::memory_order_release);  // replica 0 trains (PR 7)
 
   std::atomic<uint64_t> total{0};
   Scheduler::Options sopt;
@@ -309,8 +290,6 @@ uint64_t ReplicatedGraph::run(const ReplicatedRunOptions& opts) {
     topt.home = i % n_threads;  // round-robin initial placement
     topt.label = "replica@" + std::to_string(i);
     topt.policy = opts.policy;
-    topt.max_restarts = opts.max_restarts;
-    topt.backoff_seed = 0x5CEDu + i;  // desynchronize co-failing replicas
     rtasks[i] = &sched.add(
         [g, this, &total, &opts]() -> TaskState {
           // Pump accounting brackets the step so the quarantine path can
@@ -338,30 +317,6 @@ uint64_t ReplicatedGraph::run(const ReplicatedRunOptions& opts) {
           return TaskState::kWorked;
         },
         std::move(topt));
-  }
-
-  if (opts.retrain_task) {
-    if (OnlineNuevoMatch* eng = shared_online(); eng != nullptr) {
-      Task::Options topt;
-      topt.daemon = true;
-      topt.label = "retrain-maintenance";
-      topt.policy = opts.policy;
-      sched.add(
-          [eng, this]() -> TaskState {
-            // Updates commit only while a live replica hosts training
-            // duties; the quarantine path migrates this assignment when
-            // the trainer dies (trainer failover).
-            if (trainer_.load(std::memory_order_acquire) ==
-                PipelineHealth::kNoTrainer)
-              return TaskState::kIdle;
-            if (eng->retrain_in_progress()) return TaskState::kIdle;
-            if (eng->absorption() < eng->config().retrain_threshold)
-              return TaskState::kIdle;
-            eng->retrain_now();
-            return TaskState::kWorked;
-          },
-          std::move(topt));
-    }
   }
 
   // Telemetry daemon: every replica parsed from one config text gets its
@@ -397,9 +352,8 @@ uint64_t ReplicatedGraph::run(const ReplicatedRunOptions& opts) {
           return;
         }
       }
-      // Not a replica: the retrain daemon itself crashed. Respawn it in
-      // place — engine-side failures already have their own backoff ladder
-      // inside OnlineNuevoMatch, so the task just needs to keep existing.
+      // Not a replica: the metrics daemon crashed. Respawn it in place —
+      // it holds no stream state, so the task just needs to keep existing.
       sched.reinstate(t);
     });
   }
@@ -429,8 +383,6 @@ PipelineHealth ReplicatedGraph::health() const {
   const std::lock_guard<std::mutex> lk(health_mu_);
   h.runtime = runtime_health_;
   h.replicas = rhealth_;
-  h.trainer = trainer_.load(std::memory_order_acquire);
-  h.trainer_failovers = trainer_failovers_;
   h.rejoin_failures = rejoin_failures_;
   h.steer_epochs = steering_ != nullptr ? steering_->epochs() : 1;
   h.recovery_ns = recovery_ns_;

@@ -2,8 +2,9 @@
 // element graph, an RSS five-tuple split across their sources, one shared
 // OnlineNuevoMatch fanned into through the epoch domain, all driven by the
 // Click-style task scheduler (scheduler.hpp) — one Task per replica, one
-// fire = one burst through the whole replica graph, background retrain as
-// a daemon task.
+// fire = one burst through the whole replica graph. Background retraining
+// is the shared engine's own business (OnlineConfig::auto_retrain: its
+// worker fires on retrain_threshold), so no replica hosts training duties.
 //
 //   ReplicatedGraph rg = ReplicatedGraph::parse(config_text, 4);
 //   ReplicatedRunOptions opts;
@@ -41,32 +42,19 @@ namespace nuevomatch::pipeline {
 struct ReplicatedRunOptions {
   size_t threads = 1;   ///< scheduler threads (1 = deterministic inline run)
   uint32_t quantum = 8; ///< bursts per scheduler slice (fairness knob)
-  /// Schedule the shared engine's retrain as a daemon task: when the
-  /// absorption ratio crosses the engine's configured threshold, kick
-  /// retrain_now() from whatever thread the daemon lands on — Click's
-  /// "background work is just another task". Meant for engines built with
-  /// auto_retrain=false; harmless (idle) otherwise.
-  bool retrain_task = false;
   /// Runs after every burst with the CUMULATIVE packet count across all
   /// replicas. May fire concurrently from several scheduler threads —
   /// the hook must be thread-safe (differential tests serialize inside).
   std::function<void(uint64_t)> tick;
 
   // --- supervision (DESIGN.md "Failure model") ---------------------------
-  /// Policy applied to every replica task (and the retrain daemon).
+  /// Policy applied to every replica task (and the metrics daemon).
   /// kEscalate — the default — preserves the PR 7 fail-stop semantics
   /// bit-for-bit: one crash stops the world and rethrows out of run().
-  /// kQuarantine arms the full recovery ladder: crash → quiesce sources →
+  /// kQuarantine arms the recovery ladder: crash → quiesce sources →
   /// re-steer the dead slice to survivors → drain the replica's cache →
-  /// respawn (re-adopt the shared engine) → rejoin. kRestart retries the
-  /// task in place first (seeded backoff), quarantining after max_restarts.
+  /// respawn (re-adopt the shared engine) → rejoin.
   SupervisorPolicy policy = SupervisorPolicy::kEscalate;
-  uint32_t max_restarts = 3;
-  /// Width, in stream positions, of the re-steer window opened at a
-  /// quarantine: [C, C+resteer_window) of the dead replica's RSS slice is
-  /// served by survivors (C = a cutover ahead of every source's quiesced
-  /// position), after which the rejoined replica owns its slice again.
-  uint64_t resteer_window = 4 * kBurstSize;
   /// Respawn + reinstate a quarantined replica after draining it. When
   /// false the replica stays down: its undelivered slice outside the
   /// re-steer window is never served (a lossy degraded mode the
@@ -89,12 +77,8 @@ struct ReplicaHealth {
 /// run() returns (the runtime part is snapshotted then); the replica-layer
 /// counters are live during the run as well.
 struct PipelineHealth {
-  static constexpr uint32_t kNoTrainer = ~0u;
-
   RuntimeHealth runtime;
   std::vector<ReplicaHealth> replicas;
-  uint32_t trainer = 0;            ///< replica hosting training duties
-  uint32_t trainer_failovers = 0;  ///< times the trainer migrated
   uint32_t rejoin_failures = 0;    ///< rejoins aborted (failpoint/adopt)
   uint64_t steer_epochs = 1;       ///< steering-table epochs installed
   uint64_t recovery_ns = 0;        ///< wall time inside quarantine handling
@@ -162,8 +146,8 @@ class ReplicatedGraph {
   explicit ReplicatedGraph(std::vector<Graph> graphs);
   void install_filters();
   /// The on_quarantine hook body for a replica task: quiesce → re-steer →
-  /// drain → (maybe) rejoin → trainer failover. Runs on the catching
-  /// thread, synchronously, between that task's fires.
+  /// drain → (maybe) rejoin. Runs on the catching thread, synchronously,
+  /// between that task's fires.
   void quarantine_replica(uint32_t idx, Task& t, Scheduler& sched,
                           const ReplicatedRunOptions& opts);
   /// Respawn step of a rejoin: re-couple the replica's cache stamp source
@@ -178,19 +162,16 @@ class ReplicatedGraph {
   // Supervision state (unused — and cost-free — under kEscalate).
   std::unique_ptr<ReplicaSteering> steering_;
   /// Serializes whole recovery ladders: two replicas crashing near-
-  /// simultaneously (failpoint count > 1, or a kRestart exhaustion landing
-  /// during another crash) each run the on_quarantine hook on their own
-  /// catching thread. The ladder mutates single-writer state (the steering
-  /// table, the trainer assignment) and relies on the paused_/pumping_
+  /// simultaneously (failpoint count > 1) each run the on_quarantine hook
+  /// on their own catching thread. The ladder mutates single-writer state
+  /// (the steering table) and relies on the paused_/pumping_
   /// quiesce holding until IT clears the pause — so the second quarantine
   /// must wait out the first entirely, not interleave with it.
   std::mutex recovery_mu_;
   std::atomic<bool> paused_{false};    ///< quiesce gate for replica pumps
   std::atomic<uint32_t> pumping_{0};   ///< pumps currently in flight
-  std::atomic<uint32_t> trainer_{0};   ///< replica hosting training duties
   mutable std::mutex health_mu_;
   std::vector<ReplicaHealth> rhealth_;       // guarded by health_mu_
-  uint32_t trainer_failovers_ = 0;           // guarded by health_mu_
   uint32_t rejoin_failures_ = 0;             // guarded by health_mu_
   uint64_t recovery_ns_ = 0;                 // guarded by health_mu_
   RuntimeHealth runtime_health_;             // guarded by health_mu_

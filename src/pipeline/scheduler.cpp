@@ -1,6 +1,5 @@
 #include "pipeline/scheduler.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <thread>
 
@@ -60,14 +59,7 @@ Task* Scheduler::pop_local(ThreadState& ts) {
 Task* Scheduler::try_steal(uint32_t thief) {
   const size_t n = states_.size();
   for (size_t off = 1; off < n; ++off) {
-    ThreadState& victim = *states_[(thief + off) % n];
-    const std::lock_guard<std::mutex> lk(victim.mu);
-    for (auto it = victim.queue.begin(); it != victim.queue.end(); ++it) {
-      if (!(*it)->opt_.migratable) continue;
-      Task* t = *it;
-      victim.queue.erase(it);
-      return t;
-    }
+    if (Task* t = pop_local(*states_[(thief + off) % n])) return t;
   }
   return nullptr;
 }
@@ -97,36 +89,6 @@ Scheduler::FailureAction Scheduler::supervise_failure(Task& t) {
   if (t.opt_.policy == SupervisorPolicy::kEscalate) {
     record_error();
     return FailureAction::kFinish;
-  }
-
-  if (t.opt_.policy == SupervisorPolicy::kRestart) {
-    const uint32_t k = ++t.fail_streak_;
-    if (k <= t.opt_.max_restarts) {
-      t.restarts_.fetch_add(1, std::memory_order_relaxed);
-      {
-        const std::lock_guard<std::mutex> lk(sup_mu_);
-        ++restarts_total_;
-      }
-      if (NM_METRICS_ENABLED) {
-        static telemetry::Counter& m = telemetry::registry().counter(
-            "nm_sched_restarts_total", "task restart re-arms");
-        m.add(1);
-      }
-      // PR 6's engine backoff shape, reused verbatim: delay doubles per
-      // consecutive failure (clamped), then jitters deterministically to
-      // [d/2, d] so co-failing tasks desynchronize reproducibly.
-      const int shift = static_cast<int>(std::min<uint32_t>(k - 1, 20));
-      uint64_t d = std::min<uint64_t>(
-          static_cast<uint64_t>(t.opt_.backoff_initial_ms) << shift,
-          t.opt_.backoff_max_ms);
-      if (d > 0) d = d / 2 + t.backoff_rng_.below(d / 2 + 1);
-      t.backoff_until_ =
-          std::chrono::steady_clock::now() + std::chrono::milliseconds(d);
-      t.phase_.store(static_cast<uint8_t>(TaskPhase::kBackoff),
-                     std::memory_order_release);
-      return FailureAction::kRequeue;
-    }
-    // Restart budget exhausted — fall through to quarantine.
   }
 
   t.quarantines_.fetch_add(1, std::memory_order_relaxed);
@@ -169,12 +131,9 @@ bool Scheduler::reinstate(Task& t) {
                    std::memory_order_release);
     // The task is detached (no holder): safe to reset holder-thread state
     // here; the queue push below hands it to its next holder with the
-    // usual mutex ordering.
-    t.fail_streak_ = 0;
-    t.backoff_until_ = {};
-    // Watchdog state resets with the restart ladder: the owner rebuilt the
-    // task's state, so a pre-quarantine STALLED flag (or a half-counted
-    // heartbeat window) must not outlive the rejoin in RuntimeHealth.
+    // usual mutex ordering. The owner rebuilt the task's state, so a
+    // pre-quarantine STALLED flag (or a half-counted heartbeat window) must
+    // not outlive the rejoin in RuntimeHealth.
     t.stalled_.store(false, std::memory_order_relaxed);
     t.hb_seen_ = t.heartbeat_.load(std::memory_order_relaxed);
     t.fires_since_hb_ = 0;
@@ -194,7 +153,6 @@ RuntimeHealth Scheduler::health() const {
   h.tasks.reserve(tasks_.size());
   {
     const std::lock_guard<std::mutex> lk(sup_mu_);
-    h.restarts = restarts_total_;
     h.quarantines = quarantines_total_;
     for (const auto& t : tasks_) {
       TaskHealth th;
@@ -203,7 +161,6 @@ RuntimeHealth Scheduler::health() const {
       th.daemon = t->opt_.daemon;
       th.fires = t->fires();
       th.worked = t->worked();
-      th.restarts = t->restarts();
       th.quarantines = t->quarantines();
       th.budget_overruns = t->budget_overruns();
       th.stalled = t->stalled();
@@ -266,44 +223,6 @@ void Scheduler::thread_loop(uint32_t tid) {
     // quantum: its fires are serialized, and the queue mutex hand-off
     // orders them across threads.
     t->last_thread_ = tid;
-    // Backoff gate (kRestart): a task waiting out its restart delay is
-    // requeued untouched; its fire stays suppressed until the deadline.
-    if (t->phase() == TaskPhase::kBackoff) {
-      const auto now = std::chrono::steady_clock::now();
-      if (now < t->backoff_until_) {
-        size_t qsize;
-        {
-          const std::lock_guard<std::mutex> lk(me.mu);
-          me.queue.push_back(t);
-          qsize = me.queue.size();
-        }
-        if (me.earliest_backoff == std::chrono::steady_clock::time_point{} ||
-            t->backoff_until_ < me.earliest_backoff)
-          me.earliest_backoff = t->backoff_until_;
-        // Once a whole queue's worth of consecutive pops were backing-off
-        // tasks, nothing runnable is left here: SLEEP toward the earliest
-        // deadline instead of hot-requeueing (a fault storm would otherwise
-        // burn this core for up to backoff_max_ms). The sleep is bounded so
-        // a steal target, a reinstate() push, or request_stop() is noticed
-        // within ~1 ms rather than after the full delay.
-        if (++me.consec_backoff >= qsize) {
-          me.consec_backoff = 0;
-          const auto until =
-              std::min(me.earliest_backoff,
-                       now + std::chrono::milliseconds(1));
-          // Rebuild the deadline from fresh pops next cycle — a deadline
-          // that already passed (its task was stolen and fired elsewhere)
-          // must not pin `until` in the past and turn the sleep into a spin.
-          me.earliest_backoff = {};
-          if (until > now) std::this_thread::sleep_until(until);
-        }
-        continue;
-      }
-      t->phase_.store(static_cast<uint8_t>(TaskPhase::kRunnable),
-                      std::memory_order_release);
-    }
-    me.consec_backoff = 0;
-    me.earliest_backoff = {};
     TaskState st = TaskState::kIdle;
     FailureAction act = FailureAction::kFinish;
     bool failed = false;
@@ -322,13 +241,12 @@ void Scheduler::thread_loop(uint32_t tid) {
           throw std::runtime_error("injected: pipeline.task.fire");
         st = t->fire_();
         tl_task = nullptr;
-        t->fail_streak_ = 0;  // a completed fire clears the restart ladder
       } catch (...) {
         tl_task = nullptr;
         failed = true;
         act = supervise_failure(*t);
         // Escalation keeps the original shape: a throwing task never fires
-        // again. Restart/quarantine leave the loop through `failed`.
+        // again. Quarantine leaves the loop through `failed`.
         st = act == FailureAction::kFinish ? TaskState::kDone : TaskState::kIdle;
       }
       t->fires_.fetch_add(1, std::memory_order_relaxed);
@@ -374,8 +292,8 @@ void Scheduler::thread_loop(uint32_t tid) {
         const std::lock_guard<std::mutex> lk(me.mu);
         me.queue.push_back(t);
       }
-      // A queue of nothing-but-idle tasks (e.g. only the retrain daemon is
-      // left alive somewhere) must not hot-spin; back off after a streak.
+      // A queue of nothing-but-idle tasks (e.g. only a daemon is left alive
+      // somewhere) must not hot-spin; back off after a streak.
       if (st == TaskState::kIdle && ++me.consec_idle >= 8) {
         me.consec_idle = 0;
         std::this_thread::yield();
@@ -424,9 +342,9 @@ void Scheduler::run() {
   // a one-core box the spawned worker can steal and finish every pipeline
   // task before the calling thread enters its loop, in which case a daemon
   // homed there would get ZERO fires and a pending maintenance action
-  // (e.g. a retrain kick) would be silently skipped. Skipped after
+  // (e.g. a final metrics poll) would be silently skipped. Skipped after
   // request_stop() or a task error: a stopped scheduler starts no new work.
-  // A throwing drain fire always records (never restarts/quarantines — the
+  // A throwing drain fire always records (never quarantines — the
   // scheduler is already past the point of re-running anything), so two
   // daemons failing here surface as first_error_ + a suppressed count.
   if (!stop_.load(std::memory_order_acquire)) {

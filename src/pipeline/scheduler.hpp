@@ -16,13 +16,13 @@
 //     for longer than one quantum (Click's task tickets, simplified to a
 //     fixed slice).
 //   * An idle thread steals: it locks another thread's queue and takes one
-//     migratable task. Migration happens only BETWEEN fires — a task is
-//     popped (invisible to other threads) while firing, so a task's fires
-//     are totally ordered no matter how often it migrates, and every
-//     handoff goes through a queue mutex. That release/acquire pair is
-//     what lets tasks keep plain (non-atomic) element state: the next
-//     thread to fire a task sees everything the previous one wrote.
-//   * Daemon tasks (background retrain kicks, housekeeping) never count
+//     task. Migration happens only BETWEEN fires — a task is popped
+//     (invisible to other threads) while firing, so a task's fires are
+//     totally ordered no matter how often it migrates, and every handoff
+//     goes through a queue mutex. That release/acquire pair is what lets
+//     tasks keep plain (non-atomic) element state: the next thread to fire
+//     a task sees everything the previous one wrote.
+//   * Daemon tasks (housekeeping such as the metrics exporter) never count
 //     toward liveness: the scheduler exits when every NON-daemon task is
 //     done, daemons simply stop being fired. Each live daemon is fired
 //     exactly once more while the scheduler drains (unless stopped by
@@ -31,18 +31,16 @@
 //   * Supervision (DESIGN.md "Failure model"): every task carries a
 //     SupervisorPolicy deciding what a THROWING fire does. kEscalate is
 //     the original fail-stop behavior — record the error, stop the world,
-//     rethrow out of run(). kRestart re-arms the task after a seeded
-//     exponential backoff (the engine's PR 6 backoff shape: delay =
-//     min(initial·2^(k-1), max), jittered to [d/2, d]); a task that
-//     exhausts max_restarts falls through to quarantine. kQuarantine
-//     detaches the task — siblings keep firing — and invokes the
-//     on_quarantine hook synchronously on the catching thread, which may
-//     drain/respawn state and reinstate() the task. A cooperative watchdog
-//     samples each task BETWEEN fires (no signals, no preemption): fires
-//     exceeding fire_budget_ns are counted as budget overruns, and a task
-//     that keeps claiming kWorked without advancing its heartbeat for
-//     stall_fires consecutive fires is flagged stalled. All of it surfaces
-//     in RuntimeHealth.
+//     rethrow out of run(). kQuarantine detaches the task — siblings keep
+//     firing — and invokes the on_quarantine hook synchronously on the
+//     catching thread, which may drain/respawn state and reinstate() the
+//     task; that hook is the one restart path (a replicated pipeline
+//     re-steers, drains and rejoins the replica through it). A cooperative
+//     watchdog samples each task BETWEEN fires (no signals, no
+//     preemption): fires exceeding fire_budget_ns are counted as budget
+//     overruns, and a task that keeps claiming kWorked without advancing
+//     its heartbeat for stall_fires consecutive fires is flagged stalled.
+//     All of it surfaces in RuntimeHealth.
 //
 // The flow-affinity argument (why per-flow packet order survives all of
 // this) is in DESIGN.md: a flow hashes to exactly one replica, a replica
@@ -59,8 +57,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
-
 namespace nuevomatch::pipeline {
 
 /// What one fire of a task accomplished.
@@ -73,15 +69,12 @@ enum class TaskState : uint8_t {
 /// What the scheduler does with a task whose fire threw.
 enum class SupervisorPolicy : uint8_t {
   kEscalate,    ///< stop the world, rethrow out of run() (the default)
-  kRestart,     ///< re-arm after seeded exponential backoff; quarantine
-                ///< once max_restarts consecutive failures are exhausted
   kQuarantine,  ///< detach the task; siblings keep firing; reinstate()able
 };
 
 /// Where a task currently is in its supervision lifecycle.
 enum class TaskPhase : uint8_t {
   kRunnable,     ///< queued or firing
-  kBackoff,      ///< waiting out a restart delay (kRestart)
   kQuarantined,  ///< detached after a failure; reinstate() re-enters it
   kDone,         ///< reported kDone (or was finished by escalation)
 };
@@ -97,21 +90,10 @@ class Task {
 
   struct Options {
     uint32_t home = 0;        ///< queue the task starts on (mod n_threads)
-    bool migratable = true;   ///< may be stolen by an idle thread
     bool daemon = false;      ///< does not keep the scheduler alive
     std::string label;        ///< for stats / debugging
     /// Supervision: what a throwing fire does (see SupervisorPolicy).
     SupervisorPolicy policy = SupervisorPolicy::kEscalate;
-    /// kRestart: consecutive failures tolerated before quarantining. The
-    /// streak resets on any fire that returns (success clears the ladder,
-    /// like the engine's retrain recovery).
-    uint32_t max_restarts = 3;
-    /// kRestart backoff shape — identical to OnlineConfig's retrain
-    /// backoff: delay = min(backoff_initial_ms·2^(k-1), backoff_max_ms),
-    /// jittered deterministically to [d/2, d] from backoff_seed.
-    uint32_t backoff_initial_ms = 10;
-    uint32_t backoff_max_ms = 2000;
-    uint64_t backoff_seed = 0x5CEDu;
     /// Watchdog: a fire taking longer than this is counted as a budget
     /// overrun (sampled AFTER the fire returns — cooperative, no
     /// preemption). 0 disables the timer entirely (no clock reads).
@@ -141,10 +123,7 @@ class Task {
   [[nodiscard]] TaskPhase phase() const noexcept {
     return static_cast<TaskPhase>(phase_.load(std::memory_order_acquire));
   }
-  /// Restart-with-backoff re-arms / times the task entered quarantine.
-  [[nodiscard]] uint32_t restarts() const noexcept {
-    return restarts_.load(std::memory_order_relaxed);
-  }
+  /// Times the task entered quarantine.
   [[nodiscard]] uint32_t quarantines() const noexcept {
     return quarantines_.load(std::memory_order_relaxed);
   }
@@ -160,10 +139,7 @@ class Task {
 
  private:
   friend class Scheduler;
-  Task(Fire fire, Options opt)
-      : fire_(std::move(fire)),
-        opt_(std::move(opt)),
-        backoff_rng_(opt_.backoff_seed) {}
+  Task(Fire fire, Options opt) : fire_(std::move(fire)), opt_(std::move(opt)) {}
 
   Fire fire_;
   Options opt_;
@@ -179,16 +155,12 @@ class Task {
   // last_thread_) or, for a quarantined task, by the reinstate()r before
   // the queue push that hands the task to its next holder.
   std::atomic<uint8_t> phase_{static_cast<uint8_t>(TaskPhase::kRunnable)};
-  std::atomic<uint32_t> restarts_{0};
   std::atomic<uint32_t> quarantines_{0};
   std::atomic<uint64_t> heartbeat_{0};
   std::atomic<uint64_t> budget_overruns_{0};
   std::atomic<bool> stalled_{false};
-  uint32_t fail_streak_ = 0;
-  std::chrono::steady_clock::time_point backoff_until_{};
   uint64_t hb_seen_ = 0;
   uint32_t fires_since_hb_ = 0;
-  Rng backoff_rng_;
   bool counted_live_ = false;  // guarded by Scheduler::sup_mu_
   std::string last_error_;     // guarded by Scheduler::sup_mu_
 };
@@ -209,7 +181,6 @@ struct TaskHealth {
   bool daemon = false;
   uint64_t fires = 0;
   uint64_t worked = 0;
-  uint32_t restarts = 0;
   uint32_t quarantines = 0;
   uint64_t budget_overruns = 0;
   bool stalled = false;
@@ -219,7 +190,6 @@ struct TaskHealth {
 /// Runtime supervision report (safe to take during or after run()).
 struct RuntimeHealth {
   std::vector<TaskHealth> tasks;
-  uint32_t restarts = 0;     ///< restart re-arms across all tasks
   uint32_t quarantines = 0;  ///< quarantine entries across all tasks
   /// Errors DROPPED because first_error_ was already recorded — without
   /// this counter a multi-task failure looks like a single failure (the
@@ -270,16 +240,16 @@ class Scheduler {
   [[nodiscard]] static Task* current_task() noexcept;
 
   /// Invoked synchronously, on the catching thread, right after a task is
-  /// quarantined (policy kQuarantine, or kRestart exhausted) and BEFORE the
-  /// task's liveness is released — so a hook that reinstate()s the task
-  /// keeps the scheduler seamlessly alive. Runs outside all queue locks.
+  /// quarantined (policy kQuarantine) and BEFORE the task's liveness is
+  /// released — so a hook that reinstate()s the task keeps the scheduler
+  /// seamlessly alive. Runs outside all queue locks.
   /// A THROWING hook escalates (a broken supervisor is fatal). Set before
   /// run().
   void set_on_quarantine(std::function<void(Task&)> hook) {
     on_quarantine_ = std::move(hook);
   }
 
-  /// Re-enter a quarantined task on its home queue (its fail streak is
+  /// Re-enter a quarantined task on its home queue (its watchdog state is
   /// cleared; its graph/closure state is whatever the owner rebuilt).
   /// Callable during run() from any thread — typically from the
   /// on_quarantine hook or a supervisor daemon task. Returns false if the
@@ -300,18 +270,11 @@ class Scheduler {
     uint64_t idle_fires = 0;
     uint64_t steals = 0;
     uint32_t consec_idle = 0;
-    /// Consecutive pops that were not-yet-due backoff tasks, and the
-    /// earliest of their deadlines — once consec_backoff covers the whole
-    /// queue, nothing here is runnable and the thread sleeps (bounded)
-    /// toward that deadline instead of hot-requeueing.
-    uint32_t consec_backoff = 0;
-    std::chrono::steady_clock::time_point earliest_backoff{};
   };
 
   /// What thread_loop does with a task after supervise_failure().
   enum class FailureAction : uint8_t {
     kFinish,   ///< escalated: mark done, release liveness (original path)
-    kRequeue,  ///< restarting: requeue; backoff gate holds it until due
     kDetach,   ///< quarantined: drop from the queues (reinstate() re-enters)
   };
 
@@ -335,7 +298,6 @@ class Scheduler {
   std::exception_ptr first_error_;      // guarded by err_mu_
   uint64_t suppressed_errors_ = 0;      // guarded by err_mu_ (satellite fix)
   mutable std::mutex sup_mu_;           // supervision transitions + last_error
-  uint32_t restarts_total_ = 0;         // guarded by sup_mu_
   uint32_t quarantines_total_ = 0;      // guarded by sup_mu_
   std::function<void(Task&)> on_quarantine_;
   SchedulerStats stats_;

@@ -46,15 +46,11 @@ void render_engine_prom(std::string& out, const EngineHealth& e) {
   prometheus_gauge(out, "nm_engine_churn_rules",
                    "rules in the published churn delta",
                    static_cast<double>(e.churn_rules));
-  prometheus_counter(out, "nm_engine_shed_ops_total",
-                     "inserts rejected by overload control", e.shed_ops);
   prometheus_gauge(out, "nm_engine_absorption",
                    "fraction of churn absorbed without retrain", e.absorption);
 }
 
 void render_runtime_prom(std::string& out, const RuntimeHealth& r) {
-  prometheus_counter(out, "nm_runtime_restarts_total",
-                     "task restart re-arms across all tasks", r.restarts);
   prometheus_counter(out, "nm_runtime_quarantines_total",
                      "task quarantine entries across all tasks",
                      r.quarantines);
@@ -72,9 +68,6 @@ void render_runtime_prom(std::string& out, const RuntimeHealth& r) {
 
 void render_pipeline_prom(std::string& out, const PipelineHealth& p) {
   render_runtime_prom(out, p.runtime);
-  prometheus_counter(out, "nm_pipeline_trainer_failovers_total",
-                     "times training duty migrated replicas",
-                     p.trainer_failovers);
   prometheus_counter(out, "nm_pipeline_rejoin_failures_total",
                      "replica rejoin attempts aborted", p.rejoin_failures);
   prometheus_gauge(out, "nm_pipeline_steer_epochs",
@@ -191,7 +184,6 @@ std::string engine_json(const EngineHealth& e) {
   json_kv(out, f, "backoff_ms", e.backoff_ms);
   json_kv(out, f, "journal_depth", e.journal_depth);
   json_kv(out, f, "churn_rules", e.churn_rules);
-  json_kv(out, f, "shed_ops", e.shed_ops);
   json_kv_d(out, f, "absorption", e.absorption);
   out += '}';
   return out;
@@ -200,7 +192,6 @@ std::string engine_json(const EngineHealth& e) {
 std::string runtime_json(const RuntimeHealth& r) {
   std::string out = "{";
   bool f = true;
-  json_kv(out, f, "restarts", r.restarts);
   json_kv(out, f, "quarantines", r.quarantines);
   json_kv(out, f, "suppressed_errors", r.suppressed_errors);
   json_kv(out, f, "tasks", r.tasks.size());
@@ -217,8 +208,6 @@ std::string pipeline_json(const PipelineHealth& p) {
   if (!f) out += ',';  // keep structure uniform with json_kv usage below
   f = false;
   out += "\"runtime\":" + runtime_json(p.runtime);
-  json_kv(out, f, "trainer", p.trainer);
-  json_kv(out, f, "trainer_failovers", p.trainer_failovers);
   json_kv(out, f, "rejoin_failures", p.rejoin_failures);
   json_kv(out, f, "steer_epochs", p.steer_epochs);
   json_kv(out, f, "recovery_ns", p.recovery_ns);

@@ -3,12 +3,11 @@
 // engine keeps serving the old generation + churn delta oracle-exactly,
 // records the error it used to swallow, retries under seeded exponential
 // backoff, degrades gracefully at the consecutive-failure limit, and
-// recovers through retrain_now(). Overload control (kShed / kBlock) bounds
-// the churn delta without ever dropping an accepted update.
+// recovers through retrain_now(). There is no separate overload cap: the
+// retrain_threshold trigger bounds the churn delta by swapping it away.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -244,82 +243,6 @@ TEST(FaultReplay, ReplayFailureLosesNoUpdates) {
   expect_oracle_exact(online, logical, 343);
 }
 
-// kShed: inserts beyond max_churn_rules are refused (prefix acceptance,
-// shed_ops counted); erases and swaps free capacity.
-TEST(FaultOverload, ShedCapsChurnAndCountsRefusals) {
-  const RuleSet rules = generate_classbench(AppClass::kFw, 1, 600, 351);
-  OnlineConfig cfg = make_cfg();
-  cfg.max_churn_rules = 10;
-  cfg.overload_policy = OverloadPolicy::kShed;
-  OnlineNuevoMatch online{cfg};
-  online.build(rules);
-
-  const RuleSet extras = make_extras(30, 300'000, 352);
-  EXPECT_EQ(online.insert_batch(extras), 10u) << "cap admits a prefix";
-  EngineHealth h = online.health();
-  EXPECT_EQ(h.churn_rules, 10u);
-  EXPECT_EQ(h.shed_ops, 20u);
-  EXPECT_FALSE(online.insert(extras[10]));  // full: scalar insert refused
-  EXPECT_EQ(online.health().shed_ops, 21u);
-  EXPECT_EQ(online.size(), rules.size() + 10);
-
-  // The accepted prefix — and only it — is serving.
-  RuleSet logical = rules;
-  logical.insert(logical.end(), extras.begin(), extras.begin() + 10);
-  expect_oracle_exact(online, logical, 353);
-
-  // Erases always pass and free capacity for new inserts.
-  const std::vector<uint32_t> victims{300'000, 300'001, 300'002};
-  EXPECT_EQ(online.erase_batch(victims), victims.size());
-  EXPECT_EQ(online.insert_batch(std::span{extras}.subspan(10, 5)), 3u);
-  EXPECT_EQ(online.health().churn_rules, 10u);
-
-  // A swap drains the delta entirely: full capacity returns.
-  online.retrain_now();
-  online.quiesce();
-  EXPECT_EQ(online.health().churn_rules, 0u);
-  EXPECT_EQ(online.insert_batch(std::span{extras}.subspan(20, 8)), 8u);
-}
-
-// kBlock: a writer over the cap waits for capacity instead of shedding, and
-// proceeds the moment an erase frees room; with no relief it sheds only
-// after the configured timeout.
-TEST(FaultOverload, BlockWaitsForCapacityThenShedsOnTimeout) {
-  const RuleSet rules = generate_classbench(AppClass::kAcl, 1, 600, 361);
-  OnlineConfig cfg = make_cfg();
-  cfg.max_churn_rules = 8;
-  cfg.overload_policy = OverloadPolicy::kBlock;
-  cfg.overload_block_timeout_ms = 2000;
-  OnlineNuevoMatch online{cfg};
-  online.build(rules);
-
-  const RuleSet first = make_extras(8, 400'000, 362);
-  ASSERT_EQ(online.insert_batch(first), 8u);  // exactly at the cap
-
-  const RuleSet more = make_extras(4, 400'100, 363);
-  std::atomic<size_t> accepted{~size_t{0}};
-  std::thread writer{[&] { accepted.store(online.insert_batch(more)); }};
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  const std::vector<uint32_t> victims{400'000, 400'001, 400'002, 400'003};
-  EXPECT_EQ(online.erase_batch(victims), victims.size());  // frees 4 slots
-  writer.join();
-  EXPECT_EQ(accepted.load(), 4u) << "blocked writer must admit the batch "
-                                    "once erases free capacity";
-  EngineHealth h = online.health();
-  EXPECT_EQ(h.shed_ops, 0u);
-  EXPECT_EQ(h.churn_rules, 8u);
-
-  // Timeout path on a separate engine with a short fuse and no relief.
-  OnlineConfig tcfg = cfg;
-  tcfg.overload_block_timeout_ms = 50;
-  OnlineNuevoMatch timed{tcfg};
-  timed.build(rules);
-  ASSERT_EQ(timed.insert_batch(first), 8u);
-  const RuleSet overflow = make_extras(3, 400'200, 364);
-  EXPECT_EQ(timed.insert_batch(overflow), 0u);
-  EXPECT_EQ(timed.health().shed_ops, 3u);
-}
-
 // health() on an untroubled engine: the all-clear snapshot.
 TEST(FaultHealth, SnapshotReflectsSteadyState) {
   const RuleSet rules = generate_classbench(AppClass::kIpc, 1, 500, 371);
@@ -337,7 +260,6 @@ TEST(FaultHealth, SnapshotReflectsSteadyState) {
   EXPECT_FALSE(h.in_backoff);
   EXPECT_EQ(h.journal_depth, 0u);
   EXPECT_EQ(h.churn_rules, 0u);
-  EXPECT_EQ(h.shed_ops, 0u);
   EXPECT_DOUBLE_EQ(h.absorption, 0.0);
 
   const RuleSet extras = make_extras(12, 500'000, 372);

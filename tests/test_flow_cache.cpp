@@ -20,8 +20,10 @@
 // a band the test can pick by choosing which rule a packet hits.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -193,6 +195,32 @@ TEST(FlowCacheBands, CachedMissSurvivesErasesAndDiesOnInsert) {
   ASSERT_TRUE(online->insert(worse_rule(70'000, 100'000, 779)));
   EXPECT_FALSE(cache.lookup(p, d));
   EXPECT_EQ(cache.stats().stale, 1u);
+}
+
+// --- construction ------------------------------------------------------------
+
+// The shard count is bounded: burst probes index shards through one 64-bit
+// touched-set word, so 0 or more than kMaxShards is refused up front rather
+// than clamped or allocated.
+TEST(FlowCacheShape, ShardCountOutsideOneToMaxIsRejected) {
+  EXPECT_THROW(FlowCache(64, 0), std::invalid_argument);
+  EXPECT_THROW(FlowCache(64, FlowCache::kMaxShards + 1), std::invalid_argument);
+  FlowCache widest{4096, FlowCache::kMaxShards};
+  EXPECT_EQ(widest.shards(), FlowCache::kMaxShards);
+  // A full burst spread over every shard still round-trips.
+  std::array<Packet, FlowCache::kBurstLanes> pkts{};
+  std::array<Decision, FlowCache::kBurstLanes> ds{};
+  for (uint32_t i = 0; i < FlowCache::kBurstLanes; ++i) {
+    pkts[i].field = {i, i + 1, i + 2, i + 3, i + 4};
+    ds[i] = Decision{static_cast<int32_t>(i), static_cast<int32_t>(i), 0};
+  }
+  widest.insert_burst(pkts.data(), FlowCache::kBurstLanes, ~0u, ds.data(), 1);
+  std::array<Decision, FlowCache::kBurstLanes> got{};
+  EXPECT_EQ(widest.lookup_burst(pkts.data(), FlowCache::kBurstLanes, ~0u,
+                                got.data()),
+            ~0u);
+  for (uint32_t i = 0; i < FlowCache::kBurstLanes; ++i)
+    EXPECT_EQ(got[i].rule_id, static_cast<int32_t>(i));
 }
 
 // --- accounting fixes (satellites) ------------------------------------------

@@ -283,7 +283,7 @@ TEST(TelemetrySnapshot, JoinsHealthSurfacesInBothFormats) {
   s.cache_entries = 10;
   s.cache_capacity = 1024;
   pipeline::PipelineHealth ph;
-  ph.runtime.restarts = 2;
+  ph.runtime.quarantines = 2;
   ph.replicas.resize(2);
   ph.replicas[1].state = pipeline::ReplicaHealth::State::kQuarantined;
   ph.replicas[1].quarantines = 1;
@@ -295,7 +295,7 @@ TEST(TelemetrySnapshot, JoinsHealthSurfacesInBothFormats) {
   EXPECT_NE(prom.find("nm_flowcache_hits_total 42"), std::string::npos);
   EXPECT_NE(prom.find("nm_flowcache_retained_total 17"), std::string::npos);
   EXPECT_NE(prom.find("nm_flowcache_capacity 1024"), std::string::npos);
-  EXPECT_NE(prom.find("nm_runtime_restarts_total 2"), std::string::npos);
+  EXPECT_NE(prom.find("nm_runtime_quarantines_total 2"), std::string::npos);
   EXPECT_NE(prom.find("nm_replica_live{replica=\"0\"} 1"), std::string::npos);
   EXPECT_NE(prom.find("nm_replica_live{replica=\"1\"} 0"), std::string::npos);
   EXPECT_NE(prom.find("nm_replica_quarantines_total{replica=\"1\"} 1"),

@@ -258,6 +258,12 @@ TEST(GraphParse, NegativeSuiteDiagnosesEveryMalformation) {
                      "unknown Classifier option");
   expect_parse_error("a :: Counter();\n\nc :: Classifier(rules, shards=4);", 3,
                      "unknown Classifier option");
+  // FlowCache shard counts outside 1..64 are config errors, not a billion
+  // allocated shards or a silent clamp.
+  expect_parse_error("c :: FlowCache(64, 0);", 1,
+                     "FlowCache shard count must be 1..64");
+  expect_parse_error("a :: Counter();\nc :: FlowCache(64, 65);", 2,
+                     "FlowCache shard count must be 1..64");
   // A config-built cycle is rejected at initialize() (topology, not
   // syntax, so no line number — assert the named-element message instead).
   Graph g = Graph::parse(

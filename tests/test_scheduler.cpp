@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -45,11 +44,12 @@ std::string tmp_path(const std::string& name) {
 }
 
 std::shared_ptr<OnlineNuevoMatch> make_online(const RuleSet& rules,
-                                              double retrain_threshold = 1.0) {
+                                              double retrain_threshold = 1.0,
+                                              bool auto_retrain = false) {
   OnlineConfig cfg;
   cfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
   cfg.base.min_iset_coverage = 0.05;
-  cfg.auto_retrain = false;
+  cfg.auto_retrain = auto_retrain;
   cfg.retrain_threshold = retrain_threshold;
   auto online = std::make_shared<OnlineNuevoMatch>(std::move(cfg));
   online->build(rules);
@@ -90,13 +90,12 @@ TEST(SchedulerCore, QuantumBoundsConsecutiveFiresOfOneTask) {
   EXPECT_EQ(sched.stats().fires, 500u);
 }
 
-// An idle thread steals a migratable task; migration happens only between
+// An idle thread steals a queued task; migration happens only between
 // fires, so the task's own fire sequence stays totally ordered. The
 // migrant refuses to make progress on its home thread — it can ONLY finish
 // if work stealing moves it.
-TEST(SchedulerCore, IdleThreadStealsMigratableTask) {
+TEST(SchedulerCore, IdleThreadStealsTask) {
   Scheduler sched(2);
-  std::atomic<bool> migrant_done{false};
   std::set<int> migrant_threads;
   std::mutex mu;
   uint64_t migrant_work = 0;
@@ -108,20 +107,9 @@ TEST(SchedulerCore, IdleThreadStealsMigratableTask) {
           const std::lock_guard<std::mutex> lk(mu);
           migrant_threads.insert(Scheduler::current_thread());
         }
-        if (++migrant_work < 10) return TaskState::kWorked;
-        migrant_done.store(true);
-        return TaskState::kDone;
+        return ++migrant_work < 10 ? TaskState::kWorked : TaskState::kDone;
       },
-      {.home = 0, .migratable = true, .daemon = false, .label = "migrant"});
-  // Keeps thread 0 busy (and the scheduler alive) until the migrant lands.
-  Task::Options pinned;
-  pinned.home = 0;
-  pinned.migratable = false;
-  sched.add(
-      [&]() -> TaskState {
-        return migrant_done.load() ? TaskState::kDone : TaskState::kWorked;
-      },
-      std::move(pinned));
+      {.home = 0, .daemon = false, .label = "migrant"});
   sched.run();
 
   EXPECT_TRUE(migrant.done());
@@ -130,26 +118,6 @@ TEST(SchedulerCore, IdleThreadStealsMigratableTask) {
   EXPECT_EQ(migrant.worked(), 9u);  // the final kDone fire is not "worked"
   EXPECT_EQ(migrant_threads, std::set<int>{1});  // never worked on home
   EXPECT_GE(sched.stats().steals, 1u);
-}
-
-// A non-migratable task is never stolen, no matter how idle other threads
-// are: every one of its fires happens on its home thread.
-TEST(SchedulerCore, NonMigratableTaskStaysOnHomeThread) {
-  Scheduler sched(2);
-  std::set<int> seen;
-  uint64_t fires = 0;
-  Task::Options pinned;
-  pinned.home = 1;
-  pinned.migratable = false;
-  Task& t = sched.add(
-      [&]() -> TaskState {
-        seen.insert(Scheduler::current_thread());
-        return ++fires >= 200 ? TaskState::kDone : TaskState::kWorked;
-      },
-      std::move(pinned));
-  sched.run();
-  EXPECT_EQ(seen, std::set<int>{1});
-  EXPECT_EQ(t.migrations(), 0u);
 }
 
 // request_stop() from inside a fire: every thread finishes its current
@@ -457,49 +425,71 @@ TEST(ReplicaDifferential, TraceScaleMatchesLinearOracleThroughSwaps) {
   EXPECT_GT(hits, 0u) << "flow caches never hit — differential vacuous";
 }
 
-// Background retrain as "just another task": a daemon task watches the
-// shared engine's absorption ratio and kicks retrain_now() from whatever
-// scheduler thread it lands on. With pre-run churn pushing absorption past
-// the threshold, the run itself must publish a new generation.
-TEST(ReplicaDifferential, RetrainDaemonTaskPublishesGeneration) {
+// Background retraining needs no scheduler task: the shared engine's own
+// auto-retrain worker fires on the retrain_threshold it was built with.
+// Churn committed mid-run (from the tick) pushes absorption past the
+// threshold, the insert requests the retrain, and the tick waits for the
+// swap — so a generation is published while both replicas are still
+// pumping, and the merged records must still match the oracle.
+TEST(ReplicaDifferential, AutoRetrainPublishesGenerationMidRun) {
   const RuleSet rules = generate_classbench(AppClass::kAcl, 1, 400, 43);
-  auto online = make_online(rules, /*retrain_threshold=*/0.01);
+  auto online = make_online(rules, /*retrain_threshold=*/0.01,
+                            /*auto_retrain=*/true);
   TraceConfig tc;
   tc.n_packets = 2'000;
   const std::vector<Packet> trace = generate_trace(rules, tc);
-
-  // Churn BEFORE the run: absorption is already past threshold when the
-  // daemon task first fires.
-  for (uint32_t i = 0; i < 20; ++i) {
-    Rule r = rules[i % rules.size()];
-    r.id = 800'000 + i;
-    r.priority = 1'000 + static_cast<int32_t>(i);
-    ASSERT_TRUE(online->insert(r));
-  }
+  LinearSearch oracle;
+  oracle.build(rules);
   const uint64_t gen0 = online->generations();
 
   ReplicatedGraph rg(2, [&](uint32_t, uint32_t) {
     Graph g;
     auto& src = g.add(std::make_unique<pipeline::TraceSource>(trace), "src");
+    auto& cache =
+        g.add(std::make_unique<pipeline::FlowCacheElement>(1024), "cache");
     auto cls_owned = std::make_unique<pipeline::ClassifierElement>();
     cls_owned->attach(online);
     auto& cls = g.add(std::move(cls_owned), "cls");
-    auto& sink = g.add(std::make_unique<pipeline::Sink>(), "sink");
-    g.connect(src, 0, cls);
+    auto& sink = g.add(std::make_unique<pipeline::Sink>(true), "sink");
+    g.connect(src, 0, cache);
+    g.connect(cache, 0, cls);
     g.connect(cls, 0, sink);
     return g;
   });
+  std::mutex tick_mu;
+  uint64_t gen_mid = 0;
   ReplicatedRunOptions opts;
   opts.threads = 2;
-  opts.retrain_task = true;
+  opts.tick = [&](uint64_t done) {
+    const std::lock_guard<std::mutex> lk(tick_mu);
+    if (gen_mid != 0 || done < trace.size() / 2) return;
+    // Copies of base rules at WORSE priority than every base rule: the
+    // oracle's answers are unchanged, but absorption crosses 0.01.
+    for (uint32_t i = 0; i < 20; ++i) {
+      Rule r = rules[i % rules.size()];
+      r.id = 800'000 + i;
+      r.priority = 1'000 + static_cast<int32_t>(i);
+      ASSERT_TRUE(online->insert(r));
+    }
+    online->quiesce();
+    gen_mid = online->generations();
+  };
   EXPECT_EQ(rg.run(opts), trace.size());
-  online->quiesce();
-  const EngineHealth h = online->health();
-  EXPECT_GT(online->generations(), gen0)
-      << "the retrain daemon task never kicked a swap (absorption="
-      << online->absorption() << ", failures=" << h.retrain_failures_total
-      << ", sched worked=" << rg.last_stats().worked
-      << ", fires=" << rg.last_stats().fires << ")";
+  EXPECT_GT(gen_mid, gen0)
+      << "the auto-retrain worker never published a generation mid-run "
+         "(absorption="
+      << online->absorption()
+      << ", failures=" << online->health().retrain_failures_total << ")";
+
+  const std::vector<pipeline::Sink::Record> got = rg.merged_records();
+  ASSERT_EQ(got.size(), trace.size());
+  uint64_t mismatches = 0;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].index, i);
+    if (oracle.match(trace[i]).rule_id != got[i].rule_id) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u)
+      << "replicated decisions diverged from the oracle across the swap";
 }
 
 }  // namespace

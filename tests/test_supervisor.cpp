@@ -1,14 +1,16 @@
-// Task fault domains and the pipeline recovery ladder (ISSUE 9): the
-// scheduler's SupervisorPolicy (escalate / restart-with-backoff /
-// quarantine), the cooperative watchdog, the suppressed-error counter, and
-// the ReplicatedGraph quarantine → re-steer → drain → rejoin path with
-// trainer failover — all driven deterministically through the pipeline
-// failpoints. Runs under the TSAN and ASan/UBSan CI legs: a crash-during-
-// burst must be leak-clean (the in-flight burst is dropped, not leaked).
+// Task fault domains and the pipeline recovery ladder: the scheduler's
+// SupervisorPolicy (escalate / quarantine), the cooperative watchdog, the
+// suppressed-error counter, and the ReplicatedGraph quarantine → re-steer
+// → drain → rejoin path — all driven deterministically through the
+// pipeline failpoints. A quarantined task restarts only through the
+// on_quarantine hook (reinstate()); there is no in-place retry policy, and
+// background retraining belongs to the shared engine's own auto-retrain
+// worker, so a replica crash never moves training duties anywhere. Runs
+// under the TSAN and ASan/UBSan CI legs: a crash-during-burst must be
+// leak-clean (the in-flight burst is dropped, not leaked).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,11 +42,12 @@ using pipeline::TaskPhase;
 using pipeline::TaskState;
 
 std::shared_ptr<OnlineNuevoMatch> make_online(const RuleSet& rules,
-                                              double retrain_threshold = 1.0) {
+                                              double retrain_threshold = 1.0,
+                                              bool auto_retrain = false) {
   OnlineConfig cfg;
   cfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
   cfg.base.min_iset_coverage = 0.05;
-  cfg.auto_retrain = false;
+  cfg.auto_retrain = auto_retrain;
   cfg.retrain_threshold = retrain_threshold;
   auto online = std::make_shared<OnlineNuevoMatch>(std::move(cfg));
   online->build(rules);
@@ -57,69 +60,6 @@ TaskHealth task_health(const RuntimeHealth& h, const std::string& label) {
   }
   ADD_FAILURE() << "no task labeled " << label;
   return TaskHealth{};
-}
-
-// --- restart with backoff ---------------------------------------------------
-
-// kRestart rides out transient failures: three throwing fires re-arm the
-// task through the seeded backoff ladder (the engine's PR 6 shape) and the
-// fourth fire onward completes normally — run() never sees an error, the
-// restart count and the preserved last_error tell the story.
-TEST(SupervisorRestart, BackoffConvergesAfterTransientFailures) {
-  Scheduler sched(1);
-  uint64_t attempts = 0;
-  Task::Options topt;
-  topt.label = "flaky";
-  topt.policy = SupervisorPolicy::kRestart;
-  topt.max_restarts = 5;
-  topt.backoff_initial_ms = 1;
-  topt.backoff_max_ms = 4;
-  Task& t = sched.add(
-      [&]() -> TaskState {
-        if (++attempts <= 3) throw std::runtime_error("transient glitch");
-        return attempts >= 8 ? TaskState::kDone : TaskState::kWorked;
-      },
-      std::move(topt));
-  sched.run();  // converged: nothing escalates
-
-  EXPECT_TRUE(t.done());
-  EXPECT_EQ(t.phase(), TaskPhase::kDone);
-  EXPECT_EQ(t.restarts(), 3u);
-  EXPECT_EQ(t.quarantines(), 0u);
-  EXPECT_EQ(attempts, 8u);
-  EXPECT_EQ(t.fires(), 8u);  // failed fires count as fires (bit-identical)
-
-  const RuntimeHealth h = sched.health();
-  EXPECT_EQ(h.restarts, 3u);
-  EXPECT_EQ(h.quarantines, 0u);
-  EXPECT_EQ(h.suppressed_errors, 0u);
-  EXPECT_EQ(task_health(h, "flaky").last_error, "transient glitch");
-}
-
-// A task that exhausts max_restarts falls through to quarantine: the run
-// ends cleanly (nothing else was alive), the task is left detached with its
-// restart/quarantine counters and error preserved — not rethrown.
-TEST(SupervisorRestart, ExhaustedRestartsFallThroughToQuarantine) {
-  Scheduler sched(1);
-  Task::Options topt;
-  topt.label = "hopeless";
-  topt.policy = SupervisorPolicy::kRestart;
-  topt.max_restarts = 2;
-  topt.backoff_initial_ms = 1;
-  topt.backoff_max_ms = 2;
-  Task& t = sched.add(
-      []() -> TaskState { throw std::runtime_error("permanent fault"); },
-      std::move(topt));
-  sched.run();  // the quarantine releases liveness; no escalation
-
-  EXPECT_FALSE(t.done());
-  EXPECT_EQ(t.phase(), TaskPhase::kQuarantined);
-  EXPECT_EQ(t.restarts(), 2u);
-  EXPECT_EQ(t.quarantines(), 1u);
-  const RuntimeHealth h = sched.health();
-  EXPECT_EQ(h.restarts, 2u);
-  EXPECT_EQ(h.quarantines, 1u);
-  EXPECT_EQ(task_health(h, "hopeless").last_error, "permanent fault");
 }
 
 // --- quarantine -------------------------------------------------------------
@@ -205,7 +145,6 @@ TEST(SupervisorEscalate, DefaultPolicyPreservesStopAndRethrow) {
   EXPECT_FALSE(forever.done());
   const RuntimeHealth h = sched.health();
   EXPECT_EQ(h.quarantines, 0u);
-  EXPECT_EQ(h.restarts, 0u);
   EXPECT_EQ(h.suppressed_errors, 0u);
 }
 
@@ -277,7 +216,7 @@ TEST(SupervisorWatchdog, FlagsStalledTaskAndCountsBudgetOverruns) {
   EXPECT_FALSE(task_health(h, "honest").stalled);
 }
 
-// reinstate() resets the watchdog with the restart ladder: a task flagged
+// reinstate() resets the watchdog: a task flagged
 // stalled BEFORE its quarantine must come back clean — its state was
 // rebuilt, so a sticky STALLED flag in RuntimeHealth would be a lie.
 TEST(SupervisorWatchdog, ReinstateClearsWatchdogState) {
@@ -319,9 +258,10 @@ struct ReplicatedFixture {
   LinearSearch oracle;
 
   explicit ReplicatedFixture(uint64_t seed, size_t n_packets,
-                             double retrain_threshold = 1.0) {
+                             double retrain_threshold = 1.0,
+                             bool auto_retrain = false) {
     rules = generate_classbench(AppClass::kAcl, 1, 300, seed);
-    online = make_online(rules, retrain_threshold);
+    online = make_online(rules, retrain_threshold, auto_retrain);
     TraceConfig tc;
     tc.kind = TraceConfig::Kind::kZipf;
     tc.n_packets = n_packets;
@@ -366,9 +306,9 @@ struct ReplicatedFixture {
 
 // THE acceptance drill: a failpoint kills replica 0 on its very first
 // scheduled fire (the between-bursts seam — the lossless fault domain).
-// The quarantine ladder re-steers its slice, drains its cache, rejoins it,
-// and migrates the trainer — and the merged differential still matches the
-// oracle EXACTLY: every position served exactly once, zero stale decisions.
+// The quarantine ladder re-steers its slice, drains its cache and rejoins
+// it — and the merged differential still matches the oracle EXACTLY: every
+// position served exactly once, zero stale decisions.
 TEST(ReplicatedRecovery, ReplicaCrashAtFireSeamLosesNothing) {
   const ReplicatedFixture fx(51, 4'000);
   ReplicatedGraph rg = fx.make_graph(2);
@@ -392,17 +332,13 @@ TEST(ReplicatedRecovery, ReplicaCrashAtFireSeamLosesNothing) {
   EXPECT_EQ(h.rejoin_failures, 0u);
   EXPECT_EQ(h.steer_epochs, 3u);  // [0,C) full | [C,C+W) survivor | [C+W,∞) full
   EXPECT_GT(h.recovery_ns, 0u);
-  // Replica 0 hosted the trainer; its death migrated the duties to the
-  // lowest live replica — and they deliberately do NOT fail back on rejoin.
-  EXPECT_EQ(h.trainer, 1u);
-  EXPECT_EQ(h.trainer_failovers, 1u);
   EXPECT_FALSE(h.to_string().empty());
 }
 
 // Two crashes landing near-simultaneously on DIFFERENT scheduler threads:
 // each catching thread runs the full recovery ladder, and the ladders must
-// serialize (recovery_mu_) — concurrent steering appends, trainer
-// failovers, or a premature un-pause would corrupt the re-steer. Under the
+// serialize (recovery_mu_) — concurrent steering appends or a premature
+// un-pause would corrupt the re-steer. Under the
 // TSAN leg this is the regression test for that race. first:2 fires on the
 // first two scheduled fires, whichever threads get there first.
 TEST(ReplicatedRecovery, ConcurrentReplicaCrashesSerializeAndLoseNothing) {
@@ -461,8 +397,7 @@ TEST(ReplicatedRecovery, MidBurstCrashLosesAtMostOneBurst) {
 // rejoin=false is the deliberate lossy degraded mode: the dead replica
 // stays down, survivors serve its slice from the cutover on, and only the
 // not-yet-resteered remainder of the dead slice is missing. The records
-// that ARE served still all match the oracle, and the trainer still fails
-// over away from the dead replica.
+// that ARE served still all match the oracle.
 TEST(ReplicatedRecovery, NoRejoinDegradesButServesCorrectly) {
   const ReplicatedFixture fx(53, 4'000);
   ReplicatedGraph rg = fx.make_graph(3);
@@ -487,8 +422,6 @@ TEST(ReplicatedRecovery, NoRejoinDegradesButServesCorrectly) {
   EXPECT_EQ(h.replicas[0].state, ReplicaHealth::State::kQuarantined);
   EXPECT_EQ(h.replicas[0].rejoins, 0u);
   EXPECT_EQ(h.steer_epochs, 2u);  // no rejoin → no restore epoch
-  EXPECT_EQ(h.trainer, 1u);
-  EXPECT_EQ(h.trainer_failovers, 1u);
 }
 
 // An injected rejoin failure (pipeline.replica.rejoin) turns a would-be
@@ -512,18 +445,14 @@ TEST(ReplicatedRecovery, InjectedRejoinFailureIsCountedAndSurvivable) {
   EXPECT_EQ(h.replicas[0].rejoins, 0u);
 }
 
-// Trainer failover end to end: the retrain daemon keeps publishing
-// generations AFTER the replica hosting training duties died — pre-run
-// churn puts absorption past threshold, the crash migrates the duties, and
-// the daemon (gated on a live trainer) still kicks the swap.
-TEST(ReplicatedRecovery, TrainerFailoverStillPublishesGenerations) {
-  ReplicatedFixture fx(55, 3'000, /*retrain_threshold=*/0.01);
-  for (uint32_t i = 0; i < 20; ++i) {
-    Rule r = fx.rules[i % fx.rules.size()];
-    r.id = 900'000 + i;
-    r.priority = 1'000 + static_cast<int32_t>(i);
-    ASSERT_TRUE(fx.online->insert(r));
-  }
+// Background retraining survives a replica crash: the shared engine's own
+// auto-retrain worker (no replica hosts it) publishes a generation mid-run
+// after replica 0 was quarantined and rejoined. Churn committed from the
+// tick pushes absorption past the threshold; the insert itself requests
+// the retrain, and the tick waits for the swap so it lands mid-stream.
+TEST(ReplicatedRecovery, AutoRetrainPublishesGenerationAcrossReplicaCrash) {
+  ReplicatedFixture fx(55, 3'000, /*retrain_threshold=*/0.01,
+                       /*auto_retrain=*/true);
   const uint64_t gen0 = fx.online->generations();
 
   ReplicatedGraph rg = fx.make_graph(2);
@@ -532,17 +461,27 @@ TEST(ReplicatedRecovery, TrainerFailoverStillPublishesGenerations) {
   ReplicatedRunOptions opts;
   opts.threads = 1;
   opts.policy = SupervisorPolicy::kQuarantine;
-  opts.retrain_task = true;
-  rg.run(opts);
-  fx.online->quiesce();
+  uint64_t gen_mid = 0;
+  opts.tick = [&](uint64_t done) {  // threads=1: never concurrent
+    if (gen_mid != 0 || done < fx.trace.size() / 2) return;
+    for (uint32_t i = 0; i < 20; ++i) {
+      Rule r = fx.rules[i % fx.rules.size()];
+      r.id = 900'000 + i;
+      r.priority = 1'000 + static_cast<int32_t>(i);
+      ASSERT_TRUE(fx.online->insert(r));
+    }
+    fx.online->quiesce();
+    gen_mid = fx.online->generations();
+  };
+  EXPECT_EQ(rg.run(opts), fx.trace.size());
 
+  EXPECT_GT(gen_mid, gen0)
+      << "the auto-retrain worker never published a generation mid-run";
   const PipelineHealth h = rg.health();
-  EXPECT_EQ(h.trainer, 1u);
-  EXPECT_EQ(h.trainer_failovers, 1u);
-  EXPECT_GT(fx.online->generations(), gen0)
-      << "the migrated retrain daemon never published a generation";
+  EXPECT_EQ(h.replicas[0].state, ReplicaHealth::State::kRejoined);
+  EXPECT_EQ(h.runtime.quarantines, 1u);
   // Churn rules are WORSE-priority than every base rule, so the oracle
-  // differential is unchanged by the pre-run inserts.
+  // differential is unchanged by the mid-run inserts.
   fx.check_records(rg.merged_records(), /*complete=*/true);
 }
 
