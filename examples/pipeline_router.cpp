@@ -22,20 +22,24 @@
 // one shared engine) and run on a Click-style task scheduler — the merged
 // replica decisions must be packet-for-packet identical to the scalar run:
 //
-// With --metrics the run also emits a final telemetry snapshot (registry
-// counters/histograms joined with engine health + flow-cache stats):
+// With --metrics the run also emits a final telemetry snapshot of the last
+// graph run (registry counters/histograms joined with engine health and the
+// flow-cache stats summed over every cache; the replicated run adds the
+// replica layer):
 //   --metrics         Prometheus text to stdout at exit
 //   --metrics=FILE    dump to FILE at exit (JSON if FILE ends in .json)
-//   --metrics=PORT    splice a MetricsExporter element into the pipeline and
-//                     serve live scrapes on 127.0.0.1:PORT while running
-//                     (snapshot still printed to stdout at exit)
+//   --metrics=PORT    also serve live scrapes on 127.0.0.1:PORT from one
+//                     MetricsExporter thread, which snapshots whichever
+//                     graph is running (snapshot still printed at exit)
 //
 //   $ ./example_pipeline_router trace.pcap acl.rules [cache_capacity] [threads]
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,6 +48,7 @@
 #include "nuevomatch/nuevomatch.hpp"
 #include "pipeline/elements.hpp"
 #include "pipeline/graph.hpp"
+#include "pipeline/metrics_exporter.hpp"
 #include "pipeline/replicate.hpp"
 #include "pipeline/telemetry.hpp"
 #include "trace/pcap.hpp"
@@ -91,21 +96,14 @@ int main(int argc, char** argv) {
   const bool metrics_port = metrics && all_digits(metrics_arg);
 
   // --- assemble the graph from config text --------------------------------
-  // --metrics=PORT splices a MetricsExporter into the chain: it forwards
-  // bursts untouched and answers live loopback scrapes from its inline poll.
-  const std::string met_decl =
-      metrics_port ? "met   :: MetricsExporter(port=" + metrics_arg + ");\n" : "";
-  const std::string chain = metrics_port ? "src -> met -> cache -> cls -> disp;\n"
-                                         : "src -> cache -> cls -> disp;\n";
   const std::string config =
       "src   :: PcapSource(" + pcap_path + ");\n"
       "cache :: FlowCache(" + std::to_string(cache_cap) + ");\n"
-      "cls   :: Classifier(" + rules_path + ", manual);\n" +
-      met_decl +
+      "cls   :: Classifier(" + rules_path + ", manual);\n"
       "disp  :: Dispatch(permit, deny);\n"
       "permit_sink :: Sink(record);\n"
-      "deny_sink   :: Sink(record);\n" +
-      chain +
+      "deny_sink   :: Sink(record);\n"
+      "src -> cache -> cls -> disp;\n"
       "disp[0] -> Counter(permit) -> permit_sink;\n"
       "disp[1] -> deny_sink;\n";
   std::printf("pipeline config:\n%s\n", config.c_str());
@@ -113,6 +111,31 @@ int main(int argc, char** argv) {
   pipeline::Graph graph = pipeline::Graph::parse(config);
   auto* cls = graph.find_kind<pipeline::ClassifierElement>();
   OnlineNuevoMatch* online = cls->online();
+
+  // --- telemetry: one snapshot source, one exporter for the process --------
+  // The source follows whichever graph is running: the scalar graph, then
+  // the replicated one once it exists. Both graphs outlive the exporter
+  // (declared after them), whose destructor takes a last snapshot.
+  std::unique_ptr<pipeline::ReplicatedGraph> rg;
+  std::atomic<const pipeline::ReplicatedGraph*> live_rg{nullptr};
+  const auto live_snapshot = [&] {
+    const pipeline::ReplicatedGraph* r = live_rg.load(std::memory_order_acquire);
+    return r != nullptr ? telemetry::snapshot(*r) : telemetry::snapshot(graph);
+  };
+  std::optional<pipeline::MetricsExporter> exporter;
+  if (metrics_port) {
+    try {
+      exporter.emplace(pipeline::MetricsExporter::Options{
+                           .port = static_cast<int>(std::strtol(
+                               metrics_arg.c_str(), nullptr, 10))},
+                       live_snapshot);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      return 2;
+    }
+    std::printf("metrics exporter listening on 127.0.0.1:%d\n\n",
+                exporter->port());
+  }
 
   // --- run, forcing three retrain/swap cycles mid-stream ------------------
   // The pcap is small enough to pre-count (we need the packets for the
@@ -224,8 +247,9 @@ int main(int argc, char** argv) {
     bool fault_drill = false;
     for (const std::string& p : failpoint::armed_points())
       fault_drill |= p.rfind("pipeline.", 0) == 0;
-    pipeline::ReplicatedGraph rg = pipeline::ReplicatedGraph::parse(
-        config, static_cast<uint32_t>(n_threads));
+    rg.reset(new pipeline::ReplicatedGraph(pipeline::ReplicatedGraph::parse(
+        config, static_cast<uint32_t>(n_threads))));
+    live_rg.store(rg.get(), std::memory_order_release);
     pipeline::ReplicatedRunOptions ropts;
     ropts.threads = n_threads;
     if (fault_drill) {
@@ -233,8 +257,8 @@ int main(int argc, char** argv) {
       std::printf("fault drill: pipeline failpoint armed — supervising with "
                   "quarantine + rejoin\n");
     }
-    const uint64_t rpumped = rg.run(ropts);
-    const std::vector<pipeline::Sink::Record> merged = rg.merged_records();
+    const uint64_t rpumped = rg->run(ropts);
+    const std::vector<pipeline::Sink::Record> merged = rg->merged_records();
 
     uint64_t diverged = 0;
     if (merged.size() != decisions.size()) {
@@ -251,7 +275,7 @@ int main(int argc, char** argv) {
           ++diverged;
       }
     }
-    const pipeline::SchedulerStats& st = rg.last_stats();
+    const pipeline::SchedulerStats& st = rg->last_stats();
     std::printf("replica fires per thread:");
     for (const uint64_t f : st.fires_per_thread)
       std::printf(" %llu", static_cast<unsigned long long>(f));
@@ -266,7 +290,7 @@ int main(int argc, char** argv) {
     // Stale-served here = a cache-served merged record whose decision
     // diverges from the oracle — the recovery drill must drain the dead
     // replica's cache, so this stays 0 through quarantine and rejoin.
-    const pipeline::PipelineHealth ph = rg.health();
+    const pipeline::PipelineHealth ph = rg->health();
     uint64_t rstale = 0;
     for (const auto& r : merged) {
       if (r.cached && oracle.match((*packets)[r.index]).rule_id != r.rule_id)
@@ -290,17 +314,11 @@ int main(int argc, char** argv) {
   }
 
   // --- final telemetry snapshot -------------------------------------------
-  // Joins the process-wide registry (hot-path event counters + latency
-  // histograms) with the engine's health surface and the scalar run's
-  // flow-cache stats. CI greps this output for nm_flowcache_hits_total.
+  // The same join the exporter serves, taken of the last graph run: the
+  // replicated one when there is one. CI greps this output for
+  // nm_flowcache_hits_total (and, replicated, nm_replica_live).
   if (metrics) {
-    const EngineHealth eh = online->health();
-    telemetry::Snapshot snap = telemetry::capture(&eh);
-    if (auto* fc = graph.find_kind<pipeline::FlowCacheElement>()) {
-      snap.cache = fc->cache().stats();
-      snap.cache_entries = fc->cache().size();
-      snap.cache_capacity = fc->cache().capacity();
-    }
+    const telemetry::Snapshot snap = live_snapshot();
     const bool to_file = !metrics_arg.empty() && !metrics_port;
     if (to_file) {
       const bool json = metrics_arg.size() > 5 &&

@@ -38,6 +38,13 @@ void NuevoMatch::build(std::span<const Rule> rules) { build(rules, nullptr); }
 
 namespace {
 
+/// Retrain cost control (build(rules, reuse)): coverage — as a fraction of
+/// the rule-set — that a model-reusing build may lose vs a full
+/// re-partition before it falls back to retraining everything. Tolerates
+/// partition tie-break noise around churn duplicates without letting reuse
+/// erode the speedup.
+constexpr double kReuseCoverageSlack = 0.02;
+
 /// Index-relevant rule identity: ranges, priority and id. Actions are
 /// deliberately NOT compared — the index never consults them, so an action
 /// rewrite keeps a trained (model, array) pair valid.
@@ -74,7 +81,7 @@ void NuevoMatch::build(std::span<const Rule> rules, const NuevoMatch* reuse_mode
   // set may tie-break differently around churn duplicates), so the
   // leftovers are partitioned into the remaining iSet slots and the whole
   // plan is GATED on not losing coverage vs a full re-partition: if pinning
-  // would cost more than reuse_coverage_slack of the rule-set, fall back to
+  // would cost more than kReuseCoverageSlack of the rule-set, fall back to
   // the full plan and retrain everything. Remainder-only churn therefore
   // retrains nothing; structural drift retrains exactly when it matters.
   // NOTE: the donor scan reads only immutable post-build state (field, rule
@@ -129,7 +136,7 @@ void NuevoMatch::build(std::span<const Rule> rules, const NuevoMatch* reuse_mode
       size_t full_cov = 0;
       for (const auto& s : full->isets) full_cov += s.rules.size();
       const double slack =
-          cfg_.reuse_coverage_slack * static_cast<double>(rules_.size());
+          kReuseCoverageSlack * static_cast<double>(rules_.size());
       if (static_cast<double>(pinned_cov) + slack >= static_cast<double>(full_cov)) {
         isets_.reserve(pinned.size() + lpart.isets.size());
         for (const IsetIndex* donor : pinned) {

@@ -31,13 +31,6 @@ struct NuevoMatchConfig {
   int adam_epochs = 100;
   int max_retrain_attempts = 4;
 
-  /// Retrain cost control (build(rules, reuse)): coverage — as a fraction
-  /// of the rule-set — that a model-reusing build may lose vs a full
-  /// re-partition before it falls back to retraining everything. 0 demands
-  /// exact parity; the default tolerates partition tie-break noise around
-  /// churn duplicates without letting reuse erode the speedup.
-  double reuse_coverage_slack = 0.02;
-
   /// Builds the remainder classifier (and the fallback when no iSet covers
   /// enough rules). Must be set.
   ClassifierFactory remainder_factory;
@@ -62,8 +55,8 @@ class NuevoMatch final : public Classifier {
   /// error bounds and all — and only the leftover rules are partitioned
   /// into the remaining iSet slots. Reuse is exact, not approximate: the
   /// certification is a property of the (model, sorted array) pair, and the
-  /// array is unchanged. The plan is gated on `reuse_coverage_slack`: if
-  /// pinning would lose more coverage than a full re-partition allows, the
+  /// array is unchanged. The plan is gated on coverage: if pinning would
+  /// lose more than 2% of the rule-set vs a full re-partition, the
   /// build falls back to retraining everything. Under remainder-only churn
   /// a retrain therefore skips every iSet and costs only the remainder
   /// rebuild. Safe to call with a donor whose tombstone flags are being

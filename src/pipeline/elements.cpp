@@ -9,7 +9,6 @@
 #include "classbench/parser.hpp"
 #include "common/metrics.hpp"
 #include "pipeline/graph.hpp"
-#include "pipeline/metrics_exporter.hpp"
 #include "tuplemerge/tuplemerge.hpp"
 
 namespace nuevomatch::pipeline {
@@ -583,25 +582,6 @@ std::unique_ptr<Element> make_pcap_sink(const std::vector<std::string>& a) {
   return std::make_unique<PcapSink>(a[0]);
 }
 
-std::unique_ptr<Element> make_metrics_exporter(
-    const std::vector<std::string>& a) {
-  MetricsExporter::Options o;
-  for (const std::string& arg : a) {
-    if (arg.rfind("port=", 0) == 0) {
-      o.port = static_cast<int>(to_size(arg.substr(5), "metrics port"));
-    } else if (arg.rfind("file=", 0) == 0) {
-      o.file = arg.substr(5);
-    } else if (arg.rfind("interval_ms=", 0) == 0) {
-      o.interval_ms = to_size(arg.substr(12), "metrics interval");
-    } else if (arg == "json") {
-      o.json = true;
-    } else {
-      usage("MetricsExporter([port=N][, file=PATH][, interval_ms=MS][, json])");
-    }
-  }
-  return std::make_unique<MetricsExporter>(std::move(o));
-}
-
 }  // namespace
 
 void register_builtin_elements() {
@@ -614,7 +594,6 @@ void register_builtin_elements() {
     register_element("Counter", make_counter);
     register_element("Sink", make_sink);
     register_element("PcapSink", make_pcap_sink);
-    register_element("MetricsExporter", make_metrics_exporter);
     return true;
   }();
   (void)once;

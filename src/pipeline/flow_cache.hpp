@@ -142,6 +142,18 @@ class FlowCache {
                    evictions - b.evictions, retained - b.retained,
                    future - b.future,       insert_drops - b.insert_drops};
     }
+    /// Sum across caches (telemetry joins every replica's cache).
+    Stats& operator+=(const Stats& b) noexcept {
+      hits += b.hits;
+      misses += b.misses;
+      stale += b.stale;
+      inserts += b.inserts;
+      evictions += b.evictions;
+      retained += b.retained;
+      future += b.future;
+      insert_drops += b.insert_drops;
+      return *this;
+    }
   };
   [[nodiscard]] Stats stats() const;
 

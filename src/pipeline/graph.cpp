@@ -104,60 +104,10 @@ void Graph::initialize() {
 }
 
 uint64_t Graph::run(const std::function<void(uint64_t)>& tick) {
-  initialize();
+  step_eos_ = false;  // a rewound source may be driven again
   uint64_t packets = 0;
-  Burst b;
-  // Resolve the registry series once per run, not per burst: the enabled
-  // gate is re-checked inside the loop (it can flip at runtime) but the
-  // name lookup / init-guard never repeats on the pump path.
-  telemetry::Counter* mb = nullptr;
-  telemetry::Counter* mp = nullptr;
-  telemetry::Histogram* mh = nullptr;
-  if (NM_METRICS_ENABLED) {
-    mb = &telemetry::registry().counter("nm_pipeline_bursts_total",
-                                        "bursts pumped through any graph");
-    mp = &telemetry::registry().counter("nm_pipeline_packets_total",
-                                        "packets pumped through any graph");
-    mh = &telemetry::registry().histogram(
-        "nm_pipeline_burst_ns",
-        "end-to-end burst latency, pump to sink (sampled 1-in-32)");
-  }
-  // Batch the per-burst counts locally and flush every 64 bursts: a
-  // registry add is a TLS-shard fetch_add (~10ns), too dear to pay twice
-  // per burst on the pump path. A live scrape lags by at most one batch.
-  uint64_t acc_bursts = 0;
-  uint64_t acc_packets = 0;
-  for (const auto& e : elems_) {
-    if (!e->is_source()) continue;
-    auto& src = static_cast<SourceElement&>(*e);
-    for (;;) {
-      b.reset();
-      const bool counted = mb != nullptr && NM_METRICS_ENABLED;
-      const bool lat_sampled = counted && NM_SAMPLE_EVERY(32);
-      const uint64_t t0 = lat_sampled ? telemetry::now_ns() : 0;
-      if (!src.pump(b)) break;
-      packets += b.size;
-      ++health_.steps;
-      health_.packets += b.size;
-      if (b.size > 0) src.forward(b);
-      if (counted) {
-        ++acc_bursts;
-        acc_packets += b.size;
-        if (acc_bursts == 64) {
-          mb->add(acc_bursts);
-          mp->add(acc_packets);
-          acc_bursts = acc_packets = 0;
-        }
-        if (lat_sampled) mh->record(telemetry::now_ns() - t0);
-      }
-      if (tick) tick(packets);
-    }
-  }
-  if (mb != nullptr && acc_bursts > 0) {
-    mb->add(acc_bursts);
-    mp->add(acc_packets);
-  }
-  health_.eos = true;
+  while (step(&packets))
+    if (tick) tick(packets);
   finish_run();
   return packets;
 }
@@ -169,12 +119,12 @@ bool Graph::step(uint64_t* pumped) {
       if (!e->is_source()) continue;
       if (step_src_ != nullptr)
         throw std::runtime_error(
-            "Graph::step() needs exactly one source element (this graph has "
-            "several; drive it with run() instead)");
+            "Graph::run/step need exactly one source element (this graph "
+            "has several)");
       step_src_ = static_cast<SourceElement*>(e.get());
     }
     if (step_src_ == nullptr)
-      throw std::runtime_error("Graph::step(): graph has no source element");
+      throw std::runtime_error("Graph::run/step: graph has no source element");
   }
   if (step_eos_) return false;
   step_burst_.reset();
@@ -190,8 +140,10 @@ bool Graph::step(uint64_t* pumped) {
   health_.packets += step_burst_.size;
   if (step_burst_.size > 0) step_src_->forward(step_burst_);
   if (NM_METRICS_ENABLED) {
-    // Same local-batching rationale as run(); the accumulators are members
-    // because step() state lives across calls. Flushed in finish_run().
+    // Batch the per-burst counts locally: a registry add is a TLS-shard
+    // fetch_add (~10ns), too dear to pay twice per burst on the pump path.
+    // Flushed every 64 bursts and in finish_run(), so a live scrape lags
+    // by at most one batch.
     ++m_acc_bursts_;
     m_acc_packets_ += step_burst_.size;
     if (m_acc_bursts_ >= 64) flush_metrics_acc();

@@ -65,18 +65,18 @@ class Graph {
   /// Run initialize() hooks + DAG check. Idempotent; run() calls it.
   void initialize();
 
-  /// Drive every source to exhaustion, then finish() all elements.
-  /// `tick`, if given, runs after every burst with the cumulative packet
-  /// count — the hook mid-stream drivers (forced retrains, churn) use.
-  /// Returns the number of packets pumped.
+  /// step() the source to exhaustion, then finish_run(). `tick`, if given,
+  /// runs after every burst with the cumulative packet count — the hook
+  /// mid-stream drivers (forced retrains, churn) use. Requires exactly one
+  /// source, like step(); a rewound source may be run again. Returns the
+  /// number of packets pumped.
   uint64_t run(const std::function<void(uint64_t)>& tick = {});
 
   /// Incremental drive — the scheduler's unit of work (one Task fire is
   /// one step()): pump ONE burst from the graph's source and push it
   /// through. Returns false at end of stream (and stays false); adds the
   /// burst's packet count to *pumped when given. Requires exactly one
-  /// source (the replicated dataplane shape); run() keeps the
-  /// multi-source loop. Initializes the graph on first call.
+  /// source. Initializes the graph on first call.
   [[nodiscard]] bool step(uint64_t* pumped = nullptr);
   /// finish() every element (writers flushed) — run() does this itself;
   /// step() drivers call it once after the last step. First error rethrown
@@ -116,8 +116,7 @@ class Graph {
   bool step_eos_ = false;
   Burst step_burst_;
   GraphHealth health_;
-  // Telemetry accumulators for the step() path: registry counters cost a
-  // TLS-shard fetch_add, so bursts/packets batch locally and flush every
+  // Telemetry accumulators: bursts/packets batch locally and flush every
   // 64 bursts (and in finish_run()) — a live scrape lags by at most that.
   void flush_metrics_acc();
   uint64_t m_acc_bursts_ = 0;

@@ -3,16 +3,17 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-
-#include "pipeline/elements.hpp"
-#include "pipeline/graph.hpp"
+#include <stdexcept>
 
 namespace nuevomatch::pipeline {
 
@@ -21,7 +22,7 @@ namespace {
 /// Serve one accepted connection: best-effort request read (we only care
 /// whether the path asks for JSON), full response write, close.
 void serve_client(int fd, const telemetry::Snapshot& snap) {
-  // A stuck client must not wedge the daemon task: short I/O timeouts.
+  // A stuck client must not wedge the exporter thread: short I/O timeouts.
   timeval tv{};
   tv.tv_usec = 200 * 1000;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
@@ -57,123 +58,87 @@ void serve_client(int fd, const telemetry::Snapshot& snap) {
   ::close(fd);
 }
 
+/// Constructor failure: close what was opened, report errno by name.
+[[noreturn]] void fail(int fd, const std::string& what) {
+  const std::string err = std::strerror(errno);
+  if (fd >= 0) ::close(fd);
+  throw std::runtime_error("MetricsExporter: " + what + ": " + err);
+}
+
 }  // namespace
 
-MetricsExporter::MetricsExporter(Options opt) : opt_(std::move(opt)) {}
+MetricsExporter::MetricsExporter(Options opt,
+                                 std::function<telemetry::Snapshot()> source)
+    : opt_(std::move(opt)), source_(std::move(source)) {
+  if (opt_.port >= 0) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) fail(fd, "socket");
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<uint16_t>(opt_.port));
+    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0)
+      fail(fd, "bind 127.0.0.1:" + std::to_string(opt_.port));
+    socklen_t len = sizeof(addr);
+    if (::listen(fd, 8) != 0 ||
+        ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0)
+      fail(fd, "listen");
+    // Nonblocking accept: a client that hangs up between poll() and
+    // accept() must not park the thread.
+    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+    listen_fd_ = fd;
+    port_ = ntohs(addr.sin_port);
+  }
+  if (listen_fd_ < 0 && opt_.file.empty()) return;  // nothing to serve
+  if (::pipe(wake_) != 0) {
+    const int fd = listen_fd_;
+    listen_fd_ = -1;
+    fail(fd, "pipe");
+  }
+  thread_ = std::thread([this] { loop(); });
+}
 
 MetricsExporter::~MetricsExporter() {
-  std::lock_guard<std::mutex> lk(poll_mu_);
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  listen_fd_ = -1;
+  if (thread_.joinable()) {
+    const char stop = 0;
+    [[maybe_unused]] const ssize_t w = ::write(wake_[1], &stop, 1);
+    thread_.join();
+  }
+  if (!opt_.file.empty()) dump_file();
+  for (const int fd : {listen_fd_, wake_[0], wake_[1]})
+    if (fd >= 0) ::close(fd);
 }
 
-void MetricsExporter::initialize(Graph& g) {
-  classifier_ = g.find_kind<ClassifierElement>();
-  caches_.clear();
-  for (const auto& e : g.elements())
-    if (auto* fc = dynamic_cast<FlowCacheElement*>(e.get()))
-      caches_.push_back(fc);
-}
-
-void MetricsExporter::set_pipeline_health_source(
-    std::function<PipelineHealth()> fn) {
-  std::lock_guard<std::mutex> lk(source_mu_);
-  pipeline_health_ = std::move(fn);
-}
-
-telemetry::Snapshot MetricsExporter::snapshot() const {
-  telemetry::Snapshot s;
-  s.registry = telemetry::registry().snapshot();
-  if (classifier_ != nullptr && classifier_->online() != nullptr)
-    s.engine = classifier_->online()->health();
-  if (!caches_.empty()) {
-    FlowCache::Stats sum{};
-    uint64_t entries = 0, capacity = 0;
-    for (const FlowCacheElement* fc : caches_) {
-      const FlowCache::Stats st = fc->cache().stats();
-      sum.hits += st.hits;
-      sum.misses += st.misses;
-      sum.stale += st.stale;
-      sum.inserts += st.inserts;
-      sum.evictions += st.evictions;
-      sum.retained += st.retained;
-      sum.future += st.future;
-      sum.insert_drops += st.insert_drops;
-      entries += fc->cache().size();
-      capacity += fc->cache().capacity();
-    }
-    s.cache = sum;
-    s.cache_entries = entries;
-    s.cache_capacity = capacity;
-  }
-  std::function<PipelineHealth()> src;
-  {
-    std::lock_guard<std::mutex> lk(source_mu_);
-    src = pipeline_health_;
-  }
-  if (src) s.pipeline = src();
-  return s;
-}
-
-int MetricsExporter::ensure_listener() {
-  std::lock_guard<std::mutex> lk(poll_mu_);
-  if (listen_fd_ >= 0) return bound_port_.load(std::memory_order_acquire);
-  if (opt_.port < 0 || bind_failed_.load(std::memory_order_acquire)) return -1;
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    bind_error_ = std::strerror(errno);
-    bind_failed_.store(true, std::memory_order_release);
-    return -1;
-  }
-  // No SO_REUSEADDR on purpose: in replicated graphs N sibling exporters
-  // race for one port and exactly one must win (first-binder-wins; the
-  // losers see EADDRINUSE and disable themselves).
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(opt_.port));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(fd, 8) != 0) {
-    bind_error_ = std::strerror(errno);
-    bind_failed_.store(true, std::memory_order_release);
-    ::close(fd);
-    return -1;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    bind_error_ = std::strerror(errno);
-    bind_failed_.store(true, std::memory_order_release);
-    ::close(fd);
-    return -1;
-  }
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);  // nonblocking accept only
-  listen_fd_ = fd;
-  bound_port_.store(ntohs(addr.sin_port), std::memory_order_release);
-  return bound_port_.load(std::memory_order_acquire);
-}
-
-void MetricsExporter::serve_pending_scrapes_locked(bool& did_work) {
-  if (listen_fd_ < 0) return;
-  for (;;) {
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) break;  // EAGAIN/EWOULDBLOCK: drained
-    serve_client(client, snapshot());
-    scrapes_.fetch_add(1, std::memory_order_relaxed);
-    did_work = true;
-  }
-}
-
-void MetricsExporter::dump_file_locked(bool force, bool& did_work) {
-  if (opt_.file.empty()) return;
-  const uint64_t now = telemetry::now_ns();
+void MetricsExporter::loop() {
   const uint64_t interval_ns = opt_.interval_ms * 1'000'000ULL;
-  if (!force && last_dump_ns_ != 0 && now - last_dump_ns_ < interval_ns)
-    return;
-  last_dump_ns_ = now;
+  uint64_t next_dump = telemetry::now_ns() + interval_ns;
+  pollfd fds[2] = {{wake_[0], POLLIN, 0}, {listen_fd_, POLLIN, 0}};
+  const nfds_t nfds = listen_fd_ >= 0 ? 2 : 1;
+  for (;;) {
+    int timeout_ms = -1;  // no file: sleep until a scrape or the stop byte
+    if (!opt_.file.empty()) {
+      uint64_t now = telemetry::now_ns();
+      if (now >= next_dump) {
+        dump_file();
+        now = telemetry::now_ns();
+        next_dump = now + interval_ns;
+      }
+      timeout_ms = static_cast<int>(
+          std::min<uint64_t>((next_dump - now) / 1'000'000 + 1, INT_MAX));
+    }
+    if (::poll(fds, nfds, timeout_ms) < 0 && errno != EINTR) return;
+    if (fds[0].revents != 0) return;  // the destructor's stop byte
+    if (nfds == 2 && (fds[1].revents & POLLIN) != 0) {
+      const int client = ::accept(listen_fd_, nullptr, nullptr);
+      if (client < 0) continue;  // the client hung up first
+      serve_client(client, source_());
+      scrapes_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+}
 
-  const telemetry::Snapshot s = snapshot();
+void MetricsExporter::dump_file() {
+  const telemetry::Snapshot s = source_();
   const std::string tmp = opt_.file + ".tmp";
   {
     std::ofstream out(tmp, std::ios::trunc);
@@ -182,59 +147,6 @@ void MetricsExporter::dump_file_locked(bool force, bool& did_work) {
   }
   std::rename(tmp.c_str(), opt_.file.c_str());
   dumps_.fetch_add(1, std::memory_order_relaxed);
-  did_work = true;
-}
-
-bool MetricsExporter::poll() {
-  if (opt_.port >= 0 && bound_port_.load(std::memory_order_acquire) < 0 &&
-      !bind_failed_.load(std::memory_order_acquire))
-    ensure_listener();
-  std::unique_lock<std::mutex> lk(poll_mu_, std::try_to_lock);
-  if (!lk.owns_lock()) return false;  // a sibling caller is already serving
-  bool did_work = false;
-  serve_pending_scrapes_locked(did_work);
-  dump_file_locked(/*force=*/false, did_work);
-  return did_work;
-}
-
-void MetricsExporter::process(Burst& b) {
-  // Pass-through element; in scalar (no-scheduler) graphs it also paces an
-  // inline poll so file dumps and scrapes happen without a daemon task.
-  if ((++bursts_seen_ & 63u) == 0) poll();
-  forward(b);
-}
-
-void MetricsExporter::finish() {
-  std::lock_guard<std::mutex> lk(poll_mu_);
-  bool did_work = false;
-  dump_file_locked(/*force=*/true, did_work);
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-}
-
-std::string MetricsExporter::report() const {
-  char buf[160];
-  std::string listener;
-  {
-    std::lock_guard<std::mutex> lk(poll_mu_);
-    if (bind_failed_.load(std::memory_order_acquire))
-      listener = "listener disabled (" + bind_error_ +
-                 "; a sibling replica likely owns the port)";
-    else if (listen_fd_ >= 0)
-      listener = "listening on 127.0.0.1:" +
-                 std::to_string(bound_port_.load(std::memory_order_acquire));
-    else if (opt_.port >= 0)
-      listener = "listener pending bind";
-    else
-      listener = "no listener";
-  }
-  std::snprintf(buf, sizeof(buf), "%s, scrapes %llu, file dumps %llu",
-                listener.c_str(),
-                static_cast<unsigned long long>(scrapes()),
-                static_cast<unsigned long long>(dumps()));
-  return buf;
 }
 
 }  // namespace nuevomatch::pipeline

@@ -1,89 +1,54 @@
-// MetricsExporter — the dataplane's scrape surface as a pipeline element.
+// MetricsExporter — the dataplane's scrape surface, a control-plane object
+// beside the graph (never an element in it: the packet path pays nothing).
 //
-// Placed anywhere in a graph (`src -> met -> cache -> ...`) it forwards
-// bursts untouched; its real work happens in poll(), which a scheduler
-// daemon task fires (ReplicatedGraph::run auto-registers one per exporter,
-// mirroring the retrain-maintenance task) or, in scalar single-threaded
-// graphs, piggy-backs on process() every few bursts. poll() serves two
-// sinks, both optional:
+// It owns one thread that serves two sinks, both optional:
 //
-//   * a tiny TCP listener on 127.0.0.1:<port> (plain sockets, nonblocking
-//     accept + blocking per-client I/O with short timeouts) answering any
-//     HTTP GET with the current telemetry::Snapshot — Prometheus text by
-//     default, JSON when the request path contains "json";
-//   * an interval file dump (same two formats, picked by `json`).
+//   * a tiny TCP listener on 127.0.0.1:<port> (plain sockets, bound in the
+//     constructor, blocking per-client I/O with short timeouts) answering
+//     any HTTP GET with the current telemetry::Snapshot — Prometheus text
+//     by default, JSON when the request path contains "json";
+//   * an interval file dump (same two formats, picked by `json`), written
+//     once more when the exporter is destroyed.
 //
-// Config form: met :: MetricsExporter(port=9100);
-//              met :: MetricsExporter(file=/tmp/m.prom, interval_ms=500);
-// port=0 binds an ephemeral port (tests read it back via port()).
-//
-// Replicated graphs parse the SAME config N times, so N exporters may ask
-// for one port: binding is lazy and first-binder-wins — siblings that lose
-// the race disable their listener and say so in report(). All exporters
-// share the process-global registry, so any one listener serves the truth.
+// The snapshot comes from the source callback, normally
+// `[&g] { return telemetry::snapshot(g); }` for the graph being run. The
+// callback runs on the exporter thread while the graph runs, which is what
+// telemetry::snapshot() is built for; it must stay valid until the
+// exporter is destroyed (the final dump calls it from the destructor).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
-#include <vector>
+#include <thread>
 
-#include "pipeline/element.hpp"
 #include "pipeline/telemetry.hpp"
 
 namespace nuevomatch::pipeline {
 
-class ClassifierElement;
-class FlowCacheElement;
-
-class MetricsExporter final : public Element {
+class MetricsExporter {
  public:
   struct Options {
     /// >= 0: serve scrapes on 127.0.0.1:port (0 = ephemeral). -1: no listener.
     int port = -1;
-    /// Non-empty: dump a snapshot to this path every interval (and at
-    /// finish()). Written atomically via rename of a .tmp sibling.
+    /// Non-empty: dump a snapshot to this path every interval (and on
+    /// destruction). Written atomically via rename of a .tmp sibling.
     std::string file;
     uint64_t interval_ms = 1000;
     bool json = false;  ///< file-dump format (the listener serves both)
   };
 
-  explicit MetricsExporter(Options opt);
-  ~MetricsExporter() override;
+  /// Binds the listener (throws std::runtime_error if the bind fails, e.g.
+  /// the port is taken) and starts the exporter thread.
+  MetricsExporter(Options opt, std::function<telemetry::Snapshot()> source);
+  /// Stops the thread, writes the final file dump, closes the listener.
+  ~MetricsExporter();
+  MetricsExporter(const MetricsExporter&) = delete;
+  MetricsExporter& operator=(const MetricsExporter&) = delete;
 
-  [[nodiscard]] std::string_view kind() const override {
-    return "MetricsExporter";
-  }
-  void process(Burst& b) override;
-  /// Locates the graph's engine and caches so snapshots can join their
-  /// health surfaces without the graph's help.
-  void initialize(Graph& g) override;
-  void finish() override;  ///< final file dump + listener close
-  [[nodiscard]] std::string report() const override;
-
-  /// Serve due work: pending scrape connections and/or an interval file
-  /// dump. Returns true if anything was served (daemon-task fire body —
-  /// false lets the scheduler back off the task as idle). Safe from any
-  /// thread; concurrent callers don't block (try-lock, losers no-op).
-  bool poll();
-
-  /// Actual bound listener port (after the lazy bind), or -1.
-  [[nodiscard]] int port() const noexcept {
-    return bound_port_.load(std::memory_order_acquire);
-  }
-  /// Force the lazy bind now (tests; returns port() or -1 on failure).
-  int ensure_listener();
-
-  /// Replica-layer health feed: ReplicatedGraph::run installs a callback
-  /// returning its live PipelineHealth so scrapes include the supervision
-  /// layer (an element cannot see above its own graph otherwise).
-  void set_pipeline_health_source(std::function<PipelineHealth()> fn);
-
-  /// Build the exporter's current view: global registry + engine health +
-  /// summed cache stats + replica layer when attached.
-  [[nodiscard]] telemetry::Snapshot snapshot() const;
+  /// Bound listener port (the real one when Options::port was 0), or -1.
+  [[nodiscard]] int port() const noexcept { return port_; }
 
   [[nodiscard]] uint64_t scrapes() const noexcept {
     return scrapes_.load(std::memory_order_relaxed);
@@ -93,25 +58,17 @@ class MetricsExporter final : public Element {
   }
 
  private:
-  void serve_pending_scrapes_locked(bool& did_work);
-  void dump_file_locked(bool force, bool& did_work);
+  void loop();
+  void dump_file();
 
   Options opt_;
-  std::atomic<int> bound_port_{-1};
-  std::atomic<bool> bind_failed_{false};
-  int listen_fd_ = -1;          // guarded by poll_mu_
-  std::string bind_error_;      // guarded by poll_mu_
-  uint64_t last_dump_ns_ = 0;   // guarded by poll_mu_
-  mutable std::mutex poll_mu_;
+  std::function<telemetry::Snapshot()> source_;
+  int listen_fd_ = -1;
+  int port_ = -1;
+  int wake_[2] = {-1, -1};  // self-pipe: the destructor wakes loop() through it
   std::atomic<uint64_t> scrapes_{0};
   std::atomic<uint64_t> dumps_{0};
-  uint64_t bursts_seen_ = 0;  // process()-thread private (inline poll pacing)
-
-  // Snapshot sources, wired once in initialize()/run() before traffic.
-  ClassifierElement* classifier_ = nullptr;
-  std::vector<FlowCacheElement*> caches_;
-  std::function<PipelineHealth()> pipeline_health_;
-  mutable std::mutex source_mu_;  // guards pipeline_health_ installation
+  std::thread thread_;
 };
 
 }  // namespace nuevomatch::pipeline

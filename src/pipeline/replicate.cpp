@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "common/failpoint.hpp"
-#include "pipeline/metrics_exporter.hpp"
 
 namespace nuevomatch::pipeline {
 
@@ -44,7 +43,7 @@ std::string PipelineHealth::to_string() const {
                     " suppressed errors\n";
   for (const TaskHealth& t : runtime.tasks) {
     out += "  task " + t.label + ": " + phase_name(t.phase) +
-           (t.daemon ? " (daemon)" : "") + ", fires=" + std::to_string(t.fires) +
+           ", fires=" + std::to_string(t.fires) +
            " worked=" + std::to_string(t.worked) +
            " quarantines=" + std::to_string(t.quarantines);
     if (t.budget_overruns > 0)
@@ -319,42 +318,11 @@ uint64_t ReplicatedGraph::run(const ReplicatedRunOptions& opts) {
         std::move(topt));
   }
 
-  // Telemetry daemon: every replica parsed from one config text gets its
-  // own MetricsExporter clone; each is wired to this pipeline's live health
-  // and polled by ONE daemon task (the exporters themselves serialize via
-  // try-lock, and only one wins the listener port — first-binder-wins).
-  std::vector<MetricsExporter*> exporters;
-  for (Graph& g : graphs_)
-    for (const auto& e : g.elements())
-      if (auto* me = dynamic_cast<MetricsExporter*>(e.get()))
-        exporters.push_back(me);
-  for (MetricsExporter* me : exporters)
-    me->set_pipeline_health_source([this] { return health(); });
-  if (!exporters.empty()) {
-    Task::Options topt;
-    topt.daemon = true;
-    topt.label = "metrics-exporter";
-    topt.policy = opts.policy;
-    sched.add(
-        [exporters]() -> TaskState {
-          bool worked = false;
-          for (MetricsExporter* me : exporters) worked |= me->poll();
-          return worked ? TaskState::kWorked : TaskState::kIdle;
-        },
-        std::move(topt));
-  }
-
   if (supervised) {
     sched.set_on_quarantine([this, &sched, &rtasks, &opts](Task& t) {
-      for (uint32_t i = 0; i < rtasks.size(); ++i) {
-        if (rtasks[i] == &t) {
-          quarantine_replica(i, t, sched, opts);
-          return;
-        }
-      }
-      // Not a replica: the metrics daemon crashed. Respawn it in place —
-      // it holds no stream state, so the task just needs to keep existing.
-      sched.reinstate(t);
+      const auto it = std::find(rtasks.begin(), rtasks.end(), &t);
+      quarantine_replica(static_cast<uint32_t>(it - rtasks.begin()), t, sched,
+                         opts);
     });
   }
 

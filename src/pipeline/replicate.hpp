@@ -48,7 +48,7 @@ struct ReplicatedRunOptions {
   std::function<void(uint64_t)> tick;
 
   // --- supervision (DESIGN.md "Failure model") ---------------------------
-  /// Policy applied to every replica task (and the metrics daemon).
+  /// Policy applied to every replica task (the only tasks the run has).
   /// kEscalate — the default — preserves the PR 7 fail-stop semantics
   /// bit-for-bit: one crash stops the world and rethrows out of run().
   /// kQuarantine arms the recovery ladder: crash → quiesce sources →

@@ -137,7 +137,7 @@ bool Scheduler::reinstate(Task& t) {
     t.stalled_.store(false, std::memory_order_relaxed);
     t.hb_seen_ = t.heartbeat_.load(std::memory_order_relaxed);
     t.fires_since_hb_ = 0;
-    if (!t.opt_.daemon && !t.counted_live_) {
+    if (!t.counted_live_) {
       t.counted_live_ = true;
       live_.fetch_add(1, std::memory_order_acq_rel);
     }
@@ -158,7 +158,6 @@ RuntimeHealth Scheduler::health() const {
       TaskHealth th;
       th.label = t->opt_.label;
       th.phase = t->phase();
-      th.daemon = t->opt_.daemon;
       th.fires = t->fires();
       th.worked = t->worked();
       th.quarantines = t->quarantines();
@@ -185,7 +184,7 @@ void Scheduler::watchdog_sample(
       t.budget_overruns_.fetch_add(1, std::memory_order_relaxed);
   }
   // Stall detection only judges fires that CLAIM progress: a task idling
-  // (e.g. a daemon waiting for work) is waiting, not stuck.
+  // (e.g. a replica whose source is paused) is waiting, not stuck.
   if (t.opt_.stall_fires > 0 && st == TaskState::kWorked) {
     const uint64_t hb = t.heartbeat_.load(std::memory_order_relaxed);
     if (hb != t.hb_seen_) {
@@ -280,20 +279,18 @@ void Scheduler::thread_loop(uint32_t tid) {
       t->done_.store(true, std::memory_order_release);
       t->phase_.store(static_cast<uint8_t>(TaskPhase::kDone),
                       std::memory_order_release);
-      if (!t->opt_.daemon) {
-        const std::lock_guard<std::mutex> lk(sup_mu_);
-        if (t->counted_live_) {
-          t->counted_live_ = false;
-          live_.fetch_sub(1, std::memory_order_acq_rel);
-        }
+      const std::lock_guard<std::mutex> lk(sup_mu_);
+      if (t->counted_live_) {
+        t->counted_live_ = false;
+        live_.fetch_sub(1, std::memory_order_acq_rel);
       }
     } else {
       {
         const std::lock_guard<std::mutex> lk(me.mu);
         me.queue.push_back(t);
       }
-      // A queue of nothing-but-idle tasks (e.g. only a daemon is left alive
-      // somewhere) must not hot-spin; back off after a streak.
+      // A queue of nothing-but-idle tasks (e.g. replicas parked behind a
+      // quarantine's quiesce) must not hot-spin; back off after a streak.
       if (st == TaskState::kIdle && ++me.consec_idle >= 8) {
         me.consec_idle = 0;
         std::this_thread::yield();
@@ -307,82 +304,22 @@ void Scheduler::run() {
   if (ran_) throw std::runtime_error("Scheduler::run is one-shot");
   ran_ = true;
 
-  size_t live = 0;
   for (const auto& t : tasks_) {
-    if (!t->opt_.daemon) {
-      ++live;
-      t->counted_live_ = true;
-    }
-  }
-  live_.store(live, std::memory_order_release);
-  for (const auto& t : tasks_) {
+    t->counted_live_ = true;
     t->last_thread_ = t->opt_.home;
     ThreadState& home = *states_[t->opt_.home];
     const std::lock_guard<std::mutex> lk(home.mu);
     home.queue.push_back(t.get());
   }
-  if (live == 0 && !tasks_.empty()) {
-    // Only daemon tasks — nothing to wait for; run() would spin forever.
-    stop_.store(true, std::memory_order_release);
-  }
+  live_.store(tasks_.size(), std::memory_order_release);
 
   std::vector<std::thread> workers;
   workers.reserve(states_.size() - 1);
   const int outer_id = tl_thread_id;
-  if (live > 0) {
-    for (uint32_t tid = 1; tid < states_.size(); ++tid)
-      workers.emplace_back([this, tid] { thread_loop(tid); });
-    thread_loop(0);
-  }
+  for (uint32_t tid = 1; tid < states_.size(); ++tid)
+    workers.emplace_back([this, tid] { thread_loop(tid); });
+  thread_loop(0);
   for (std::thread& w : workers) w.join();
-
-  // Drain fire: every daemon still alive gets exactly one more fire now
-  // that all non-daemon work is done. Daemons are fired opportunistically
-  // during the run, but nothing guarantees a thread ever reaches one — on
-  // a one-core box the spawned worker can steal and finish every pipeline
-  // task before the calling thread enters its loop, in which case a daemon
-  // homed there would get ZERO fires and a pending maintenance action
-  // (e.g. a final metrics poll) would be silently skipped. Skipped after
-  // request_stop() or a task error: a stopped scheduler starts no new work.
-  // A throwing drain fire always records (never quarantines — the
-  // scheduler is already past the point of re-running anything), so two
-  // daemons failing here surface as first_error_ + a suppressed count.
-  if (!stop_.load(std::memory_order_acquire)) {
-    tl_thread_id = 0;
-    ThreadState& t0 = *states_[0];
-    for (const auto& t : tasks_) {
-      if (!t->opt_.daemon || t->done() ||
-          t->phase() == TaskPhase::kQuarantined)
-        continue;
-      t->last_thread_ = 0;
-      TaskState st = TaskState::kIdle;
-      try {
-        tl_task = t.get();
-        st = t->fire_();
-        tl_task = nullptr;
-      } catch (...) {
-        tl_task = nullptr;
-        {
-          const std::lock_guard<std::mutex> lk(sup_mu_);
-          t->last_error_ = current_error_text();
-        }
-        record_error();
-        st = TaskState::kDone;
-      }
-      t->fires_.fetch_add(1, std::memory_order_relaxed);
-      ++t0.fires;
-      if (st == TaskState::kWorked) {
-        t->worked_.fetch_add(1, std::memory_order_relaxed);
-        ++t0.worked;
-      } else if (st == TaskState::kIdle) {
-        ++t0.idle_fires;
-      } else {
-        t->done_.store(true, std::memory_order_release);
-        t->phase_.store(static_cast<uint8_t>(TaskPhase::kDone),
-                        std::memory_order_release);
-      }
-    }
-  }
   tl_thread_id = outer_id;
 
   stats_ = SchedulerStats{};

@@ -22,12 +22,10 @@
 //     goes through a queue mutex. That release/acquire pair is what lets
 //     tasks keep plain (non-atomic) element state: the next thread to fire
 //     a task sees everything the previous one wrote.
-//   * Daemon tasks (housekeeping such as the metrics exporter) never count
-//     toward liveness: the scheduler exits when every NON-daemon task is
-//     done, daemons simply stop being fired. Each live daemon is fired
-//     exactly once more while the scheduler drains (unless stopped by
-//     request_stop() or an error), so a short or lopsided run can never
-//     skip a pending maintenance action entirely.
+//   * Every task keeps the scheduler alive: run() returns when each task
+//     has reported kDone (or was quarantined and not reinstated), or on
+//     request_stop(). Housekeeping is not a task — the metrics exporter
+//     serves scrapes from its own thread (metrics_exporter.hpp).
 //   * Supervision (DESIGN.md "Failure model"): every task carries a
 //     SupervisorPolicy deciding what a THROWING fire does. kEscalate is
 //     the original fail-stop behavior — record the error, stop the world,
@@ -90,7 +88,6 @@ class Task {
 
   struct Options {
     uint32_t home = 0;        ///< queue the task starts on (mod n_threads)
-    bool daemon = false;      ///< does not keep the scheduler alive
     std::string label;        ///< for stats / debugging
     /// Supervision: what a throwing fire does (see SupervisorPolicy).
     SupervisorPolicy policy = SupervisorPolicy::kEscalate;
@@ -178,7 +175,6 @@ struct SchedulerStats {
 struct TaskHealth {
   std::string label;
   TaskPhase phase = TaskPhase::kRunnable;
-  bool daemon = false;
   uint64_t fires = 0;
   uint64_t worked = 0;
   uint32_t quarantines = 0;
@@ -214,7 +210,7 @@ class Scheduler {
   /// the scheduler's lifetime.
   Task& add(Task::Fire fire, Task::Options topt = {});
 
-  /// Run until every non-daemon task reports kDone (or request_stop()).
+  /// Run until every task reports kDone (or request_stop()).
   /// The CALLING thread becomes scheduler thread 0; n_threads-1 workers
   /// are spawned. One-shot: a Scheduler instance runs once. A task
   /// callback that throws stops the scheduler cleanly (in-flight fires
@@ -252,7 +248,7 @@ class Scheduler {
   /// Re-enter a quarantined task on its home queue (its watchdog state is
   /// cleared; its graph/closure state is whatever the owner rebuilt).
   /// Callable during run() from any thread — typically from the
-  /// on_quarantine hook or a supervisor daemon task. Returns false if the
+  /// on_quarantine hook. Returns false if the
   /// task is not currently quarantined.
   bool reinstate(Task& t);
 
@@ -292,7 +288,7 @@ class Scheduler {
   Options opt_;
   std::vector<std::unique_ptr<Task>> tasks_;
   std::vector<std::unique_ptr<ThreadState>> states_;
-  std::atomic<size_t> live_{0};  ///< non-daemon tasks not yet done
+  std::atomic<size_t> live_{0};  ///< tasks not yet done (nor left quarantined)
   std::atomic<bool> stop_{false};
   mutable std::mutex err_mu_;
   std::exception_ptr first_error_;      // guarded by err_mu_

@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "pipeline/elements.hpp"
+
 namespace nuevomatch::telemetry {
 
 namespace {
@@ -251,15 +253,30 @@ std::string cache_json(const pipeline::FlowCache::Stats& c, uint64_t entries,
   return out;
 }
 
+/// Fold one graph's surfaces into `s`: every FlowCache's stats add up, and
+/// the first online engine found supplies the engine section (replicas
+/// share one engine, so the first is the only one).
+void join_graph(Snapshot& s, const pipeline::Graph& g) {
+  for (const auto& e : g.elements()) {
+    if (const auto* fc = dynamic_cast<const pipeline::FlowCacheElement*>(e.get())) {
+      if (!s.cache) s.cache.emplace();
+      *s.cache += fc->cache().stats();
+      s.cache_entries += fc->cache().size();
+      s.cache_capacity += fc->cache().capacity();
+    } else if (const auto* cls =
+                   dynamic_cast<const pipeline::ClassifierElement*>(e.get());
+               cls != nullptr && cls->online() != nullptr && !s.engine) {
+      s.engine = cls->online()->health();
+    }
+  }
+}
+
 }  // namespace
 
 std::string Snapshot::to_prometheus() const {
   std::string out = registry.to_prometheus();
   if (engine) render_engine_prom(out, *engine);
-  if (pipeline)
-    render_pipeline_prom(out, *pipeline);
-  else if (runtime)
-    render_runtime_prom(out, *runtime);
+  if (pipeline) render_pipeline_prom(out, *pipeline);
   if (cache) render_cache_prom(out, *cache, cache_entries, cache_capacity);
   return out;
 }
@@ -267,26 +284,25 @@ std::string Snapshot::to_prometheus() const {
 std::string Snapshot::to_json() const {
   std::string out = "{\"registry\":" + registry.to_json();
   if (engine) out += ",\"engine\":" + engine_json(*engine);
-  if (pipeline)
-    out += ",\"pipeline\":" + pipeline_json(*pipeline);
-  else if (runtime)
-    out += ",\"runtime\":" + runtime_json(*runtime);
+  if (pipeline) out += ",\"pipeline\":" + pipeline_json(*pipeline);
   if (cache)
     out += ",\"flowcache\":" + cache_json(*cache, cache_entries, cache_capacity);
   out += '}';
   return out;
 }
 
-Snapshot capture(const EngineHealth* engine,
-                 const pipeline::RuntimeHealth* runtime,
-                 const pipeline::PipelineHealth* pipeline,
-                 const pipeline::FlowCache::Stats* cache) {
+Snapshot snapshot(const pipeline::Graph& g) {
   Snapshot s;
   s.registry = registry().snapshot();
-  if (engine) s.engine = *engine;
-  if (runtime) s.runtime = *runtime;
-  if (pipeline) s.pipeline = *pipeline;
-  if (cache) s.cache = *cache;
+  join_graph(s, g);
+  return s;
+}
+
+Snapshot snapshot(const pipeline::ReplicatedGraph& rg) {
+  Snapshot s;
+  s.registry = registry().snapshot();
+  for (uint32_t i = 0; i < rg.replicas(); ++i) join_graph(s, rg.replica(i));
+  s.pipeline = rg.health();
   return s;
 }
 

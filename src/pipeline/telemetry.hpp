@@ -10,7 +10,9 @@
 // structs hold STATE — snapshots already maintained, mutex-guarded, by their
 // owners. Snapshot renders both into one exposition: registry metrics
 // verbatim, health fields as derived nm_* series. No subsystem reports the
-// same fact through both channels.
+// same fact through both channels. snapshot(graph) is the only place the
+// join is assembled: the MetricsExporter's scrapes, its file dumps and
+// pipeline_router's exit snapshot all call it.
 #pragma once
 
 #include <cstdint>
@@ -27,15 +29,13 @@ namespace nuevomatch::telemetry {
 
 /// One coherent view of the whole dataplane, exportable as Prometheus text
 /// exposition or JSON. Every section is optional except the registry: a
-/// scalar pipeline has no PipelineHealth, an engine-less graph no
+/// scalar graph has no PipelineHealth, an engine-less graph no
 /// EngineHealth — absent sections are simply omitted from the output.
 struct Snapshot {
   RegistrySnapshot registry;
 
   std::optional<EngineHealth> engine;
-  std::optional<pipeline::RuntimeHealth> runtime;
-  /// Replica supervision layer (implies a runtime section of its own —
-  /// when both `pipeline` and `runtime` are set, `pipeline->runtime` wins).
+  /// Replica supervision layer, including the scheduler's RuntimeHealth.
   std::optional<pipeline::PipelineHealth> pipeline;
   /// Summed across every FlowCache feeding this snapshot.
   std::optional<pipeline::FlowCache::Stats> cache;
@@ -46,13 +46,12 @@ struct Snapshot {
   [[nodiscard]] std::string to_json() const;
 };
 
-/// Collect the process-wide registry plus whichever surfaces are provided.
-/// (Convenience for call sites that have the structs in hand; members can
-/// equally be filled field by field.)
-[[nodiscard]] Snapshot capture(
-    const EngineHealth* engine = nullptr,
-    const pipeline::RuntimeHealth* runtime = nullptr,
-    const pipeline::PipelineHealth* pipeline = nullptr,
-    const pipeline::FlowCache::Stats* cache = nullptr);
+/// The one join per graph shape: the process-wide registry, the engine's
+/// health and the FlowCache stats summed over every cache of the graph —
+/// of every replica, for the replicated form, which adds PipelineHealth.
+/// Safe while the graph runs: every surface read here is mutex-guarded or
+/// atomic (a MetricsExporter thread scrapes live replicas through it).
+[[nodiscard]] Snapshot snapshot(const pipeline::Graph& g);
+[[nodiscard]] Snapshot snapshot(const pipeline::ReplicatedGraph& rg);
 
 }  // namespace nuevomatch::telemetry

@@ -11,9 +11,11 @@
 //     atomics throughout — the TSAN CI leg runs this suite;
 //   * the registry rejects name/type conflicts and renders Prometheus text
 //     exposition + JSON; telemetry::Snapshot joins the health surfaces
-//     (flow cache stats, replica layer) into the same exposition;
-//   * MetricsExporter answers a real loopback scrape (Prometheus and JSON)
-//     and dumps interval files;
+//     (flow cache stats, replica layer) into the same exposition, and
+//     telemetry::snapshot(rg) sums every replica's caches;
+//   * MetricsExporter answers real loopback scrapes (Prometheus and JSON)
+//     from its own thread, also while replicas fire, refuses a taken port,
+//     and dumps its file on destruction;
 //   * an instrumented pipeline run populates the end-to-end burst latency
 //     histogram (nm_pipeline_burst_ns) and the scheduler fire histogram
 //     feeds p50/p99 from real samples.
@@ -27,18 +29,23 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "classbench/generator.hpp"
 #include "common/metrics.hpp"
 #include "common/stats.hpp"
 #include "pipeline/elements.hpp"
 #include "pipeline/graph.hpp"
 #include "pipeline/metrics_exporter.hpp"
+#include "pipeline/replicate.hpp"
 #include "pipeline/telemetry.hpp"
+#include "trace/trace.hpp"
+#include "tuplemerge/tuplemerge.hpp"
 
 namespace nuevomatch {
 namespace {
@@ -309,28 +316,100 @@ TEST(TelemetrySnapshot, JoinsHealthSurfacesInBothFormats) {
   EXPECT_NE(json.find("\"state\":\"quarantined\""), std::string::npos);
 }
 
+// The replicated join sums every replica's cache: a 2-replica run's
+// nm_flowcache_hits_total is the sum of both caches' hits, and the
+// capacity series is twice one cache's capacity (a join that read only one
+// replica's graph undercounted both).
+std::shared_ptr<OnlineNuevoMatch> make_online(const RuleSet& rules) {
+  OnlineConfig cfg;
+  cfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
+  cfg.base.min_iset_coverage = 0.05;
+  cfg.auto_retrain = false;
+  auto online = std::make_shared<OnlineNuevoMatch>(std::move(cfg));
+  online->build(rules);
+  return online;
+}
+
+/// TraceSource(zipf) -> FlowCache -> Classifier -> Sink, replicated twice
+/// over one shared engine.
+pipeline::ReplicatedGraph zipf_replicas(const RuleSet& rules,
+                                        const std::vector<Packet>& trace,
+                                        std::shared_ptr<OnlineNuevoMatch> online) {
+  return pipeline::ReplicatedGraph(2, [&](uint32_t, uint32_t) {
+    pipeline::Graph g;
+    auto& src = g.add(std::make_unique<pipeline::TraceSource>(trace), "src");
+    auto& cache =
+        g.add(std::make_unique<pipeline::FlowCacheElement>(1024), "cache");
+    auto cls_owned = std::make_unique<pipeline::ClassifierElement>();
+    cls_owned->attach(online);
+    cls_owned->set_actions(rules);
+    auto& cls = g.add(std::move(cls_owned), "cls");
+    auto& sink = g.add(std::make_unique<pipeline::Sink>(), "sink");
+    g.connect(src, 0, cache);
+    g.connect(cache, 0, cls);
+    g.connect(cls, 0, sink);
+    return g;
+  });
+}
+
+std::vector<Packet> zipf_trace(const RuleSet& rules) {
+  TraceConfig tc;
+  tc.kind = TraceConfig::Kind::kZipf;
+  tc.n_packets = 4'000;
+  return generate_trace(rules, tc);
+}
+
+const pipeline::FlowCache& replica_cache(const pipeline::ReplicatedGraph& rg,
+                                         size_t i) {
+  return rg.replica(i).find_kind<pipeline::FlowCacheElement>()->cache();
+}
+
+TEST(TelemetrySnapshot, ReplicatedSnapshotSumsEveryReplica) {
+  const RuleSet rules = generate_classbench(AppClass::kAcl, 1, 300, 41);
+  const std::vector<Packet> trace = zipf_trace(rules);
+  pipeline::ReplicatedGraph rg = zipf_replicas(rules, trace, make_online(rules));
+  pipeline::ReplicatedRunOptions opts;
+  opts.threads = 2;
+  ASSERT_EQ(rg.run(opts), trace.size());
+
+  const uint64_t hits0 = replica_cache(rg, 0).stats().hits;
+  const uint64_t hits1 = replica_cache(rg, 1).stats().hits;
+  ASSERT_GT(hits0, 0u);
+  ASSERT_GT(hits1, 0u);
+  const std::string prom = telemetry::snapshot(rg).to_prometheus();
+  EXPECT_NE(prom.find("\nnm_flowcache_hits_total " +
+                      std::to_string(hits0 + hits1) + "\n"),
+            std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("\nnm_flowcache_capacity " +
+                      std::to_string(2 * replica_cache(rg, 0).capacity()) +
+                      "\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("nm_replica_live{replica=\"1\"} 1"), std::string::npos);
+  EXPECT_NE(prom.find("nm_engine_generation"), std::string::npos);
+}
+
 // --- MetricsExporter --------------------------------------------------------
 
-/// One blocking scrape against the exporter's loopback listener. The
-/// exporter's accept is nonblocking and served by poll(), so the client
-/// connects first (the listen backlog holds it), then poll() serves it.
+/// One blocking scrape against the exporter's loopback listener (the
+/// exporter thread accepts and answers it).
 std::string scrape(int port, const char* path) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
+  if (fd < 0) return "socket failed";
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(static_cast<uint16_t>(port));
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  std::string req = std::string("GET ") + path + " HTTP/1.0\r\n\r\n";
-  EXPECT_EQ(::send(fd, req.data(), req.size(), 0),
-            static_cast<ssize_t>(req.size()));
   std::string out;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    out.append(buf, static_cast<size_t>(n));
+  const std::string req = std::string("GET ") + path + " HTTP/1.0\r\n\r\n";
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
+      ::send(fd, req.data(), req.size(), 0) == static_cast<ssize_t>(req.size())) {
+    char buf[4096];
+    for (;;) {
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n <= 0) break;
+      out.append(buf, static_cast<size_t>(n));
+    }
   }
   ::close(fd);
   return out;
@@ -342,49 +421,44 @@ TEST(MetricsExporter, ServesPrometheusAndJsonScrapes) {
       .counter("nm_test_scrape_total", "scrape-test marker")
       .add(9);
 
-  pipeline::MetricsExporter::Options o;
-  o.port = 0;  // ephemeral
-  pipeline::MetricsExporter exp(o);
-  const int port = exp.ensure_listener();
-  ASSERT_GT(port, 0);
+  const pipeline::Graph g{};
+  pipeline::MetricsExporter exp({.port = 0},  // ephemeral
+                                [&g] { return telemetry::snapshot(g); });
+  ASSERT_GT(exp.port(), 0);
 
-  // Client connects (backlog), then poll() accepts and serves.
-  std::thread server([&exp] {
-    for (int i = 0; i < 200; ++i) {
-      if (exp.poll()) return;
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-  });
-  const std::string prom = scrape(port, "/metrics");
-  server.join();
+  const std::string prom = scrape(exp.port(), "/metrics");
   EXPECT_NE(prom.find("200 OK"), std::string::npos);
   EXPECT_NE(prom.find("text/plain"), std::string::npos);
   EXPECT_NE(prom.find("nm_test_scrape_total 9"), std::string::npos);
 
-  std::thread server2([&exp] {
-    for (int i = 0; i < 200; ++i) {
-      if (exp.poll()) return;
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-  });
-  const std::string json = scrape(port, "/json");
-  server2.join();
+  const std::string json = scrape(exp.port(), "/json");
   EXPECT_NE(json.find("application/json"), std::string::npos);
   EXPECT_NE(json.find("\"nm_test_scrape_total\":"), std::string::npos);
   EXPECT_EQ(exp.scrapes(), 2u);
 }
 
-TEST(MetricsExporter, DumpsFileOnFinish) {
-  const std::string path = "/tmp/nm_test_metrics_dump.prom";
+TEST(MetricsExporter, SecondExporterOnABoundPortThrows) {
+  const pipeline::Graph g{};
+  const auto source = [&g] { return telemetry::snapshot(g); };
+  const pipeline::MetricsExporter first({.port = 0}, source);
+  ASSERT_GT(first.port(), 0);
+  EXPECT_THROW(pipeline::MetricsExporter({.port = first.port()}, source),
+               std::runtime_error);
+}
+
+TEST(MetricsExporter, DumpsFileOnDestruction) {
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "nm_metrics_dump.prom")
+          .string();
   std::remove(path.c_str());
   telemetry::registry().counter("nm_test_dump_total").add(1);
   {
-    pipeline::MetricsExporter::Options o;
-    o.file = path;
-    o.interval_ms = 1'000'000;  // only the finish() dump fires
-    pipeline::MetricsExporter exp(o);
-    exp.finish();
-    EXPECT_EQ(exp.dumps(), 1u);
+    const pipeline::Graph g{};
+    const pipeline::MetricsExporter exp(
+        {.file = path, .interval_ms = 1'000'000},  // only the final dump fires
+        [&g] { return telemetry::snapshot(g); });
+    EXPECT_EQ(exp.dumps(), 0u);
+    EXPECT_FALSE(std::filesystem::exists(path));
   }
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -392,6 +466,32 @@ TEST(MetricsExporter, DumpsFileOnFinish) {
                       std::istreambuf_iterator<char>());
   EXPECT_NE(content.find("nm_test_dump_total"), std::string::npos);
   std::remove(path.c_str());
+}
+
+// The exporter thread scrapes live replicas: one scrape is made from the
+// run's tick while the replicas fire, so the TSAN leg sees the exporter's
+// snapshot race against the dataplane it reads.
+TEST(MetricsExporter, ServesScrapesDuringReplicatedRun) {
+  const RuleSet rules = generate_classbench(AppClass::kAcl, 1, 300, 43);
+  const std::vector<Packet> trace = zipf_trace(rules);
+  pipeline::ReplicatedGraph rg = zipf_replicas(rules, trace, make_online(rules));
+  const pipeline::MetricsExporter exp(
+      {.port = 0}, [&rg] { return telemetry::snapshot(rg); });
+  ASSERT_GT(exp.port(), 0);
+
+  std::atomic<bool> scraped{false};
+  std::string body;  // written once, by the tick that wins `scraped`
+  pipeline::ReplicatedRunOptions opts;
+  opts.threads = 2;
+  opts.tick = [&](uint64_t) {
+    if (!scraped.exchange(true)) body = scrape(exp.port(), "/metrics");
+  };
+  ASSERT_EQ(rg.run(opts), trace.size());
+
+  EXPECT_EQ(exp.scrapes(), 1u);
+  EXPECT_NE(body.find("200 OK"), std::string::npos);
+  EXPECT_NE(body.find("nm_flowcache_hits_total"), std::string::npos);
+  EXPECT_NE(body.find("nm_replica_live{replica=\"1\"} 1"), std::string::npos);
 }
 
 // --- instrumented pipeline populates latency histograms ---------------------

@@ -109,7 +109,7 @@ TEST(SchedulerCore, IdleThreadStealsTask) {
         }
         return ++migrant_work < 10 ? TaskState::kWorked : TaskState::kDone;
       },
-      {.home = 0, .daemon = false, .label = "migrant"});
+      {.home = 0, .label = "migrant"});
   sched.run();
 
   EXPECT_TRUE(migrant.done());
@@ -159,18 +159,23 @@ TEST(SchedulerCore, TaskExceptionPropagatesOutOfRun) {
 
 // --- graph step() -----------------------------------------------------------
 
+// step() and run() are one drive loop, so both reject the same shapes.
 TEST(GraphStep, RequiresExactlyOneSource) {
-  {
+  const auto no_source = [] {
     Graph g;
     g.add(std::make_unique<pipeline::Counter>(), "c");
-    EXPECT_THROW((void)g.step(), std::runtime_error);  // no source
-  }
-  {
+    return g;
+  };
+  const auto two_sources = [] {
     Graph g;
     g.add(std::make_unique<pipeline::TraceSource>(std::vector<Packet>(8)), "a");
     g.add(std::make_unique<pipeline::TraceSource>(std::vector<Packet>(8)), "b");
-    EXPECT_THROW((void)g.step(), std::runtime_error);  // ambiguous
-  }
+    return g;
+  };
+  EXPECT_THROW((void)no_source().step(), std::runtime_error);
+  EXPECT_THROW((void)two_sources().step(), std::runtime_error);  // ambiguous
+  EXPECT_THROW((void)no_source().run(), std::runtime_error);
+  EXPECT_THROW((void)two_sources().run(), std::runtime_error);
 }
 
 TEST(GraphStep, StepsMatchRunSemantics) {

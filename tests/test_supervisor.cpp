@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
 #include <memory>
 #include <string>
 #include <vector>
@@ -148,32 +149,33 @@ TEST(SupervisorEscalate, DefaultPolicyPreservesStopAndRethrow) {
   EXPECT_EQ(h.suppressed_errors, 0u);
 }
 
-// The satellite bugfix: errors beyond the first used to vanish without a
-// trace. Two daemons failing their drain fires (which always run through
-// ALL daemons, even after one throws) now surface as first_error_ plus a
-// counted suppression — a multi-task failure is distinguishable again.
+// Errors beyond the first used to vanish without a trace. Two tasks that
+// meet inside their fires (so both are mid-fire at once) and then both
+// throw surface as first_error_ plus a counted suppression — a multi-task
+// failure is distinguishable again.
 TEST(SupervisorEscalate, LaterErrorsAreCountedNotSwallowed) {
-  Scheduler sched(1);
-  uint64_t fires = 0;
-  sched.add([&]() -> TaskState {
-    // Finishes within one quantum, so neither daemon is fired before the
-    // drain pass (threads=1: this task is popped first and runs to kDone).
-    return ++fires >= 3 ? TaskState::kDone : TaskState::kWorked;
-  });
-  for (const char* what : {"drain failure A", "drain failure B"}) {
-    Task::Options dopt;
-    dopt.daemon = true;
-    dopt.label = what;
-    sched.add([what]() -> TaskState { throw std::runtime_error(what); },
-              std::move(dopt));
+  Scheduler sched(2);
+  std::latch meet(2);
+  const char* const labels[] = {"failure A", "failure B"};
+  for (uint32_t i = 0; i < 2; ++i) {
+    const char* what = labels[i];
+    Task::Options opt;
+    opt.home = i;  // one task per thread
+    opt.label = what;
+    sched.add(
+        [what, &meet]() -> TaskState {
+          meet.arrive_and_wait();
+          throw std::runtime_error(what);
+        },
+        std::move(opt));
   }
 
   EXPECT_THROW(sched.run(), std::runtime_error);
   const RuntimeHealth h = sched.health();
   EXPECT_EQ(h.suppressed_errors, 1u)
-      << "the second drain failure was dropped without being counted";
-  EXPECT_EQ(task_health(h, "drain failure A").last_error, "drain failure A");
-  EXPECT_EQ(task_health(h, "drain failure B").last_error, "drain failure B");
+      << "the second failure was dropped without being counted";
+  EXPECT_EQ(task_health(h, "failure A").last_error, "failure A");
+  EXPECT_EQ(task_health(h, "failure B").last_error, "failure B");
 }
 
 // --- cooperative watchdog ---------------------------------------------------
