@@ -45,6 +45,37 @@ struct RunResult {
   uint64_t future = 0;    ///< hits on entries fresher than the probe's view
 };
 
+/// The one graph shape every section runs: TraceSource -> FlowCache(C) ->
+/// Classifier(online) -> Sink, or TraceSource -> Classifier -> Sink when
+/// `cache_capacity` is 0. The element pointers stay valid while `g` lives
+/// (a Graph owns its elements through unique_ptr, so moving it keeps them).
+struct BenchGraph {
+  pipeline::Graph g;
+  pipeline::TraceSource* src = nullptr;
+  pipeline::FlowCacheElement* cache = nullptr;  ///< null without a cache
+};
+
+BenchGraph build_graph(const std::shared_ptr<OnlineNuevoMatch>& online,
+                       const std::vector<Packet>& trace,
+                       size_t cache_capacity) {
+  BenchGraph b;
+  b.src = &b.g.add(std::make_unique<pipeline::TraceSource>(trace), "src");
+  pipeline::Element* upstream = b.src;
+  if (cache_capacity > 0) {
+    b.cache = &b.g.add(
+        std::make_unique<pipeline::FlowCacheElement>(cache_capacity), "cache");
+    b.g.connect(*b.src, 0, *b.cache);
+    upstream = b.cache;
+  }
+  auto cls_owned = std::make_unique<pipeline::ClassifierElement>();
+  cls_owned->attach(online);
+  auto& cls = b.g.add(std::move(cls_owned), "cls");
+  auto& sink = b.g.add(std::make_unique<pipeline::Sink>(), "sink");
+  b.g.connect(*upstream, 0, cls);
+  b.g.connect(cls, 0, sink);
+  return b;
+}
+
 /// Build the graph, pump the trace `reps + 1` times (first pass warms the
 /// model caches AND the flow cache). Steady state reports the best measured
 /// pass (standard bench methodology); during churn it reports the MEAN over
@@ -55,22 +86,7 @@ struct RunResult {
 RunResult run_pipeline(const std::shared_ptr<OnlineNuevoMatch>& online,
                        const std::vector<Packet>& trace, size_t cache_capacity,
                        int reps, bool mean_of_passes) {
-  pipeline::Graph g;
-  auto& src = g.add(std::make_unique<pipeline::TraceSource>(trace), "src");
-  pipeline::FlowCacheElement* cache = nullptr;
-  auto cls_owned = std::make_unique<pipeline::ClassifierElement>();
-  cls_owned->attach(online);
-  auto& cls = g.add(std::move(cls_owned), "cls");
-  auto& sink = g.add(std::make_unique<pipeline::Sink>(), "sink");
-  if (cache_capacity > 0) {
-    cache = &g.add(std::make_unique<pipeline::FlowCacheElement>(cache_capacity),
-                   "cache");
-    g.connect(src, 0, *cache);
-    g.connect(*cache, 0, cls);
-  } else {
-    g.connect(src, 0, cls);
-  }
-  g.connect(cls, 0, sink);
+  BenchGraph b = build_graph(online, trace, cache_capacity);
 
   RunResult out;
   double best_ns = 1e300;
@@ -81,15 +97,17 @@ RunResult run_pipeline(const std::shared_ptr<OnlineNuevoMatch>& online,
   // every consumer of these numbers shares.
   pipeline::FlowCache::Stats sum{}, best{};
   for (int pass = 0; pass <= reps; ++pass) {
-    src.rewind();
+    b.src->rewind();
     const pipeline::FlowCache::Stats s0 =
-        cache != nullptr ? cache->cache().stats() : pipeline::FlowCache::Stats{};
+        b.cache != nullptr ? b.cache->cache().stats()
+                           : pipeline::FlowCache::Stats{};
     const uint64_t t0 = now_ns();
-    const uint64_t n = g.run();
+    const uint64_t n = b.g.run();
     const uint64_t t1 = now_ns();
     if (pass == 0) continue;  // warm-up (model caches AND the flow cache)
     const pipeline::FlowCache::Stats s1 =
-        cache != nullptr ? cache->cache().stats() : pipeline::FlowCache::Stats{};
+        b.cache != nullptr ? b.cache->cache().stats()
+                           : pipeline::FlowCache::Stats{};
     const pipeline::FlowCache::Stats d = s1 - s0;
     sum_ns += static_cast<double>(t1 - t0);
     sum_pkts += n;
@@ -126,19 +144,7 @@ double run_replicated(const std::shared_ptr<OnlineNuevoMatch>& online,
   for (int pass = 0; pass <= reps; ++pass) {
     pipeline::ReplicatedGraph rg{
         static_cast<uint32_t>(threads), [&](uint32_t, uint32_t) {
-          pipeline::Graph g;
-          auto& src = g.add(std::make_unique<pipeline::TraceSource>(trace), "src");
-          auto& cache = g.add(
-              std::make_unique<pipeline::FlowCacheElement>(cache_capacity),
-              "cache");
-          auto cls_owned = std::make_unique<pipeline::ClassifierElement>();
-          cls_owned->attach(online);
-          auto& cls = g.add(std::move(cls_owned), "cls");
-          auto& sink = g.add(std::make_unique<pipeline::Sink>(), "sink");
-          g.connect(src, 0, cache);
-          g.connect(cache, 0, cls);
-          g.connect(cls, 0, sink);
-          return g;
+          return build_graph(online, trace, cache_capacity).g;
         }};
     pipeline::ReplicatedRunOptions ropts;
     ropts.threads = threads;
@@ -159,7 +165,7 @@ double run_replicated(const std::shared_ptr<OnlineNuevoMatch>& online,
 /// recovery latency (quiesce -> re-steer -> drain -> rejoin, from
 /// PipelineHealth::recovery_ns). `crash_fire == 0` runs the same supervised
 /// configuration with no failpoint armed — the baseline that prices the
-/// supervision machinery itself (pump-closure pause checks, watchdog beats).
+/// supervision machinery itself (the pump closure's pause checks).
 struct FaultResult {
   double mpps = 0.0;
   double recovery_us = 0.0;  ///< mean over measured passes
@@ -184,19 +190,7 @@ FaultResult run_fault_recovery(const std::shared_ptr<OnlineNuevoMatch>& online,
                      failpoint::Trigger::nth(crash_fire));
     pipeline::ReplicatedGraph rg{
         static_cast<uint32_t>(threads), [&](uint32_t, uint32_t) {
-          pipeline::Graph g;
-          auto& src = g.add(std::make_unique<pipeline::TraceSource>(trace), "src");
-          auto& cache = g.add(
-              std::make_unique<pipeline::FlowCacheElement>(cache_capacity),
-              "cache");
-          auto cls_owned = std::make_unique<pipeline::ClassifierElement>();
-          cls_owned->attach(online);
-          auto& cls = g.add(std::move(cls_owned), "cls");
-          auto& sink = g.add(std::make_unique<pipeline::Sink>(), "sink");
-          g.connect(src, 0, cache);
-          g.connect(cache, 0, cls);
-          g.connect(cls, 0, sink);
-          return g;
+          return build_graph(online, trace, cache_capacity).g;
         }};
     pipeline::ReplicatedRunOptions ropts;
     ropts.threads = threads;

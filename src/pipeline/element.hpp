@@ -150,9 +150,9 @@ class Element {
 /// is (all five header fields) goes in, so all packets of a flow land on
 /// the same replica — the property the flow-affinity ordering argument in
 /// DESIGN.md "Scheduler" rests on. Finalized FNV-1a like FlowCache::hash,
-/// but an independent function on purpose: cache sharding inside a replica
-/// and traffic splitting across replicas must not correlate, or one cache
-/// shard per replica would absorb that replica's whole population.
+/// but an independent function on purpose: cache set selection inside a
+/// replica and traffic splitting across replicas must not correlate, or a
+/// replica's flows would crowd a fraction of its cache's sets.
 [[nodiscard]] inline uint32_t rss_hash(const Packet& p) noexcept {
   uint64_t h = 14695981039346656037ull;
   for (const uint32_t f : p.field) {

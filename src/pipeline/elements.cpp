@@ -139,8 +139,7 @@ std::string TraceSource::report() const {
 
 // --- FlowCacheElement -------------------------------------------------------
 
-FlowCacheElement::FlowCacheElement(size_t capacity, size_t shards)
-    : cache_(capacity, shards) {}
+FlowCacheElement::FlowCacheElement(size_t capacity) : cache_(capacity) {}
 
 void FlowCacheElement::initialize(Graph& g) {
   // Couple coherence: the graph's classifier (if online) invalidates our
@@ -174,8 +173,8 @@ void FlowCacheElement::process(Burst& b) {
   const uint32_t lanes =
       (b.size >= kBurstSize ? ~uint32_t{0} : (1u << b.size) - 1) & ~b.resolved;
   if (lanes != 0) {
-    // One shard-grouped burst probe instead of one lock per packet; the
-    // cache re-checks the band marks per shard hold (flow_cache.hpp).
+    // One burst probe; the cache reads the band mark per lane
+    // (flow_cache.hpp).
     std::array<Decision, kBurstSize> d;
     const uint32_t hits = cache_.lookup_burst(b.pkt.data(), b.size, lanes, d.data());
     for (uint32_t m = hits; m != 0; m &= m - 1) {
@@ -270,8 +269,8 @@ void ClassifierElement::process(Burst& b) {
       for (size_t k = 0; k < in.size(); ++k) out[k] = scalar_->match(in[k]);
     }
   };
-  // The cache-fill obligation is met with ONE shard-grouped burst insert
-  // after the classify pass, not one locked insert per lane.
+  // The cache-fill obligation is met with ONE burst insert after the
+  // classify pass.
   std::array<Decision, kBurstSize> fill_d;
   uint32_t fill_mask = 0;
   const auto annotate = [&](uint32_t i) {
@@ -528,14 +527,8 @@ std::unique_ptr<Element> make_trace_source(const std::vector<std::string>& a) {
 }
 
 std::unique_ptr<Element> make_flow_cache(const std::vector<std::string>& a) {
-  if (a.empty() || a.size() > 2) usage("FlowCache(capacity[, shards])");
-  const size_t cap = to_size(a[0], "cache capacity");
-  const size_t shards = a.size() == 2 ? to_size(a[1], "shard count") : 8;
-  try {
-    return std::make_unique<FlowCacheElement>(cap, shards);
-  } catch (const std::invalid_argument& e) {
-    usage(e.what());  // the constructor owns the shard bound
-  }
+  if (a.size() != 1) usage("FlowCache(capacity)");
+  return std::make_unique<FlowCacheElement>(to_size(a[0], "cache capacity"));
 }
 
 std::unique_ptr<Element> make_classifier(const std::vector<std::string>& a) {

@@ -3,7 +3,8 @@
 //   PcapSource(file.pcap)                 packets from a capture file
 //   TraceSource(rules.file, n[, kind])    synthetic trace over a rule file;
 //                                         kind: uniform | zipf[:alpha] | caida
-//   FlowCache(capacity[, shards])         update-coherent exact-match cache
+//   FlowCache(capacity)                   update-coherent exact-match cache,
+//                                         one per graph (single owner)
 //   Classifier(rules.file[, manual][, threshold=X])
 //                                         OnlineNuevoMatch slow path (32-pkt
 //                                         match_batch bursts, one pinned
@@ -102,7 +103,7 @@ class ClassifierElement;
 
 class FlowCacheElement final : public Element {
  public:
-  explicit FlowCacheElement(size_t capacity, size_t shards = 8);
+  explicit FlowCacheElement(size_t capacity);
   [[nodiscard]] std::string_view kind() const override { return "FlowCache"; }
   void process(Burst& b) override;
   /// Couples the coherence stamp to the graph's Classifier (if any).

@@ -1,28 +1,18 @@
 #include "pipeline/flow_cache.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
-#include <string>
 
 #include "common/failpoint.hpp"
 #include "nuevomatch/online.hpp"
 
 namespace nuevomatch::pipeline {
 
-FlowCache::FlowCache(size_t capacity, size_t shards) {
-  if (shards == 0 || shards > kMaxShards)
-    throw std::invalid_argument("FlowCache shard count must be 1.." +
-                                std::to_string(kMaxShards));
-  if (capacity < shards * kWays) capacity = shards * kWays;
-  sets_per_shard_ = std::bit_ceil((capacity / shards + kWays - 1) / kWays);
-  shards_.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    auto sh = std::make_unique<Shard>();
-    sh->entries.resize(sets_per_shard_ * kWays);
-    sh->hand.resize(sets_per_shard_, 0);
-    shards_.push_back(std::move(sh));
-  }
-}
+FlowCache::FlowCache(size_t capacity)
+    : sets_(std::bit_ceil(std::max<size_t>(1, (capacity + kWays - 1) / kWays))),
+      entries_(sets_ * kWays),
+      hand_(sets_, 0) {}
 
 uint64_t FlowCache::current_stamp() const noexcept {
   return stamp_src_ != nullptr ? stamp_src_->coherence_stamp() : 0;
@@ -44,9 +34,8 @@ uint64_t FlowCache::band_mark(uint8_t band) const noexcept {
   return stamp_src_ != nullptr ? stamp_src_->coherence_band_mark(band) : 0;
 }
 
-bool FlowCache::probe_locked(Shard& sh, size_t set, const Packet& p,
-                             uint64_t now, Decision& out) {
-  Entry* base = sh.entries.data() + set * kWays;
+bool FlowCache::probe(const Packet& p, uint64_t now, Decision& out) {
+  Entry* base = entries_.data() + set_of(p) * kWays;
   for (size_t w = 0; w < kWays; ++w) {
     Entry& e = base[w];
     if (e.stamp == kEmpty || e.key != p.field) continue;
@@ -55,40 +44,40 @@ bool FlowCache::probe_locked(Shard& sh, size_t set, const Packet& p,
       // landed after the entry was stamped: the entry is definitively dead,
       // whatever the commit was. Retire it so the way frees up.
       e.stamp = kEmpty;
-      ++sh.stale;
+      live_.store(live_.load(std::memory_order_relaxed) - 1,
+                  std::memory_order_relaxed);
+      bump(stale_);
       return false;
     }
     // The band marks prove the decision current — including when the entry
-    // is FRESHER than our own stamp view (a concurrent reader refilled the
-    // flow after a commit we haven't observed; pre-band code miscounted
-    // that as a miss) and when it is OLDER (the entry survived commits in
-    // other bands — the dependency-aware retention this cache exists for).
+    // is FRESHER than this probe's stamp view and when it is OLDER (the
+    // entry survived commits in other bands — the dependency-aware
+    // retention this cache exists for).
     out = e.d;
-    ++sh.hits;
+    bump(hits_);
     if (e.stamp < now) {
-      ++sh.retained;
+      bump(retained_);
     } else if (e.stamp > now) {
-      ++sh.future;
+      bump(future_);
     }
     return true;
   }
-  ++sh.misses;
+  bump(misses_);
   return false;
 }
 
-void FlowCache::fill_locked(Shard& sh, size_t set, const Packet& p,
-                            const Decision& d, uint64_t stamp, uint8_t band) {
-  Entry* base = sh.entries.data() + set * kWays;
+void FlowCache::fill(const Packet& p, const Decision& d, uint64_t stamp) {
+  const size_t set = set_of(p);
+  Entry* base = entries_.data() + set * kWays;
   Entry* victim = nullptr;
   for (size_t w = 0; w < kWays; ++w) {
     Entry& e = base[w];
     if (e.key == p.field && e.stamp != kEmpty) {
       // The flow is already cached. Never replace a fresher-stamped entry
-      // with an older-stamped one: a reader whose burst-level stamp read
-      // predates a concurrent refill would otherwise downgrade a valid
-      // entry into one a same-band commit already invalidated.
+      // with an older-stamped one: that would downgrade a valid entry into
+      // one a same-band commit may already have invalidated.
       if (e.stamp > stamp) {
-        ++sh.insert_drops;
+        bump(insert_drops_);
         return;
       }
       victim = &e;  // re-stamp the existing entry for this flow
@@ -97,73 +86,49 @@ void FlowCache::fill_locked(Shard& sh, size_t set, const Packet& p,
     if (victim == nullptr && e.stamp == kEmpty) victim = &e;
   }
   if (victim == nullptr) {
-    victim = base + sh.hand[set];
-    sh.hand[set] = static_cast<uint8_t>((sh.hand[set] + 1) % kWays);
-    ++sh.evictions;
+    victim = base + hand_[set];
+    hand_[set] = static_cast<uint8_t>((hand_[set] + 1) % kWays);
+    bump(evictions_);
+  } else if (victim->stamp == kEmpty) {
+    live_.store(live_.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
   }
   victim->key = p.field;
   victim->d = d;
   victim->stamp = stamp;
-  victim->band = band;
-  ++sh.inserts;
+  victim->band = band_of(d);
+  bump(inserts_);
 }
 
 bool FlowCache::lookup(const Packet& p, Decision& out) {
-  const uint64_t h = hash(p);
-  Shard& sh = *shards_[h % shards_.size()];
-  const size_t set = (h / shards_.size()) & (sets_per_shard_ - 1);
   // The stamp view is only hit-accounting context (retained/future); the
-  // serve/retire verdict comes from the per-band marks inside the lock.
-  const uint64_t now = current_stamp();
-  std::lock_guard lk{sh.mu};
-  return probe_locked(sh, set, p, now, out);
+  // serve/retire verdict comes from the per-band marks inside probe().
+  return probe(p, current_stamp(), out);
 }
 
 void FlowCache::insert(const Packet& p, const Decision& d, uint64_t stamp) {
   if (failpoint::should_fire(failpoint::kPipelineCacheInsert))
     throw std::runtime_error("injected: pipeline.cache.insert");
   if (stamp == kEmpty) return;  // reserved sentinel; unreachable in practice
-  const uint64_t h = hash(p);
-  Shard& sh = *shards_[h % shards_.size()];
-  const size_t set = (h / shards_.size()) & (sets_per_shard_ - 1);
-  const uint8_t band = band_of(d);
-  std::lock_guard lk{sh.mu};
-  fill_locked(sh, set, p, d, stamp, band);
+  fill(p, d, stamp);
 }
+
+namespace {
+/// The lanes of `mask` below min(n, kBurstLanes).
+uint32_t burst_lanes(uint32_t n, uint32_t mask) noexcept {
+  return n >= FlowCache::kBurstLanes ? mask : mask & ((1u << n) - 1);
+}
+}  // namespace
 
 uint32_t FlowCache::lookup_burst(const Packet* pkts, uint32_t n,
                                  uint32_t active, Decision* out) {
-  if (n > kBurstLanes) n = kBurstLanes;
-  const uint32_t lanes = n == kBurstLanes ? active : active & ((1u << n) - 1);
+  // One stamp view per burst is enough for hit accounting; the band marks
+  // are still read per lane inside probe().
+  const uint64_t now = current_stamp();
   uint32_t hit_mask = 0;
-  std::array<uint32_t, kBurstLanes> set_of;
-  // One pass buckets the lanes into per-shard masks, then each touched
-  // shard's lock is taken ONCE and the scalar probe body runs for its
-  // lanes. The band marks (and the stamp view for hit accounting) are read
-  // fresh per shard hold — NOT hoisted over the burst — so a commit landing
-  // mid-burst invalidates the lanes of every not-yet-probed shard exactly
-  // as per-packet probing would.
-  std::array<uint32_t, kMaxShards> shard_mask{};
-  uint64_t touched = 0;
-  for (uint32_t m = lanes; m != 0; m &= m - 1) {
+  for (uint32_t m = burst_lanes(n, active); m != 0; m &= m - 1) {
     const auto i = static_cast<uint32_t>(std::countr_zero(m));
-    const uint64_t h = hash(pkts[i]);
-    const auto s = static_cast<uint32_t>(h % shards_.size());
-    set_of[i] =
-        static_cast<uint32_t>((h / shards_.size()) & (sets_per_shard_ - 1));
-    shard_mask[s] |= 1u << i;
-    touched |= uint64_t{1} << s;
-  }
-  for (; touched != 0; touched &= touched - 1) {
-    const auto s = static_cast<uint32_t>(std::countr_zero(touched));
-    Shard& sh = *shards_[s];
-    const uint64_t now = current_stamp();
-    std::lock_guard lk{sh.mu};
-    for (uint32_t m = shard_mask[s]; m != 0; m &= m - 1) {
-      const auto i = static_cast<uint32_t>(std::countr_zero(m));
-      if (probe_locked(sh, set_of[i], pkts[i], now, out[i]))
-        hit_mask |= 1u << i;
-    }
+    if (probe(pkts[i], now, out[i])) hit_mask |= 1u << i;
   }
   return hit_mask;
 }
@@ -173,69 +138,23 @@ void FlowCache::insert_burst(const Packet* pkts, uint32_t n, uint32_t mask,
   if (mask != 0 && failpoint::should_fire(failpoint::kPipelineCacheInsert))
     throw std::runtime_error("injected: pipeline.cache.insert");
   if (stamp == kEmpty) return;
-  if (n > kBurstLanes) n = kBurstLanes;
-  const uint32_t lanes = n == kBurstLanes ? mask : mask & ((1u << n) - 1);
-  std::array<uint32_t, kBurstLanes> set_of;
-  std::array<uint8_t, kBurstLanes> band;
-  std::array<uint32_t, kMaxShards> shard_mask{};
-  uint64_t touched = 0;
-  for (uint32_t m = lanes; m != 0; m &= m - 1) {
+  for (uint32_t m = burst_lanes(n, mask); m != 0; m &= m - 1) {
     const auto i = static_cast<uint32_t>(std::countr_zero(m));
-    const uint64_t h = hash(pkts[i]);
-    const auto s = static_cast<uint32_t>(h % shards_.size());
-    set_of[i] =
-        static_cast<uint32_t>((h / shards_.size()) & (sets_per_shard_ - 1));
-    band[i] = band_of(ds[i]);
-    shard_mask[s] |= 1u << i;
-    touched |= uint64_t{1} << s;
-  }
-  for (; touched != 0; touched &= touched - 1) {
-    const auto s = static_cast<uint32_t>(std::countr_zero(touched));
-    Shard& sh = *shards_[s];
-    std::lock_guard lk{sh.mu};
-    for (uint32_t m = shard_mask[s]; m != 0; m &= m - 1) {
-      const auto i = static_cast<uint32_t>(std::countr_zero(m));
-      fill_locked(sh, set_of[i], pkts[i], ds[i], stamp, band[i]);
-    }
+    fill(pkts[i], ds[i], stamp);
   }
 }
 
 void FlowCache::clear() {
-  for (auto& sh : shards_) {
-    std::lock_guard lk{sh->mu};
-    for (Entry& e : sh->entries) e.stamp = kEmpty;
-    for (uint8_t& hd : sh->hand) hd = 0;
-  }
+  for (Entry& e : entries_) e.stamp = kEmpty;
+  for (uint8_t& hd : hand_) hd = 0;
+  live_.store(0, std::memory_order_relaxed);
 }
 
-FlowCache::Stats FlowCache::stats() const {
-  Stats s;
-  for (const auto& sh : shards_) {
-    std::lock_guard lk{sh->mu};
-    s.hits += sh->hits;
-    s.misses += sh->misses;
-    s.stale += sh->stale;
-    s.inserts += sh->inserts;
-    s.evictions += sh->evictions;
-    s.retained += sh->retained;
-    s.future += sh->future;
-    s.insert_drops += sh->insert_drops;
-  }
-  return s;
-}
-
-size_t FlowCache::size() const {
-  size_t live = 0;
-  for (const auto& sh : shards_) {
-    std::lock_guard lk{sh->mu};
-    for (const Entry& e : sh->entries)
-      if (e.stamp != kEmpty) ++live;
-  }
-  return live;
-}
-
-size_t FlowCache::capacity() const noexcept {
-  return shards_.size() * sets_per_shard_ * kWays;
+FlowCache::Stats FlowCache::stats() const noexcept {
+  constexpr auto r = std::memory_order_relaxed;
+  return Stats{hits_.load(r),     misses_.load(r),    stale_.load(r),
+               inserts_.load(r),  evictions_.load(r), retained_.load(r),
+               future_.load(r),   insert_drops_.load(r)};
 }
 
 }  // namespace nuevomatch::pipeline

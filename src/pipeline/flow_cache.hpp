@@ -1,4 +1,4 @@
-// Sharded exact-match flow cache — the dataplane front-end that absorbs
+// Exact-match flow cache — the dataplane front-end that absorbs
 // traffic skew before the classifier (the OVS EMC role the paper models in
 // §5.2). Promoted out of examples/ovs_cache_accel.cpp and made
 // UPDATE-COHERENT and DEPENDENCY-AWARE: every cached decision is stamped
@@ -15,25 +15,33 @@
 // pre-update answers — or re-classifying answers no update could have
 // changed.
 //
-// Shape: set-associative (kWays per set) over hash-sharded fixed-size
-// arrays — no allocation after construction, eviction is a bounded
-// round-robin within one set, and the full five-tuple key is compared on
-// every probe (a hash-only key could alias two flows onto one decision; the
-// pipeline's oracle differential would catch it, so we store the tuple).
-// Shards take one small mutex each so several pipeline threads can share
-// one cache. The scalar lookup()/insert() pay one uncontended lock per
-// PROBE; the burst forms lookup_burst()/insert_burst() group a burst's
-// lanes by shard and take each touched shard's lock ONCE — but re-check the
-// band marks per shard hold, never hoisted over the burst, so a commit
-// landing mid-burst still invalidates at packet granularity (the coherence
-// contract is per probe, and amortizing the locking must not weaken it).
+// Shape: one set-associative table (kWays per set) over a fixed-size array
+// — no allocation after construction, eviction is a bounded round-robin
+// within one set, and the full five-tuple key is compared on every probe (a
+// hash-only key could alias two flows onto one decision; the pipeline's
+// oracle differential would catch it, so we store the tuple).
+//
+// Ownership — one cache per graph, one writer at a time, no locks (the
+// paper's Fig. 8 runs one independent instance per core, and a replicated
+// pipeline builds one cache per replica):
+//   * lookup*(), insert*(), clear() and set_stamp_source() are called only
+//     from the thread that is firing the owning graph. A scheduler handoff
+//     between threads goes through the queue mutex, which orders it; the
+//     quarantine hook that drains a crashed replica runs on the thread that
+//     caught the crash.
+//   * stats(), size() and capacity() may be called from any thread (a
+//     MetricsExporter scrape, a replica's tick). The counters they read are
+//     single-writer relaxed atomics: the owner bumps them with a load and a
+//     store, never a locked read-modify-write.
+// The burst forms lookup_burst()/insert_burst() are plain lane loops over
+// the scalar probe/fill bodies, and every lane reads the band mark afresh,
+// so a commit landing mid-burst still invalidates at packet granularity
+// (the coherence contract is per probe).
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/types.hpp"
@@ -56,13 +64,10 @@ class FlowCache {
   static constexpr size_t kWays = 4;
   /// Burst-probe width (mirrors pipeline::kBurstSize; lane masks are u32).
   static constexpr size_t kBurstLanes = 32;
-  /// Largest shard count: burst probes group lanes into direct-indexed
-  /// per-shard masks, and the touched-shard set is one 64-bit word.
-  static constexpr size_t kMaxShards = 64;
 
-  /// `capacity` is rounded up to shards * ways * power-of-two sets. Throws
-  /// std::invalid_argument unless 1 <= shards <= kMaxShards.
-  explicit FlowCache(size_t capacity, size_t shards = 8);
+  /// `capacity` is rounded up to kWays * a power-of-two number of sets
+  /// (at least one set).
+  explicit FlowCache(size_t capacity);
 
   /// Couple the cache to an online classifier: current_stamp() follows its
   /// coherence stamp, entries are banded by their decision's priority, and
@@ -89,18 +94,17 @@ class FlowCache {
   /// Stats::insert_drops).
   void insert(const Packet& p, const Decision& d, uint64_t stamp);
 
-  /// Burst probe: serve cached decisions for the lanes of `active` (bit i =
-  /// pkts[i]), grouping lanes by shard so each touched shard's lock is
-  /// taken once. Returns the hit mask; out[i] is written for every hit
-  /// lane. Band marks are re-checked inside EACH shard hold — a commit
-  /// landing mid-burst invalidates the not-yet-probed shards' lanes exactly
-  /// as per-packet probing would. n <= kBurstLanes.
+  /// Burst probe: lookup() for each lane of `active` (bit i = pkts[i]) in
+  /// lane order. Returns the hit mask; out[i] is written for every hit
+  /// lane. Each lane reads its band mark afresh, so a commit landing
+  /// mid-burst invalidates the not-yet-probed lanes exactly as per-packet
+  /// probing would. Lanes at or above min(n, kBurstLanes) are ignored.
   [[nodiscard]] uint32_t lookup_burst(const Packet* pkts, uint32_t n,
                                       uint32_t active, Decision* out);
 
-  /// Burst fill: insert ds[i] for pkts[i] for every lane in `mask`, all
-  /// stamped with `stamp`, grouped by shard like lookup_burst. Semantics
-  /// per lane are identical to insert(). n <= kBurstLanes.
+  /// Burst fill: insert(pkts[i], ds[i], stamp) for every lane in `mask`
+  /// (lanes as in lookup_burst). The pipeline.cache.insert failpoint is
+  /// consulted once per burst.
   void insert_burst(const Packet* pkts, uint32_t n, uint32_t mask,
                     const Decision* ds, uint64_t stamp);
 
@@ -117,10 +121,8 @@ class FlowCache {
     /// `retained` hits were served from entries that SURVIVED at least one
     /// commit (entry stamp older than the probe's stamp view) — the
     /// dependency-aware win; `future` hits were served from entries FRESHER
-    /// than the probe's stamp view (a concurrent reader refilled the flow
-    /// after a commit this probe hasn't observed — the band marks prove the
-    /// entry current regardless; the pre-band cache miscounted these as
-    /// plain misses).
+    /// than the probe's stamp view (inserted with a stamp ahead of the one
+    /// the probe read — the band marks prove the entry current regardless).
     uint64_t retained = 0;
     uint64_t future = 0;
     /// insert() calls dropped because a fresher-stamped entry for the same
@@ -155,14 +157,18 @@ class FlowCache {
       return *this;
     }
   };
-  [[nodiscard]] Stats stats() const;
+  /// Any thread (see the ownership contract above).
+  [[nodiscard]] Stats stats() const noexcept;
 
-  /// Live (non-empty) entries currently resident, summed across shards.
-  /// Takes each shard's lock once; a point-in-time occupancy, not a rate.
-  [[nodiscard]] size_t size() const;
+  /// Live (non-empty) entries currently resident: a point-in-time
+  /// occupancy, not a rate. A fill into an empty way adds one, a probe that
+  /// retires a stale entry removes one, clear() zeroes it; an eviction or a
+  /// re-stamp of a cached flow leaves it unchanged. Any thread.
+  [[nodiscard]] size_t size() const noexcept {
+    return live_.load(std::memory_order_relaxed);
+  }
 
-  [[nodiscard]] size_t capacity() const noexcept;
-  [[nodiscard]] size_t shards() const noexcept { return shards_.size(); }
+  [[nodiscard]] size_t capacity() const noexcept { return entries_.size(); }
 
  private:
   struct Entry {
@@ -173,13 +179,13 @@ class FlowCache {
   };
   static constexpr uint64_t kEmpty = ~uint64_t{0};
 
-  struct alignas(64) Shard {
-    std::mutex mu;
-    std::vector<Entry> entries;  // sets * kWays
-    std::vector<uint8_t> hand;   // per-set round-robin victim cursor
-    uint64_t hits = 0, misses = 0, stale = 0, inserts = 0, evictions = 0;
-    uint64_t retained = 0, future = 0, insert_drops = 0;
-  };
+  /// Single-writer counter: only the owner thread bumps it, so a relaxed
+  /// load and store suffice, and a reader on another thread still sees a
+  /// whole value.
+  using Counter = std::atomic<uint64_t>;
+  static void bump(Counter& c) noexcept {
+    c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  }
 
   [[nodiscard]] static uint64_t hash(const Packet& p) noexcept {
     uint64_t h = 14695981039346656037ull;  // FNV-1a over the five fields
@@ -200,15 +206,20 @@ class FlowCache {
   /// entry is then permanently clean, matching the frozen-rule-set use).
   [[nodiscard]] uint64_t band_mark(uint8_t band) const noexcept;
 
-  /// Scalar probe/fill bodies, run with the shard lock held.
-  [[nodiscard]] bool probe_locked(Shard& sh, size_t set, const Packet& p,
-                                  uint64_t now, Decision& out);
-  void fill_locked(Shard& sh, size_t set, const Packet& p, const Decision& d,
-                   uint64_t stamp, uint8_t band);
+  [[nodiscard]] size_t set_of(const Packet& p) const noexcept {
+    return static_cast<size_t>(hash(p)) & (sets_ - 1);
+  }
+  /// The per-lane bodies behind lookup*/insert*.
+  [[nodiscard]] bool probe(const Packet& p, uint64_t now, Decision& out);
+  void fill(const Packet& p, const Decision& d, uint64_t stamp);
 
-  std::vector<std::unique_ptr<Shard>> shards_;
-  size_t sets_per_shard_;  // power of two
+  size_t sets_;                // power of two
+  std::vector<Entry> entries_;  // sets_ * kWays
+  std::vector<uint8_t> hand_;   // per-set round-robin victim cursor
   const OnlineNuevoMatch* stamp_src_ = nullptr;
+  Counter hits_{0}, misses_{0}, stale_{0}, inserts_{0}, evictions_{0};
+  Counter retained_{0}, future_{0}, insert_drops_{0};
+  std::atomic<size_t> live_{0};
 };
 
 }  // namespace pipeline

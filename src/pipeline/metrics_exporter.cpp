@@ -131,8 +131,10 @@ void MetricsExporter::loop() {
     if (nfds == 2 && (fds[1].revents & POLLIN) != 0) {
       const int client = ::accept(listen_fd_, nullptr, nullptr);
       if (client < 0) continue;  // the client hung up first
-      serve_client(client, source_());
+      // Counted before the reply goes out, so a client that has read its
+      // whole reply already sees its scrape in scrapes().
       scrapes_.fetch_add(1, std::memory_order_relaxed);
+      serve_client(client, source_());
     }
   }
 }

@@ -46,9 +46,6 @@ std::string PipelineHealth::to_string() const {
            ", fires=" + std::to_string(t.fires) +
            " worked=" + std::to_string(t.worked) +
            " quarantines=" + std::to_string(t.quarantines);
-    if (t.budget_overruns > 0)
-      out += " budget_overruns=" + std::to_string(t.budget_overruns);
-    if (t.stalled) out += " STALLED";
     if (!t.last_error.empty()) out += " last_error=\"" + t.last_error + "\"";
     out += "\n";
   }
@@ -309,7 +306,6 @@ uint64_t ReplicatedGraph::run(const ReplicatedRunOptions& opts) {
           }
           pumping_.fetch_sub(1, std::memory_order_release);
           if (!more) return TaskState::kDone;
-          if (Task* self = Scheduler::current_task()) self->beat();
           const uint64_t cum =
               total.fetch_add(pumped, std::memory_order_relaxed) + pumped;
           if (opts.tick) opts.tick(cum);

@@ -1,5 +1,6 @@
 #include "pipeline/scheduler.hpp"
 
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 
@@ -13,8 +14,6 @@ namespace {
 // elsewhere. One scheduler runs at a time per OS thread, so a plain
 // thread_local is enough even when schedulers nest across threads.
 thread_local int tl_thread_id = -1;
-// The task the current OS thread is firing right now (null between fires).
-thread_local Task* tl_task = nullptr;
 
 // what() of the exception currently being handled (supervision telemetry).
 std::string current_error_text() {
@@ -29,7 +28,6 @@ std::string current_error_text() {
 }  // namespace
 
 int Scheduler::current_thread() noexcept { return tl_thread_id; }
-Task* Scheduler::current_task() noexcept { return tl_task; }
 
 Scheduler::Scheduler(size_t n_threads, Options opt) : opt_(opt) {
   if (n_threads == 0) n_threads = 1;
@@ -129,14 +127,6 @@ bool Scheduler::reinstate(Task& t) {
     if (t.phase() != TaskPhase::kQuarantined) return false;
     t.phase_.store(static_cast<uint8_t>(TaskPhase::kRunnable),
                    std::memory_order_release);
-    // The task is detached (no holder): safe to reset holder-thread state
-    // here; the queue push below hands it to its next holder with the
-    // usual mutex ordering. The owner rebuilt the task's state, so a
-    // pre-quarantine STALLED flag (or a half-counted heartbeat window) must
-    // not outlive the rejoin in RuntimeHealth.
-    t.stalled_.store(false, std::memory_order_relaxed);
-    t.hb_seen_ = t.heartbeat_.load(std::memory_order_relaxed);
-    t.fires_since_hb_ = 0;
     if (!t.counted_live_) {
       t.counted_live_ = true;
       live_.fetch_add(1, std::memory_order_acq_rel);
@@ -161,8 +151,6 @@ RuntimeHealth Scheduler::health() const {
       th.fires = t->fires();
       th.worked = t->worked();
       th.quarantines = t->quarantines();
-      th.budget_overruns = t->budget_overruns();
-      th.stalled = t->stalled();
       th.last_error = t->last_error_;
       h.tasks.push_back(std::move(th));
     }
@@ -172,28 +160,6 @@ RuntimeHealth Scheduler::health() const {
     h.suppressed_errors = suppressed_errors_;
   }
   return h;
-}
-
-void Scheduler::watchdog_sample(
-    Task& t, TaskState st, std::chrono::steady_clock::time_point fire_start) {
-  if (t.opt_.fire_budget_ns > 0) {
-    const auto el = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - fire_start)
-                        .count();
-    if (el > 0 && static_cast<uint64_t>(el) > t.opt_.fire_budget_ns)
-      t.budget_overruns_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Stall detection only judges fires that CLAIM progress: a task idling
-  // (e.g. a replica whose source is paused) is waiting, not stuck.
-  if (t.opt_.stall_fires > 0 && st == TaskState::kWorked) {
-    const uint64_t hb = t.heartbeat_.load(std::memory_order_relaxed);
-    if (hb != t.hb_seen_) {
-      t.hb_seen_ = hb;
-      t.fires_since_hb_ = 0;
-    } else if (++t.fires_since_hb_ >= t.opt_.stall_fires) {
-      t.stalled_.store(true, std::memory_order_relaxed);
-    }
-  }
 }
 
 void Scheduler::thread_loop(uint32_t tid) {
@@ -227,21 +193,16 @@ void Scheduler::thread_loop(uint32_t tid) {
     bool failed = false;
     uint32_t left = opt_.quantum;
     do {
-      // 1-in-64 sampled fire-latency stamps piggy-back on the watchdog's
-      // fire_start clock read: a sampled fire pays one extra now() at the
-      // end, every other fire pays nothing beyond the budget check.
+      // 1-in-64 sampled fire latency: a sampled fire reads the clock at
+      // both ends, every other fire reads it not at all.
       const bool sampled = NM_METRICS_ENABLED && NM_SAMPLE_EVERY(64);
-      const bool timed = t->opt_.fire_budget_ns > 0 || sampled;
-      const auto fire_start = timed ? std::chrono::steady_clock::now()
-                                    : std::chrono::steady_clock::time_point{};
+      const auto fire_start = sampled ? std::chrono::steady_clock::now()
+                                      : std::chrono::steady_clock::time_point{};
       try {
-        tl_task = t;
         if (failpoint::should_fire(failpoint::kPipelineTaskFire))
           throw std::runtime_error("injected: pipeline.task.fire");
         st = t->fire_();
-        tl_task = nullptr;
       } catch (...) {
-        tl_task = nullptr;
         failed = true;
         act = supervise_failure(*t);
         // Escalation keeps the original shape: a throwing task never fires
@@ -259,7 +220,6 @@ void Scheduler::thread_loop(uint32_t tid) {
                   std::chrono::steady_clock::now() - fire_start)
                   .count()));
         }
-        watchdog_sample(*t, st, fire_start);
         if (st == TaskState::kWorked) {
           t->worked_.fetch_add(1, std::memory_order_relaxed);
           ++me.worked;

@@ -33,12 +33,8 @@
 //     firing — and invokes the on_quarantine hook synchronously on the
 //     catching thread, which may drain/respawn state and reinstate() the
 //     task; that hook is the one restart path (a replicated pipeline
-//     re-steers, drains and rejoins the replica through it). A cooperative
-//     watchdog samples each task BETWEEN fires (no signals, no
-//     preemption): fires exceeding fire_budget_ns are counted as budget
-//     overruns, and a task that keeps claiming kWorked without advancing
-//     its heartbeat for stall_fires consecutive fires is flagged stalled.
-//     All of it surfaces in RuntimeHealth.
+//     re-steers, drains and rejoins the replica through it). All of it
+//     surfaces in RuntimeHealth.
 //
 // The flow-affinity argument (why per-flow packet order survives all of
 // this) is in DESIGN.md: a flow hashes to exactly one replica, a replica
@@ -46,7 +42,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -91,13 +86,6 @@ class Task {
     std::string label;        ///< for stats / debugging
     /// Supervision: what a throwing fire does (see SupervisorPolicy).
     SupervisorPolicy policy = SupervisorPolicy::kEscalate;
-    /// Watchdog: a fire taking longer than this is counted as a budget
-    /// overrun (sampled AFTER the fire returns — cooperative, no
-    /// preemption). 0 disables the timer entirely (no clock reads).
-    uint64_t fire_budget_ns = 0;
-    /// Watchdog: flag the task stalled after this many consecutive
-    /// kWorked fires without a heartbeat advance (beat()). 0 disables.
-    uint32_t stall_fires = 0;
   };
 
   [[nodiscard]] const std::string& label() const noexcept { return opt_.label; }
@@ -124,15 +112,6 @@ class Task {
   [[nodiscard]] uint32_t quarantines() const noexcept {
     return quarantines_.load(std::memory_order_relaxed);
   }
-  /// Progress heartbeat for the stall watchdog: the fire body calls beat()
-  /// (e.g. via Scheduler::current_task()) whenever it makes REAL progress.
-  void beat() noexcept { heartbeat_.fetch_add(1, std::memory_order_relaxed); }
-  [[nodiscard]] bool stalled() const noexcept {
-    return stalled_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] uint64_t budget_overruns() const noexcept {
-    return budget_overruns_.load(std::memory_order_relaxed);
-  }
 
  private:
   friend class Scheduler;
@@ -147,17 +126,9 @@ class Task {
   uint32_t last_thread_ = 0;  // written only by the thread holding the task
 
   // Supervision state. Atomics are the cross-thread surface (health
-  // readers); the plain members below them are touched only by the thread
-  // holding the task (ordered by the queue-mutex handoffs, like
-  // last_thread_) or, for a quarantined task, by the reinstate()r before
-  // the queue push that hands the task to its next holder.
+  // readers); the plain members are guarded by the scheduler's sup_mu_.
   std::atomic<uint8_t> phase_{static_cast<uint8_t>(TaskPhase::kRunnable)};
   std::atomic<uint32_t> quarantines_{0};
-  std::atomic<uint64_t> heartbeat_{0};
-  std::atomic<uint64_t> budget_overruns_{0};
-  std::atomic<bool> stalled_{false};
-  uint64_t hb_seen_ = 0;
-  uint32_t fires_since_hb_ = 0;
   bool counted_live_ = false;  // guarded by Scheduler::sup_mu_
   std::string last_error_;     // guarded by Scheduler::sup_mu_
 };
@@ -178,8 +149,6 @@ struct TaskHealth {
   uint64_t fires = 0;
   uint64_t worked = 0;
   uint32_t quarantines = 0;
-  uint64_t budget_overruns = 0;
-  bool stalled = false;
   std::string last_error;  ///< what() of the task's most recent failure
 };
 
@@ -230,10 +199,6 @@ class Scheduler {
   /// Scheduler thread index of the calling thread, or -1 outside a fire.
   /// Lets tests (and affinity-aware tasks) observe where they run.
   [[nodiscard]] static int current_thread() noexcept;
-  /// The task the calling thread is currently firing, or null outside a
-  /// fire. Lets fire bodies reach their own Task (heartbeat) without a
-  /// capture cycle at add() time.
-  [[nodiscard]] static Task* current_task() noexcept;
 
   /// Invoked synchronously, on the catching thread, right after a task is
   /// quarantined (policy kQuarantine) and BEFORE the task's liveness is
@@ -245,8 +210,8 @@ class Scheduler {
     on_quarantine_ = std::move(hook);
   }
 
-  /// Re-enter a quarantined task on its home queue (its watchdog state is
-  /// cleared; its graph/closure state is whatever the owner rebuilt).
+  /// Re-enter a quarantined task on its home queue (its graph/closure
+  /// state is whatever the owner rebuilt).
   /// Callable during run() from any thread — typically from the
   /// on_quarantine hook. Returns false if the
   /// task is not currently quarantined.
@@ -281,9 +246,6 @@ class Scheduler {
   /// Called from inside a catch block around fire_(); applies the task's
   /// SupervisorPolicy to the in-flight exception.
   [[nodiscard]] FailureAction supervise_failure(Task& t);
-  /// Between-fire watchdog sample (budget + heartbeat stall).
-  void watchdog_sample(Task& t, TaskState st,
-                       std::chrono::steady_clock::time_point fire_start);
 
   Options opt_;
   std::vector<std::unique_ptr<Task>> tasks_;

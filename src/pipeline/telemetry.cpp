@@ -61,11 +61,6 @@ void render_runtime_prom(std::string& out, const RuntimeHealth& r) {
                      r.suppressed_errors);
   prometheus_gauge(out, "nm_runtime_tasks", "tasks registered",
                    static_cast<double>(r.tasks.size()));
-  uint64_t stalled = 0;
-  for (const auto& t : r.tasks) stalled += t.stalled ? 1 : 0;
-  prometheus_gauge(out, "nm_runtime_stalled_tasks",
-                   "tasks flagged stalled by the watchdog",
-                   static_cast<double>(stalled));
 }
 
 void render_pipeline_prom(std::string& out, const PipelineHealth& p) {
@@ -197,9 +192,6 @@ std::string runtime_json(const RuntimeHealth& r) {
   json_kv(out, f, "quarantines", r.quarantines);
   json_kv(out, f, "suppressed_errors", r.suppressed_errors);
   json_kv(out, f, "tasks", r.tasks.size());
-  uint64_t stalled = 0;
-  for (const auto& t : r.tasks) stalled += t.stalled ? 1 : 0;
-  json_kv(out, f, "stalled_tasks", stalled);
   out += '}';
   return out;
 }

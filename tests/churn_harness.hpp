@@ -64,13 +64,13 @@ struct ChurnConfig {
   int n_writers = 2;
   int n_scalar_readers = 1;  ///< OnlineNuevoMatch::match readers
   int n_batch_readers = 1;   ///< OnlineNuevoMatch::match_batch readers
-  /// Readers fronted by ONE shared update-coherent pipeline::FlowCache:
-  /// hits serve cached decisions, misses classify-and-fill, every served
-  /// answer is still checked against the stable core while writers and
-  /// swaps race — the cache must never let a commit leak a stale decision.
-  /// Readers ALTERNATE scalar probes with shard-grouped burst probes
-  /// (lookup_burst/insert_burst), so the per-shard band-mark re-check races
-  /// commits landing mid-burst too.
+  /// Readers each fronted by their OWN update-coherent pipeline::FlowCache
+  /// (a cache has one owner thread, like a pipeline replica's): hits serve
+  /// cached decisions, misses classify-and-fill, every served answer is
+  /// still checked against the stable core while writers and swaps race —
+  /// the cache must never let a commit leak a stale decision. Readers
+  /// ALTERNATE scalar probes with burst probes (lookup_burst/insert_burst),
+  /// so the per-lane band-mark read races commits landing mid-burst too.
   int n_cache_readers = 0;
   size_t cache_capacity = 4096;
   /// Readers that are REAL pipeline replicas: each reader thread repeatedly
@@ -289,16 +289,16 @@ class ChurnHarness {
         }
       });
     }
-    // Cache-fronted readers share ONE update-coherent flow cache in front
-    // of the classifier (the pipeline's FlowCache -> Classifier shape,
-    // without the graph): a hit serves the cached decision, a miss reads
-    // the coherence stamp BEFORE classifying and fills. Commits racing
-    // these readers invalidate entries via the stamp; every served answer —
-    // cached or fresh — must still equal the stable core's.
-    pipeline::FlowCache shared_cache{cfg_.cache_capacity};
-    shared_cache.set_stamp_source(&online);
+    // Cache-fronted readers: each owns one update-coherent flow cache in
+    // front of the classifier (the pipeline's FlowCache -> Classifier
+    // shape, without the graph): a hit serves the cached decision, a miss
+    // reads the coherence stamp BEFORE classifying and fills. Commits
+    // racing these readers invalidate entries via the stamp; every served
+    // answer — cached or fresh — must still equal the stable core's.
     for (int t = 0; t < cfg_.n_cache_readers; ++t) {
       readers.emplace_back([&, t] {
+        pipeline::FlowCache cache{cfg_.cache_capacity};
+        cache.set_stamp_source(&online);
         size_t i = static_cast<size_t>(t) * 29;
         uint64_t turn = static_cast<uint64_t>(t);
         while (!stop.load(std::memory_order_relaxed)) {
@@ -308,32 +308,32 @@ class ChurnHarness {
             const Packet& p = core_.packets[k];
             pipeline::Decision d;
             int32_t got;
-            if (shared_cache.lookup(p, d)) {
+            if (cache.lookup(p, d)) {
               got = d.rule_id;
             } else {
-              const uint64_t stamp = shared_cache.current_stamp();
+              const uint64_t stamp = cache.current_stamp();
               const MatchResult r = online.match(p);
               got = r.rule_id;
-              shared_cache.insert(p, pipeline::Decision{r.rule_id, r.priority, -1},
-                                  stamp);
+              cache.insert(p, pipeline::Decision{r.rule_id, r.priority, -1},
+                           stamp);
             }
             if (got != core_.expected[k]) mismatches.fetch_add(1);
             lookups.fetch_add(1, std::memory_order_relaxed);
             continue;
           }
-          // Shard-grouped burst probe over a contiguous core window (the
-          // pipeline's FlowCacheElement fast path): one stamp read fronts
-          // the whole burst's fills, while the serve/retire verdicts come
-          // from the band marks re-read per shard hold.
+          // Burst probe over a contiguous core window (the pipeline's
+          // FlowCacheElement fast path): one stamp read fronts the whole
+          // burst's fills, while the serve/retire verdicts come from the
+          // band marks re-read per lane.
           const size_t k = i % core_.packets.size();
           const auto n = static_cast<uint32_t>(std::min(
               pipeline::FlowCache::kBurstLanes, core_.packets.size() - k));
           i += n;
           const Packet* ps = core_.packets.data() + k;
           std::array<pipeline::Decision, pipeline::FlowCache::kBurstLanes> out;
-          const uint64_t stamp = shared_cache.current_stamp();
-          const uint32_t hits = shared_cache.lookup_burst(ps, n, ~uint32_t{0},
-                                                          out.data());
+          const uint64_t stamp = cache.current_stamp();
+          const uint32_t hits =
+              cache.lookup_burst(ps, n, ~uint32_t{0}, out.data());
           std::array<pipeline::Decision, pipeline::FlowCache::kBurstLanes> fill;
           uint32_t fill_mask = 0;
           for (uint32_t j = 0; j < n; ++j) {
@@ -349,7 +349,7 @@ class ChurnHarness {
             if (got != core_.expected[k + j]) mismatches.fetch_add(1);
           }
           if (fill_mask != 0)
-            shared_cache.insert_burst(ps, n, fill_mask, fill.data(), stamp);
+            cache.insert_burst(ps, n, fill_mask, fill.data(), stamp);
           lookups.fetch_add(n, std::memory_order_relaxed);
         }
       });
@@ -648,9 +648,9 @@ class ChurnHarness {
       }
     }
     // Pass 2, bursted: the SAME probes again through lookup_burst /
-    // insert_burst — the shard-grouped path the pipeline elements use. The
-    // scalar passes above left the cache warm, so this pass is nearly all
-    // hits; any decision the per-shard band-mark check lets through that the
+    // insert_burst — the burst path the pipeline elements use. The scalar
+    // passes above left the cache warm, so this pass is nearly all hits;
+    // any decision the burst path's band-mark check lets through that the
     // scalar probe path would have retired diverges from the oracle here.
     for (size_t off = 0; off < probes.size();
          off += pipeline::FlowCache::kBurstLanes) {

@@ -1,5 +1,5 @@
 // Targeted FlowCache unit suite for the dependency-aware (priority-band)
-// invalidation scheme and the shard-grouped burst probes (ISSUE 8):
+// invalidation scheme, its occupancy count and its burst probes:
 //
 //   * a commit in ANOTHER band keeps a cached entry serving (and counts it
 //     as `retained`); a commit in the SAME band retires it;
@@ -10,9 +10,11 @@
 //   * insert() dropping an older-stamped re-insert is counted, and a
 //     stale-retired way (stamp cleared, key left behind) is reused by the
 //     next fill instead of evicting a live neighbor;
-//   * lookup_burst/insert_burst group lanes by shard, probe with the band
-//     marks re-checked per shard hold, and stay coherent while commits and
-//     retrain swaps race mid-burst (run under TSAN in CI).
+//   * size() counts occupancy: fills into empty ways and stale retires
+//     move it, re-stamps and evictions do not, clear() zeroes it;
+//   * lookup_burst/insert_burst re-read the band marks per lane and stay
+//     coherent while commits and retrain swaps race mid-burst (run under
+//     TSAN in CI).
 //
 // The rule-set is handcrafted so every band is addressable: rule i matches
 // exactly one src-ip and has priority i*10, so with 160 rules the installed
@@ -199,28 +201,13 @@ TEST(FlowCacheBands, CachedMissSurvivesErasesAndDiesOnInsert) {
 
 // --- construction ------------------------------------------------------------
 
-// The shard count is bounded: burst probes index shards through one 64-bit
-// touched-set word, so 0 or more than kMaxShards is refused up front rather
-// than clamped or allocated.
-TEST(FlowCacheShape, ShardCountOutsideOneToMaxIsRejected) {
-  EXPECT_THROW(FlowCache(64, 0), std::invalid_argument);
-  EXPECT_THROW(FlowCache(64, FlowCache::kMaxShards + 1), std::invalid_argument);
-  FlowCache widest{4096, FlowCache::kMaxShards};
-  EXPECT_EQ(widest.shards(), FlowCache::kMaxShards);
-  // A full burst spread over every shard still round-trips.
-  std::array<Packet, FlowCache::kBurstLanes> pkts{};
-  std::array<Decision, FlowCache::kBurstLanes> ds{};
-  for (uint32_t i = 0; i < FlowCache::kBurstLanes; ++i) {
-    pkts[i].field = {i, i + 1, i + 2, i + 3, i + 4};
-    ds[i] = Decision{static_cast<int32_t>(i), static_cast<int32_t>(i), 0};
-  }
-  widest.insert_burst(pkts.data(), FlowCache::kBurstLanes, ~0u, ds.data(), 1);
-  std::array<Decision, FlowCache::kBurstLanes> got{};
-  EXPECT_EQ(widest.lookup_burst(pkts.data(), FlowCache::kBurstLanes, ~0u,
-                                got.data()),
-            ~0u);
-  for (uint32_t i = 0; i < FlowCache::kBurstLanes; ++i)
-    EXPECT_EQ(got[i].rule_id, static_cast<int32_t>(i));
+// Capacity rounds up to kWays * a power-of-two number of sets (at least
+// one set), so the pipeline's usual sizes keep their exact capacity.
+TEST(FlowCacheShape, CapacityRoundsUpToWaysTimesPowerOfTwoSets) {
+  EXPECT_EQ(FlowCache{0}.capacity(), FlowCache::kWays);
+  EXPECT_EQ(FlowCache{1000}.capacity(), 1024u);
+  EXPECT_EQ(FlowCache{8192}.capacity(), 8192u);
+  EXPECT_EQ(FlowCache{65536}.capacity(), 65536u);
 }
 
 // --- accounting fixes (satellites) ------------------------------------------
@@ -230,7 +217,7 @@ TEST(FlowCacheStats, FutureStampedEntryIsAHitCountedAsFuture) {
   // is FRESHER than any probe's view. The band marks (pinned to 0) prove it
   // current — it must be served, and counted in the `future` sub-bucket
   // (the pre-band cache returned a plain miss here).
-  FlowCache cache{64, 2};
+  FlowCache cache{64};
   Packet p;
   p.field = {1, 2, 3, 4, 5};
   cache.insert(p, Decision{7, 7, 1}, 5);
@@ -245,7 +232,7 @@ TEST(FlowCacheStats, FutureStampedEntryIsAHitCountedAsFuture) {
 }
 
 TEST(FlowCacheStats, OlderStampedReinsertIsDroppedAndCounted) {
-  FlowCache cache{64, 2};
+  FlowCache cache{64};
   Packet p;
   p.field = {1, 2, 3, 4, 5};
   cache.insert(p, Decision{7, 7, 1}, 5);
@@ -261,11 +248,11 @@ TEST(FlowCacheStats, OlderStampedReinsertIsDroppedAndCounted) {
 }
 
 TEST(FlowCacheStats, RetiredWayIsReusedByTheNextFill) {
-  // One set (capacity == kWays, 1 shard): four flows in four DIFFERENT
+  // One set (capacity == kWays): four flows in four DIFFERENT
   // bands fill it exactly. Retiring one must free ITS way for the refill —
   // not shadow accounting or evict a live neighbor.
   auto online = make_online(band_rules());
-  FlowCache cache{FlowCache::kWays, 1};
+  FlowCache cache{FlowCache::kWays};
   cache.set_stamp_source(online.get());
   const int flows[4] = {3, 50, 100, 150};  // bands 0, 5, 10, 15
   const uint64_t stamp = cache.current_stamp();
@@ -298,7 +285,7 @@ TEST(FlowCacheStats, RetiredWayIsReusedByTheNextFill) {
 }
 
 TEST(FlowCacheStats, LookupsDenominatorAndIntervalDelta) {
-  FlowCache cache{64, 2};
+  FlowCache cache{64};
   Packet p;
   p.field = {1, 2, 3, 4, 5};
   Decision d;
@@ -317,10 +304,11 @@ TEST(FlowCacheStats, LookupsDenominatorAndIntervalDelta) {
 }
 
 // size() is point-in-time occupancy — what a quarantine drain actually
-// drops — NOT the cumulative insert count (re-stamping a cached flow grows
-// inserts but not occupancy; clear() zeroes occupancy but not inserts).
+// drops — NOT the cumulative insert count: re-stamping a cached flow or
+// evicting one grows inserts but not occupancy, a stale retire lowers it by
+// one, and clear() zeroes occupancy but not inserts.
 TEST(FlowCacheStats, SizeIsOccupancyNotCumulativeInserts) {
-  FlowCache cache{64, 2};
+  FlowCache cache{64};
   EXPECT_EQ(cache.size(), 0u);
   for (uint32_t i = 0; i < 8; ++i) {
     Packet p;
@@ -338,17 +326,44 @@ TEST(FlowCacheStats, SizeIsOccupancyNotCumulativeInserts) {
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.stats().inserts, 16u) << "clear drops entries, not stats";
+  // One set (capacity == kWays), four flows in four different bands.
+  auto online = make_online(band_rules());
+  FlowCache one{FlowCache::kWays};
+  one.set_stamp_source(online.get());
+  const auto fill = [&](int i) {
+    const MatchResult r = online->match(pkt(i));
+    one.insert(pkt(i), Decision{r.rule_id, r.priority, 0}, one.current_stamp());
+  };
+  for (const int i : {3, 50, 100, 150}) fill(i);
+  EXPECT_EQ(one.size(), 4u);
+  fill(50);
+  EXPECT_EQ(one.size(), 4u) << "a same-flow re-stamp must not grow occupancy";
+
+  // A same-band commit: the probe that retires flow 3 frees its way.
+  ASSERT_TRUE(online->erase(3));
+  Decision d;
+  EXPECT_FALSE(one.lookup(pkt(3), d));
+  EXPECT_EQ(one.stats().stale, 1u);
+  EXPECT_EQ(one.size(), 3u) << "a stale retire must lower occupancy";
+
+  fill(3);  // lands in the retired way
+  EXPECT_EQ(one.size(), 4u);
+  fill(120);  // the set is full: evicts a live entry
+  EXPECT_EQ(one.stats().evictions, 1u);
+  EXPECT_EQ(one.size(), 4u) << "an eviction must not change occupancy";
+  one.clear();
+  EXPECT_EQ(one.size(), 0u);
 }
 
-// --- shard-grouped burst probes ---------------------------------------------
+// --- burst probes -------------------------------------------------------------
 
-TEST(FlowCacheBurst, BurstProbeGroupsByShardAndHonorsBands) {
+TEST(FlowCacheBurst, BurstProbeHonorsBands) {
   auto online = make_online(band_rules());
-  FlowCache cache{1024, 4};
+  FlowCache cache{1024};
   cache.set_stamp_source(online.get());
 
-  // 32 flows spanning the shards: lanes 0..15 hit low-band rules (bands
-  // 0..1), lanes 16..31 hit top-band rules 144..159 (bands 14..15).
+  // 32 flows: lanes 0..15 hit low-band rules (bands 0..1), lanes 16..31
+  // hit top-band rules 144..159 (bands 14..15).
   std::array<Packet, 32> ps;
   std::array<Decision, 32> ds;
   for (int i = 0; i < 32; ++i) {
@@ -393,11 +408,11 @@ TEST(FlowCacheBurst, BurstProbesStayCoherentAcrossRacingCommitsAndSwaps) {
   // (insert_batch + erase_batch, with periodic forced retrain swaps) while
   // the main thread runs burst probe/fill cycles over a stable core whose
   // answers are invariant under the churn. Every decision a burst probe
-  // serves must equal the invariant answer — a band bump hoisted over the
-  // burst (instead of re-checked per shard hold) would flunk this under
-  // TSAN and often functionally too. CI runs this suite under TSAN.
+  // serves must equal the invariant answer — a band mark hoisted over the
+  // burst (instead of re-read per lane) would flunk this under TSAN and
+  // often functionally too. CI runs this suite under TSAN.
   auto online = make_online(band_rules());
-  FlowCache cache{4096, 8};
+  FlowCache cache{4096};
   cache.set_stamp_source(online.get());
 
   constexpr int kCore = 64;

@@ -52,7 +52,7 @@ std::shared_ptr<OnlineNuevoMatch> make_online(const RuleSet& rules,
 // --- FlowCache --------------------------------------------------------------
 
 TEST(FlowCacheTest, HitMissAndFullKeyCompare) {
-  FlowCache cache{64, 2};
+  FlowCache cache{64};
   Packet p;
   p.field = {1, 2, 3, 4, 5};
   Decision d;
@@ -129,7 +129,7 @@ TEST(FlowCacheTest, RetrainSwapInvalidatesConservatively) {
 }
 
 TEST(FlowCacheTest, EvictionIsBoundedToTheSet) {
-  FlowCache cache{FlowCache::kWays * 2, 1};  // tiny: 2 sets, 4 ways
+  FlowCache cache{FlowCache::kWays * 2};  // tiny: 2 sets, 4 ways
   for (uint32_t i = 0; i < 64; ++i) {
     Packet p;
     p.field = {i, i + 1, i + 2, i + 3, 6};
@@ -258,12 +258,11 @@ TEST(GraphParse, NegativeSuiteDiagnosesEveryMalformation) {
                      "unknown Classifier option");
   expect_parse_error("a :: Counter();\n\nc :: Classifier(rules, shards=4);", 3,
                      "unknown Classifier option");
-  // FlowCache shard counts outside 1..64 are config errors, not a billion
-  // allocated shards or a silent clamp.
-  expect_parse_error("c :: FlowCache(64, 0);", 1,
-                     "FlowCache shard count must be 1..64");
-  expect_parse_error("a :: Counter();\nc :: FlowCache(64, 65);", 2,
-                     "FlowCache shard count must be 1..64");
+  // FlowCache takes exactly one argument: the removed shard count is a
+  // usage error, not silently ignored, and so is a missing capacity.
+  expect_parse_error("c :: FlowCache(1024, 4);", 1, "FlowCache(capacity)");
+  expect_parse_error("a :: Counter();\nc :: FlowCache();", 2,
+                     "FlowCache(capacity)");
   // A config-built cycle is rejected at initialize() (topology, not
   // syntax, so no line number — assert the named-element message instead).
   Graph g = Graph::parse(

@@ -1,8 +1,7 @@
 // Task fault domains and the pipeline recovery ladder: the scheduler's
-// SupervisorPolicy (escalate / quarantine), the cooperative watchdog, the
-// suppressed-error counter, and the ReplicatedGraph quarantine → re-steer
-// → drain → rejoin path — all driven deterministically through the
-// pipeline failpoints. A quarantined task restarts only through the
+// SupervisorPolicy (escalate / quarantine), the suppressed-error counter,
+// and the ReplicatedGraph quarantine → re-steer → drain → rejoin path —
+// all driven deterministically through the pipeline failpoints. A quarantined task restarts only through the
 // on_quarantine hook (reinstate()); there is no in-place retry policy, and
 // background retraining belongs to the shared engine's own auto-retrain
 // worker, so a replica crash never moves training duties anywhere. Runs
@@ -176,78 +175,6 @@ TEST(SupervisorEscalate, LaterErrorsAreCountedNotSwallowed) {
       << "the second failure was dropped without being counted";
   EXPECT_EQ(task_health(h, "failure A").last_error, "failure A");
   EXPECT_EQ(task_health(h, "failure B").last_error, "failure B");
-}
-
-// --- cooperative watchdog ---------------------------------------------------
-
-// A task that keeps claiming kWorked without advancing its heartbeat is
-// flagged stalled after stall_fires consecutive fires; a beating sibling
-// with the same configuration never is. Budget overruns are counted for
-// fires that exceed fire_budget_ns (sampled between fires — cooperative).
-TEST(SupervisorWatchdog, FlagsStalledTaskAndCountsBudgetOverruns) {
-  Scheduler sched(1);
-  Task::Options liar_opt;
-  liar_opt.label = "liar";
-  liar_opt.stall_fires = 8;
-  liar_opt.fire_budget_ns = 1;  // every real fire overruns 1ns
-  uint64_t liar_fires = 0;
-  Task& liar = sched.add(
-      [&]() -> TaskState {
-        volatile uint64_t sink = 0;
-        for (int i = 0; i < 1000; ++i) sink = sink + static_cast<uint64_t>(i);
-        return ++liar_fires >= 40 ? TaskState::kDone : TaskState::kWorked;
-      },
-      std::move(liar_opt));
-  Task::Options honest_opt;
-  honest_opt.label = "honest";
-  honest_opt.stall_fires = 8;
-  uint64_t honest_fires = 0;
-  Task& honest = sched.add(
-      [&]() -> TaskState {
-        Scheduler::current_task()->beat();  // real progress, every fire
-        return ++honest_fires >= 40 ? TaskState::kDone : TaskState::kWorked;
-      },
-      std::move(honest_opt));
-  sched.run();
-
-  EXPECT_TRUE(liar.stalled()) << "40 no-progress kWorked fires, never flagged";
-  EXPECT_GE(liar.budget_overruns(), 1u);
-  EXPECT_FALSE(honest.stalled());
-  const RuntimeHealth h = sched.health();
-  EXPECT_TRUE(task_health(h, "liar").stalled);
-  EXPECT_FALSE(task_health(h, "honest").stalled);
-}
-
-// reinstate() resets the watchdog: a task flagged
-// stalled BEFORE its quarantine must come back clean — its state was
-// rebuilt, so a sticky STALLED flag in RuntimeHealth would be a lie.
-TEST(SupervisorWatchdog, ReinstateClearsWatchdogState) {
-  Scheduler sched(1);
-  Task::Options topt;
-  topt.label = "recoverer";
-  topt.policy = SupervisorPolicy::kQuarantine;
-  topt.stall_fires = 4;
-  uint64_t fires = 0;
-  Task& t = sched.add(
-      [&]() -> TaskState {
-        ++fires;
-        if (fires <= 6) return TaskState::kWorked;  // no beat(): stalls at 4
-        if (fires == 7) throw std::runtime_error("die stalled");
-        Scheduler::current_task()->beat();  // healthy after the rejoin
-        return fires >= 12 ? TaskState::kDone : TaskState::kWorked;
-      },
-      std::move(topt));
-  bool stalled_at_quarantine = false;
-  sched.set_on_quarantine([&](Task& tk) {
-    stalled_at_quarantine = tk.stalled();
-    EXPECT_TRUE(sched.reinstate(tk));
-  });
-  sched.run();
-
-  EXPECT_TRUE(stalled_at_quarantine) << "the stall never registered";
-  EXPECT_TRUE(t.done());
-  EXPECT_FALSE(t.stalled()) << "reinstate left the pre-quarantine flag set";
-  EXPECT_FALSE(task_health(sched.health(), "recoverer").stalled);
 }
 
 // --- the replicated recovery ladder -----------------------------------------
