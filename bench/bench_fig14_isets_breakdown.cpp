@@ -4,6 +4,9 @@
 // remainder savings — 1-2 iSets is the sweet spot with a cs remainder.
 // The iSet-only time runs NuevoMatch's lookup composition with an empty
 // remainder stage, so it includes the cross-iSet floor exactly as served.
+// The phase columns time the remainder on every packet; the served column
+// times nm.match, which skips the remainder for iSet hits whose
+// needs_remainder bit is clear (the skip column: share of iSet rules so).
 #include <cstdio>
 #include <limits>
 #include <memory>
@@ -31,8 +34,9 @@ int main() {
   const RuleSet rules = generate_classbench(AppClass::kAcl, 1, s.large_n, 1);
   const auto trace = uniform_trace(rules, s);
 
-  std::printf("%-6s %9s | %10s %10s %10s %10s | %10s\n", "iSets", "coverage",
-              "remainder", "inference", "search", "validate", "total ns");
+  std::printf("%-6s %9s %6s | %10s %10s %10s %10s | %10s %10s\n", "iSets", "coverage",
+              "skip", "remainder", "inference", "search", "validate", "total ns",
+              "served ns");
   for (int k = 0; k <= 6; ++k) {
     NuevoMatchConfig cfg;
     cfg.remainder_factory = [&s] { return make_baseline("cutsplit", s); };
@@ -71,11 +75,13 @@ int main() {
               .rule_id;
         },
         trace, s.reps);
+    const double t_served = measure_ns_per_packet_fn(
+        [&](const Packet& p) { return nm.match(p).rule_id; }, trace, s.reps);
     const double t_search = std::max(0.0, t_inf_search - t_inf);
     const double t_validate = std::max(0.0, t_full_isets - t_inf_search);
-    std::printf("%-6d %8.1f%% | %10.1f %10.1f %10.1f %10.1f | %10.1f\n", k,
-                nm.coverage() * 100.0, t_rem, t_inf, t_search, t_validate,
-                t_rem + t_full_isets);
+    std::printf("%-6d %8.1f%% %5.1f%% | %10.1f %10.1f %10.1f %10.1f | %10.1f %10.1f\n", k,
+                nm.coverage() * 100.0, nm.remainder_skip_fraction() * 100.0, t_rem, t_inf,
+                t_search, t_validate, t_rem + t_full_isets, t_served);
     std::fflush(stdout);
   }
   std::printf("\npaper: zero iSets = cs alone; diminishing returns beyond 2 iSets\n");

@@ -1,7 +1,9 @@
 #include "isets/iset_index.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
+#include <utility>
 
 #include "common/mem.hpp"
 #include "rqrmi/arch.hpp"
@@ -79,7 +81,7 @@ void IsetIndex::index_rules() {
   hi_.resize(rules_.size());
   prio_.resize(rules_.size());
   id_.resize(rules_.size());
-  wild_rest_.resize(rules_.size());
+  shape_.resize(rules_.size());
   alive_.assign(rules_.size(), 1);
   pos_by_id_.clear();
   pos_by_id_.reserve(rules_.size());
@@ -92,7 +94,7 @@ void IsetIndex::index_rules() {
     bool wild = true;
     for (int f = 0; f < kNumFields; ++f)
       if (f != field_ && !rules_[i].is_wildcard(f)) wild = false;
-    wild_rest_[i] = wild ? 1 : 0;
+    shape_[i] = wild ? kWildRest : 0;
     pos_by_id_.emplace(rules_[i].id, static_cast<uint32_t>(i));
     if (i > 0 && lo_[i] <= hi_[i - 1])
       throw std::invalid_argument{"IsetIndex: rules must be disjoint and sorted in field"};
@@ -160,7 +162,7 @@ int32_t IsetIndex::search(uint32_t v, const rqrmi::Prediction& pred) const noexc
   // can straddle two cache lines: touch its first and last byte.
   __builtin_prefetch(prio_.data() + pos);
   __builtin_prefetch(alive_.data() + pos);
-  __builtin_prefetch(wild_rest_.data() + pos);
+  __builtin_prefetch(shape_.data() + pos);
   const auto* body = reinterpret_cast<const char*>(rules_.data() + pos);
   __builtin_prefetch(body);
   __builtin_prefetch(body + sizeof(Rule) - 1);
@@ -180,7 +182,7 @@ MatchResult IsetIndex::validate(int32_t pos, const Packet& p,
   // Packed metadata first: a candidate that cannot beat the floor, or whose
   // other fields are wildcards, never needs its rule body fetched.
   if (prio_[i] >= priority_floor || alive_load(i) == 0) return MatchResult{};
-  if (wild_rest_[i])
+  if ((shape_[i] & kWildRest) != 0)
     return MatchResult{static_cast<int32_t>(id_[i]), prio_[i]};
   const Rule& r = rules_[i];
   if (!r.matches(p)) return MatchResult{};
@@ -200,10 +202,106 @@ bool IsetIndex::erase(uint32_t rule_id) noexcept {
   return true;
 }
 
+namespace {
+
+/// (priority, id) packed so that unsigned key order is MatchResult::beats
+/// order: a smaller key outranks a larger one.
+uint64_t rank_key(int32_t priority, uint32_t id) noexcept {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(priority) ^ 0x80000000u) << 32) | id;
+}
+
+bool boxes_overlap(const Rule& a, const Rule& b) noexcept {
+  for (size_t f = 0; f < kNumFields; ++f)
+    if (!a.field[f].overlaps(b.field[f])) return false;
+  return true;
+}
+
+struct Ranked {
+  uint64_t key;
+  uint32_t pos;
+};
+
+/// Positions 0..n-1 ordered by rank_key, best first: an LSD radix sort, one
+/// byte per pass, skipping the bytes on which every key agrees.
+std::vector<Ranked> rank_order(const std::vector<int32_t>& prio,
+                               const std::vector<uint32_t>& id) {
+  const size_t n = prio.size();
+  std::vector<Ranked> a(n), tmp(n);
+  std::array<std::array<uint32_t, 256>, 8> hist{};
+  for (size_t i = 0; i < n; ++i) {
+    a[i] = Ranked{rank_key(prio[i], id[i]), static_cast<uint32_t>(i)};
+    for (size_t b = 0; b < 8; ++b) ++hist[b][(a[i].key >> (8 * b)) & 0xFF];
+  }
+  for (size_t b = 0; b < 8; ++b) {
+    auto& h = hist[b];
+    if (h[(a[0].key >> (8 * b)) & 0xFF] == n) continue;
+    uint32_t sum = 0;
+    for (uint32_t& c : h) sum += std::exchange(c, sum);
+    for (const Ranked& r : a) tmp[h[(r.key >> (8 * b)) & 0xFF]++] = r;
+    a.swap(tmp);
+  }
+  return a;
+}
+
+/// Smallest overlap range worth a rank order: narrower ranges are scanned
+/// directly.
+constexpr size_t kNarrowRange = 64;
+
+}  // namespace
+
+std::pair<size_t, size_t> IsetIndex::overlap_range(const Rule& r) const noexcept {
+  // The ranges are disjoint and sorted, so both ends ascend and the rules
+  // overlapping r in this field are one contiguous run.
+  const Range& f = r.field[static_cast<size_t>(field_)];
+  const auto first = static_cast<size_t>(
+      std::partition_point(hi_.begin(), hi_.end(), [&](uint32_t h) { return h < f.lo; }) -
+      hi_.begin());
+  const auto last =
+      static_cast<size_t>(std::upper_bound(lo_.begin(), lo_.end(), f.hi) - lo_.begin());
+  return {first, std::max(first, last)};
+}
+
+void IsetIndex::mark_range(const Rule& r, size_t first, size_t last) noexcept {
+  const uint64_t key = rank_key(r.priority, r.id);
+  for (size_t i = first; i < last; ++i) {
+    if ((shape_[i] & kNeedsRemainder) == 0 && key < rank_key(prio_[i], id_[i]) &&
+        boxes_overlap(rules_[i], r))
+      shape_[i] |= kNeedsRemainder;
+  }
+}
+
+void IsetIndex::mark_remainder(std::span<const Rule> remainder) {
+  for (uint8_t& s : shape_) s &= static_cast<uint8_t>(~kNeedsRemainder);
+  std::vector<Ranked> by_rank;
+  for (const Rule& r : remainder) {
+    const auto [first, last] = overlap_range(r);
+    if (last - first > kNarrowRange) {
+      if (by_rank.empty()) by_rank = rank_order(prio_, id_);
+      const uint64_t key = rank_key(r.priority, r.id);
+      const auto worse = std::partition_point(
+          by_rank.begin(), by_rank.end(), [&](const Ranked& w) { return w.key <= key; });
+      if (static_cast<size_t>(by_rank.end() - worse) < last - first) {
+        for (auto it = worse; it != by_rank.end(); ++it) {
+          uint8_t& s = shape_[it->pos];
+          if ((s & kNeedsRemainder) == 0 && boxes_overlap(rules_[it->pos], r))
+            s |= kNeedsRemainder;
+        }
+        continue;
+      }
+    }
+    mark_range(r, first, last);
+  }
+}
+
+void IsetIndex::mark_remainder_rule(const Rule& r) noexcept {
+  const auto [first, last] = overlap_range(r);
+  mark_range(r, first, last);
+}
+
 size_t IsetIndex::rule_storage_bytes() const noexcept {
   return lo_.size() * sizeof(uint32_t) + hi_.size() * sizeof(uint32_t) +
          prio_.size() * sizeof(int32_t) + id_.size() * sizeof(uint32_t) +
-         wild_rest_.size() + rules_.size() * sizeof(Rule) + alive_.size() +
+         shape_.size() + rules_.size() * sizeof(Rule) + alive_.size() +
          map_overhead_bytes(pos_by_id_);
 }
 

@@ -12,6 +12,7 @@
 #include <limits>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -92,6 +93,30 @@ class IsetIndex {
   /// erase() (same contract as lookups).
   [[nodiscard]] bool alive(size_t i) const noexcept { return alive_load(i) != 0; }
 
+  // --- remainder skip bit (paper §4 early termination, across stages) -----
+  // needs_remainder(i) is set when some rule of the remainder this iSet was
+  // marked against overlaps rule i's 5-field box and outranks it under
+  // MatchResult::beats. A packet whose best iSet hit is rule i lies inside
+  // its box, so with the bit clear no remainder rule can beat the hit. The
+  // bit lives in the shape byte search() prefetches, beside (never inside)
+  // the tombstone byte erase() flips concurrently; it is written only
+  // before the index is published to readers.
+
+  /// Whether a marked remainder rule overlaps and outranks rule `i`.
+  [[nodiscard]] bool needs_remainder(size_t i) const noexcept {
+    return (shape_[i] & kNeedsRemainder) != 0;
+  }
+  /// Clear every needs_remainder bit, then set it for each rule that some
+  /// rule of `remainder` overlaps and outranks (build/restore). Per remainder
+  /// rule it scans the smaller of two candidate sets: the positions it
+  /// overlaps in the indexed field (a binary-searched range) and the rules
+  /// it outranks (a suffix of a rank order radix-sorted on first use and
+  /// dropped on return).
+  void mark_remainder(std::span<const Rule> remainder);
+  /// Set the bits of the rules `r` overlaps and outranks: a rule inserted
+  /// into the remainder after the build. Scans the overlap range only.
+  void mark_remainder_rule(const Rule& r) noexcept;
+
   [[nodiscard]] int field() const noexcept { return field_; }
   [[nodiscard]] size_t size() const noexcept { return rules_.size(); }
   [[nodiscard]] size_t live_rules() const noexcept { return live_; }
@@ -108,7 +133,17 @@ class IsetIndex {
 
  private:
   /// Fill the SoA arrays from rules_; validates sortedness/disjointness.
+  /// Leaves every needs_remainder bit clear.
   void index_rules();
+  /// Positions [first, last) whose ranges overlap `r` in the indexed field.
+  [[nodiscard]] std::pair<size_t, size_t> overlap_range(const Rule& r) const noexcept;
+  /// Set the needs_remainder bit of each position in [first, last) that `r`
+  /// outranks and overlaps.
+  void mark_range(const Rule& r, size_t first, size_t last) noexcept;
+
+  /// Packed per-rule shape bits (shape_).
+  static constexpr uint8_t kWildRest = 1;        ///< wildcard in every non-indexed field
+  static constexpr uint8_t kNeedsRemainder = 2;  ///< see needs_remainder()
 
   /// Tombstone flag access. std::atomic_ref on the plain byte array keeps
   /// the SoA layout (and its serializer framing) unchanged while giving the
@@ -131,7 +166,7 @@ class IsetIndex {
   std::vector<uint32_t> hi_;      // SoA: range ends
   std::vector<int32_t> prio_;     // SoA: rule priorities
   std::vector<uint32_t> id_;      // SoA: rule ids
-  std::vector<uint8_t> wild_rest_;  // 1 = wildcard in every non-indexed field
+  std::vector<uint8_t> shape_;    // kWildRest | kNeedsRemainder bits
   std::vector<Rule> rules_;       // same order as lo_/hi_
   std::vector<uint8_t> alive_;    // tombstones
   std::unordered_map<uint32_t, uint32_t> pos_by_id_;  // O(1) erase

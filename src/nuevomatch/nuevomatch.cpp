@@ -159,6 +159,7 @@ void NuevoMatch::build(std::span<const Rule> rules, const NuevoMatch* reuse_mode
         }
         remainder_ = cfg_.remainder_factory();
         remainder_->build(lpart.remainder);
+        mark_remainder(lpart.remainder);
         return;
       }
       // Gate failed: the pinned plan would cost coverage — fall through to
@@ -177,9 +178,15 @@ void NuevoMatch::build(std::span<const Rule> rules, const NuevoMatch* reuse_mode
   }
   remainder_ = cfg_.remainder_factory();
   remainder_->build(part.remainder);
+  mark_remainder(part.remainder);
 }
 
-void NuevoMatch::iset_stages(const Packet* packets, size_t tile, MatchResult* out) const {
+void NuevoMatch::mark_remainder(std::span<const Rule> remainder) {
+  for (IsetIndex& is : isets_) is.mark_remainder(remainder);
+}
+
+void NuevoMatch::iset_stages(const Packet* packets, size_t tile, MatchResult* out,
+                             bool* skip) const {
   // Three-stage software pipeline for one tile (DESIGN.md "Batched inference
   // engine"). Stage 1 runs the whole tile through the lane-per-packet RQ-RMI
   // kernels — one predict_batch call per iSet instead of a scalar predict
@@ -204,14 +211,11 @@ void NuevoMatch::iset_stages(const Packet* packets, size_t tile, MatchResult* ou
                            {preds.data() + s * kTile, tile},
                            {pos.data() + s * kTile, tile});
   }
-  // Stage 3: validation per packet.
+  // Stage 3: validation per packet, recording the skip bit of the hit that
+  // set the running best.
   for (size_t t = 0; t < tile; ++t) {
-    const Packet& p = packets[t];
-    MatchResult best;
     int32_t floor = std::numeric_limits<int32_t>::max();
-    for (size_t s = 0; s < n_isets; ++s)
-      take(isets_[s].validate(pos[s * kTile + t], p, floor), best, floor);
-    out[t] = best;
+    out[t] = validate_isets(packets[t], pos.data() + t, kTile, floor, skip[t]);
   }
 }
 
@@ -231,6 +235,7 @@ bool NuevoMatch::insert(const Rule& r) {
   if (r.priority == std::numeric_limits<int32_t>::max() || pos_by_id_.contains(r.id))
     return false;
   if (!remainder_->insert(r)) return false;
+  for (IsetIndex& is : isets_) is.mark_remainder_rule(r);
   pos_by_id_.emplace(r.id, rules_.size());
   rules_.push_back(r);
   ++migrated_;
@@ -330,6 +335,7 @@ void NuevoMatch::restore(std::vector<IsetIndex> isets, std::vector<Rule> remaind
   migrated_ = migrated;
   remainder_ = cfg_.remainder_factory();
   remainder_->build(remainder_rules);
+  mark_remainder(remainder_rules);
 }
 
 size_t NuevoMatch::memory_bytes() const {
@@ -345,6 +351,19 @@ double NuevoMatch::coverage() const noexcept {
   size_t covered = 0;
   for (const IsetIndex& is : isets_) covered += is.size();
   return static_cast<double>(covered) / static_cast<double>(built_size_);
+}
+
+double NuevoMatch::remainder_skip_fraction() const noexcept {
+  size_t live = 0;
+  size_t clear = 0;
+  for (const IsetIndex& is : isets_) {
+    for (size_t i = 0; i < is.size(); ++i) {
+      if (!is.alive(i)) continue;
+      ++live;
+      if (!is.needs_remainder(i)) ++clear;
+    }
+  }
+  return live == 0 ? 0.0 : static_cast<double>(clear) / static_cast<double>(live);
 }
 
 uint32_t NuevoMatch::max_search_error() const noexcept {

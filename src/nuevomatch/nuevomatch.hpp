@@ -73,6 +73,12 @@ class NuevoMatch final : public Classifier {
   // layer (base remainder or its override, then the churn delta) instead.
   // A stage is any type with match_with_floor(p, floor) — a Classifier, or
   // a plain view that need not implement build()/size()/name().
+  // The remainder skip: the FIRST stage must hold only rules of the built
+  // remainder (or rules added through insert()), which OnlineNuevoMatch's
+  // base remainder and its override are. When the iSet hit that set the
+  // running best has its needs_remainder bit clear (IsetIndex), no such rule
+  // can beat it and the first stage is not asked; every later stage (the
+  // churn delta, whose rules the bits never saw) always runs.
   // The iSet half runs in three passes — predict every iSet, search every
   // iSet, validate in iSet order — so the candidate loads that search()
   // prefetches for one iSet overlap with the work on the others.
@@ -103,10 +109,14 @@ class NuevoMatch final : public Classifier {
   /// New rules are absorbed by the remainder classifier (§3.9 insertion
   /// path). Rule ids must be unique across the live rule-set; inserting a
   /// duplicate id fails, and so does priority INT32_MAX (reserved for the
-  /// miss). O(1) plus the remainder engine's insert cost.
+  /// miss). The remainder engine's insert cost plus one scan per iSet over
+  /// the rules the new one overlaps in the iSet's field, setting the
+  /// needs_remainder bits of those it outranks.
   bool insert(const Rule& r) override;
   /// Tombstone in the owning iSet, or remove from the remainder. O(1) id
-  /// lookup plus the owning structure's erase cost.
+  /// lookup plus the owning structure's erase cost. needs_remainder bits
+  /// are left as they are: a removed remainder rule only makes them
+  /// conservative.
   bool erase(uint32_t rule_id) override;
   /// Online-engine deletion primitive: tombstone `rule_id` in whichever
   /// iSet holds it alive — an atomic in-place byte flip, safe against
@@ -124,7 +134,8 @@ class NuevoMatch final : public Classifier {
   /// Reinstate a built classifier from its parts without retraining the
   /// RQ-RMIs (the serializer's load path). The remainder classifier is
   /// rebuilt from `remainder_rules` via the configured factory — external
-  /// engines build fast; only model training is expensive. Throws
+  /// engines build fast; only model training is expensive — and the iSets'
+  /// needs_remainder bits are recomputed against it. Throws
   /// std::invalid_argument for more than kMaxIsets iSets.
   void restore(std::vector<IsetIndex> isets, std::vector<Rule> remainder_rules);
 
@@ -144,8 +155,9 @@ class NuevoMatch final : public Classifier {
   // --- introspection ------------------------------------------------------
   [[nodiscard]] double coverage() const noexcept;  ///< fraction in iSets
   [[nodiscard]] const std::vector<IsetIndex>& isets() const noexcept { return isets_; }
+  /// Read-only: a rule added behind insert()'s back would not set the
+  /// needs_remainder bits, and the skip would hide it.
   [[nodiscard]] const Classifier& remainder() const noexcept { return *remainder_; }
-  [[nodiscard]] Classifier& remainder() noexcept { return *remainder_; }
   [[nodiscard]] size_t remainder_size() const noexcept { return remainder_->size(); }
   /// The logical rule-set of the remainder engine (everything not covered by
   /// an iSet, including rules migrated there by updates). Serializer input.
@@ -158,21 +170,54 @@ class NuevoMatch final : public Classifier {
   [[nodiscard]] size_t built_size() const noexcept { return built_size_; }
   [[nodiscard]] size_t migrated() const noexcept { return migrated_; }
   [[nodiscard]] uint32_t max_search_error() const noexcept;
+  /// Share of live iSet rules whose needs_remainder bit is clear: the iSet
+  /// hits that skip the first remainder stage. O(iSet rules); 0 without
+  /// live iSet rules.
+  [[nodiscard]] double remainder_skip_fraction() const noexcept;
   [[nodiscard]] const NuevoMatchConfig& config() const noexcept { return cfg_; }
 
  private:
   [[nodiscard]] rqrmi::RqRmiConfig rqrmi_config(size_t iset_size) const;
   void rebuild_pos_map();
+  /// Recompute every iSet's needs_remainder bits against `remainder`.
+  void mark_remainder(std::span<const Rule> remainder);
   static constexpr size_t kTile = 32;  ///< batch pipeline tile width
   /// One tile (≤ kTile packets) of the batched iSet pipeline: stage 1 model
-  /// inference, stage 2 bounded search, stage 3 validation.
-  void iset_stages(const Packet* packets, size_t tile, MatchResult* out) const;
+  /// inference, stage 2 bounded search, stage 3 validation. skip[t] is
+  /// whether out[t] is an iSet hit with its needs_remainder bit clear.
+  void iset_stages(const Packet* packets, size_t tile, MatchResult* out, bool* skip) const;
   /// Fold one stage's answer into the running best and tighten the floor.
   static void take(const MatchResult& r, MatchResult& best, int32_t& floor) noexcept {
     if (r.beats(best)) {
       best = r;
       floor = best.tie_floor();
     }
+  }
+  /// Stage 3 for one packet: validate every iSet's candidate (iSet s's at
+  /// pos[s * stride]) in iSet order, threading the running `floor`. Returns
+  /// the best hit; `skip` is whether that hit's needs_remainder bit is clear.
+  MatchResult validate_isets(const Packet& p, const int32_t* pos, size_t stride,
+                             int32_t& floor, bool& skip) const noexcept {
+    MatchResult best;
+    skip = false;
+    for (size_t s = 0; s < isets_.size(); ++s) {
+      const int32_t at = pos[s * stride];
+      const MatchResult r = isets_[s].validate(at, p, floor);
+      if (r.beats(best)) {
+        best = r;
+        floor = best.tie_floor();
+        skip = !isets_[s].needs_remainder(static_cast<size_t>(at));
+      }
+    }
+    return best;
+  }
+  /// Fold the remainder stages in order, leaving out the first when
+  /// `skip_first` (see the remainder skip above).
+  template <class First, class... Rest>
+  static void remainder_stages(const Packet& p, bool skip_first, MatchResult& best,
+                               int32_t& floor, const First& first, const Rest&... rest) {
+    if (!skip_first) take(first.match_with_floor(p, floor), best, floor);
+    (take(rest.match_with_floor(p, floor), best, floor), ...);
   }
 
   NuevoMatchConfig cfg_;
@@ -198,10 +243,10 @@ MatchResult NuevoMatch::match_with_floor(const Packet& p, int32_t priority_floor
     preds[s] = isets_[s].predict(vals[s]);
   }
   for (size_t s = 0; s < n; ++s) pos[s] = isets_[s].search(vals[s], preds[s]);
-  MatchResult best;
   int32_t floor = priority_floor;
-  for (size_t s = 0; s < n; ++s) take(isets_[s].validate(pos[s], p, floor), best, floor);
-  (take(remainder.match_with_floor(p, floor), best, floor), ...);
+  bool skip = false;
+  MatchResult best = validate_isets(p, pos.data(), 1, floor, skip);
+  remainder_stages(p, skip, best, floor, remainder...);
   return best;
 }
 
@@ -209,15 +254,16 @@ template <class... Stages>
   requires(sizeof...(Stages) > 0)
 void NuevoMatch::match_batch(std::span<const Packet> packets, std::span<MatchResult> out,
                              const Stages&... remainder) const {
+  std::array<bool, kTile> skip;
   for (size_t base = 0; base < packets.size(); base += kTile) {
     const size_t tile = std::min(kTile, packets.size() - base);
-    iset_stages(packets.data() + base, tile, out.data() + base);
+    iset_stages(packets.data() + base, tile, out.data() + base, skip.data());
     // Remainder stages per packet, still within the tile for locality.
-    for (size_t i = base; i < base + tile; ++i) {
-      MatchResult best = out[i];
+    for (size_t t = 0; t < tile; ++t) {
+      MatchResult best = out[base + t];
       int32_t floor = best.tie_floor();
-      (take(remainder.match_with_floor(packets[i], floor), best, floor), ...);
-      out[i] = best;
+      remainder_stages(packets[base + t], skip[t], best, floor, remainder...);
+      out[base + t] = best;
     }
   }
 }

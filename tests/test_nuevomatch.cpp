@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
+#include <span>
+#include <unordered_map>
 
 #include "classbench/generator.hpp"
 #include "classbench/stanford.hpp"
@@ -204,6 +207,245 @@ TEST(NuevoMatch, StagedWalkMatchesLinearSearchUnderFloorsAndTombstones) {
       ASSERT_EQ(got[i].rule_id, oracle.match(burst[i]).rule_id)
           << "batch of " << len << ", packet " << i << ": " << to_string(burst[i]);
     at += len;
+  }
+}
+
+// --- remainder skip (IsetIndex::needs_remainder) ------------------------------
+
+/// A remainder stage that counts how often the composition asks it.
+struct CountingStage {
+  const Classifier& inner;
+  mutable size_t calls = 0;
+  [[nodiscard]] MatchResult match_with_floor(const Packet& p, int32_t floor) const {
+    ++calls;
+    return inner.match_with_floor(p, floor);
+  }
+};
+
+/// The skip bit by brute force: some remainder rule overlaps the iSet
+/// rule's box and outranks it under MatchResult::beats.
+bool brute_needs_remainder(const Rule& w, std::span<const Rule> remainder) {
+  const MatchResult mw{static_cast<int32_t>(w.id), w.priority};
+  for (const Rule& r : remainder) {
+    if (!MatchResult{static_cast<int32_t>(r.id), r.priority}.beats(mw)) continue;
+    bool overlap = true;
+    for (size_t f = 0; f < kNumFields; ++f) overlap = overlap && r.field[f].overlaps(w.field[f]);
+    if (overlap) return true;
+  }
+  return false;
+}
+
+void expect_bits_match_brute_force(const NuevoMatch& nm, std::span<const Rule> remainder) {
+  for (const IsetIndex& is : nm.isets())
+    for (size_t i = 0; i < is.size(); ++i)
+      ASSERT_EQ(is.needs_remainder(i), brute_needs_remainder(is.rules()[i], remainder))
+          << "iSet rule " << is.rules()[i].id;
+}
+
+/// Boundary probes: each rule's lo corner with one field moved to that
+/// field's lo, hi, lo-1, hi+1, 0 or domain maximum (2^32-1 for addresses).
+std::vector<Packet> boundary_probes(std::span<const Rule> rules) {
+  std::vector<Packet> out;
+  for (const Rule& r : rules) {
+    Packet corner;
+    for (size_t f = 0; f < kNumFields; ++f) corner.field[f] = r.field[f].lo;
+    for (size_t f = 0; f < kNumFields; ++f) {
+      const uint64_t lo = r.field[f].lo;
+      const uint64_t hi = r.field[f].hi;
+      std::vector<uint64_t> vals{lo, hi, 0, kFieldDomain[f]};
+      if (lo > 0) vals.push_back(lo - 1);
+      if (hi < kFieldDomain[f]) vals.push_back(hi + 1);
+      for (const uint64_t v : vals) {
+        Packet p = corner;
+        p.field[f] = static_cast<uint32_t>(v);
+        out.push_back(p);
+      }
+    }
+  }
+  return out;
+}
+
+void expect_oracle_per_key_and_batched(const NuevoMatch& nm, std::span<const Rule> rules,
+                                       std::span<const Packet> probes) {
+  LinearSearch oracle;
+  oracle.build(rules);
+  std::vector<MatchResult> batched(probes.size());
+  nm.match_batch(probes, batched);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const int32_t want = oracle.match(probes[i]).rule_id;
+    ASSERT_EQ(nm.match(probes[i]).rule_id, want) << "per-key: " << to_string(probes[i]);
+    ASSERT_EQ(batched[i].rule_id, want) << "match_batch: " << to_string(probes[i]);
+  }
+}
+
+/// 64 iSet rules disjoint in the source address (half of each 2^26 block, so
+/// the other half misses the iSet), every fourth one wildcard elsewhere,
+/// priorities 100..163 and ids 4..67; and four remainder rules (ids 0..3)
+/// that overlap iSet rules:
+///   id 0 outranks iSet rule 3 by priority (50 < 103);
+///   id 1 ties iSet rule 9's priority (109) and wins on the smaller id;
+///   id 2 is a full wildcard at priority 140: it outranks rules 40..63
+///        (rule 40 by id) and is outranked by rules 0..39;
+///   id 3 is a single point inside iSet rule 20, priority 20.
+/// Built through restore(), so the partition cannot move a rule across.
+struct SkipFixture {
+  std::vector<Rule> iset_rules;
+  std::vector<Rule> remainder;
+  std::vector<Rule> all;
+  NuevoMatch nm{base_config([] { return std::make_unique<TupleMerge>(); })};
+
+  SkipFixture() {
+    for (uint32_t i = 0; i < 64; ++i) {
+      Rule r;
+      for (int f = 0; f < kNumFields; ++f) r.field[static_cast<size_t>(f)] = full_range(f);
+      r.field[kSrcIp] = Range{i << 26, (i << 26) + (1u << 25) - 1};
+      if (i % 4 != 0) {
+        r.field[kDstIp] = Range{0x0A000000, 0x0AFFFFFF};
+        r.field[kDstPort] = Range{1000 + i, 2000 + i};
+        r.field[kProto] = Range{6, 6};
+      }
+      r.priority = static_cast<int32_t>(100 + i);
+      r.id = 4 + i;
+      iset_rules.push_back(r);
+    }
+    Rule by_prio = iset_rules[3];
+    by_prio.field[kSrcIp] = Range{(3u << 26) + 5, (3u << 26) + 0x105};
+    by_prio.field[kSrcPort] = Range{80, 80};
+    by_prio.field[kDstPort] = Range{1500, 1600};
+    by_prio.priority = 50;
+    by_prio.id = 0;
+    Rule by_id = iset_rules[9];
+    by_id.field[kSrcIp] = Range{(9u << 26) + 0x1000, (9u << 26) + 0x1FFF};
+    by_id.id = 1;
+    Rule wild;
+    for (int f = 0; f < kNumFields; ++f) wild.field[static_cast<size_t>(f)] = full_range(f);
+    wild.priority = 140;
+    wild.id = 2;
+    Rule point;
+    for (size_t f = 0; f < kNumFields; ++f) {
+      const Range& in = iset_rules[20].field[f];
+      point.field[f] = Range{in.lo + 7, in.lo + 7};
+    }
+    point.priority = 20;
+    point.id = 3;
+    remainder = {by_prio, by_id, wild, point};
+    all = remainder;
+    all.insert(all.end(), iset_rules.begin(), iset_rules.end());
+
+    IsetIndex idx;
+    auto cfg = rqrmi::default_config(iset_rules.size());
+    cfg.seed = 5;
+    idx.build(kSrcIp, iset_rules, cfg);
+    std::vector<IsetIndex> isets;
+    isets.push_back(std::move(idx));
+    nm.restore(std::move(isets), remainder);
+  }
+
+  [[nodiscard]] bool expected_bit(size_t i) const {
+    return i == 3 || i == 9 || i == 20 || i >= 40;
+  }
+};
+
+TEST(NuevoMatchRemainderSkip, BitIsSetExactlyWhereARemainderRuleCanWin) {
+  SkipFixture fx;
+  ASSERT_EQ(fx.nm.isets().size(), 1u);
+  const IsetIndex& is = fx.nm.isets()[0];
+  ASSERT_EQ(is.size(), 64u);
+  for (size_t i = 0; i < is.size(); ++i)
+    EXPECT_EQ(is.needs_remainder(i), fx.expected_bit(i)) << "iSet rule " << i;
+  expect_bits_match_brute_force(fx.nm, fx.remainder);
+  EXPECT_DOUBLE_EQ(fx.nm.remainder_skip_fraction(), 37.0 / 64.0);
+  expect_oracle_per_key_and_batched(fx.nm, fx.all, boundary_probes(fx.all));
+}
+
+// The composition asks the first remainder stage only for iSet misses and
+// for hits whose bit is set; a later stage (the churn delta's slot) is asked
+// for every packet.
+TEST(NuevoMatchRemainderSkip, FirstStageRunsOnlyForMissesAndSetBits) {
+  SkipFixture fx;
+  const IsetIndex& is = fx.nm.isets()[0];
+  std::unordered_map<int32_t, size_t> pos;
+  for (size_t i = 0; i < is.size(); ++i) pos[static_cast<int32_t>(is.rules()[i].id)] = i;
+  const std::vector<Packet> probes = boundary_probes(fx.all);
+  size_t expected = 0;
+  for (const Packet& p : probes) {
+    const MatchResult hit = is.lookup(p);
+    if (!hit.hit() || is.needs_remainder(pos.at(hit.rule_id))) ++expected;
+  }
+  ASSERT_GT(expected, 0u);
+  ASSERT_LT(expected, probes.size());
+
+  LinearSearch oracle;
+  oracle.build(fx.all);
+  LinearSearch empty;
+  empty.build({});
+  CountingStage first{fx.nm.remainder()};
+  CountingStage later{empty};
+  for (const Packet& p : probes)
+    ASSERT_EQ(fx.nm.match_with_floor(p, std::numeric_limits<int32_t>::max(), first, later)
+                  .rule_id,
+              oracle.match(p).rule_id)
+        << to_string(p);
+  EXPECT_EQ(first.calls, expected);
+  EXPECT_EQ(later.calls, probes.size());
+
+  CountingStage first_b{fx.nm.remainder()};
+  CountingStage later_b{empty};
+  std::vector<MatchResult> out(probes.size());
+  fx.nm.match_batch(probes, out, first_b, later_b);
+  for (size_t i = 0; i < probes.size(); ++i)
+    ASSERT_EQ(out[i].rule_id, oracle.match(probes[i]).rule_id) << to_string(probes[i]);
+  EXPECT_EQ(first_b.calls, expected);
+  EXPECT_EQ(later_b.calls, probes.size());
+}
+
+// NuevoMatch::insert into the base remainder (the retrain replay's path)
+// sets the bits of the iSet rules the new rule overlaps and outranks, so a
+// rule landing on a skipping iSet hit still wins.
+TEST(NuevoMatchRemainderSkip, InsertOverAClearBitWins) {
+  SkipFixture fx;
+  const IsetIndex& is = fx.nm.isets()[0];
+  ASSERT_FALSE(is.needs_remainder(5));
+  Rule late = is.rules()[5];
+  for (size_t f = 0; f < kNumFields; ++f) late.field[f] = Range{late.field[f].hi, late.field[f].hi};
+  late.priority = is.rules()[5].priority - 1;
+  late.id = 68;
+  ASSERT_TRUE(fx.nm.insert(late));
+  EXPECT_TRUE(is.needs_remainder(5));
+  for (size_t i = 0; i < is.size(); ++i)
+    if (i != 5) EXPECT_EQ(is.needs_remainder(i), fx.expected_bit(i)) << "iSet rule " << i;
+
+  Packet p;
+  for (size_t f = 0; f < kNumFields; ++f) p.field[f] = late.field[f].lo;
+  EXPECT_EQ(fx.nm.match(p).rule_id, 68);
+  fx.all.push_back(late);
+  expect_oracle_per_key_and_batched(fx.nm, fx.all, boundary_probes(fx.all));
+}
+
+// Generated rule-sets large enough that the build pass takes both candidate
+// sets (the overlap range and the outranked rank suffix): the bits equal the
+// brute-force definition, and the answers stay exact with ties everywhere.
+TEST(NuevoMatchRemainderSkip, BitsMatchBruteForceAndTiesStayExact) {
+  for (const auto& [app, seed] : {std::pair{AppClass::kAcl, 90}, std::pair{AppClass::kFw, 91},
+                                  std::pair{AppClass::kIpc, 92}}) {
+    const RuleSet rules = with_tied_priorities(
+        generate_classbench(app, 1, 4000, static_cast<uint64_t>(seed)), 40, 93);
+    NuevoMatch nm{base_config([] { return std::make_unique<TupleMerge>(); })};
+    nm.build(rules);
+    ASSERT_FALSE(nm.isets().empty());
+    const std::vector<Rule> rem = nm.remainder_rules();
+    expect_bits_match_brute_force(nm, rem);
+    EXPECT_GT(nm.remainder_skip_fraction(), 0.0) << ruleset_name(app, 1);
+    EXPECT_LT(nm.remainder_skip_fraction(), 1.0) << ruleset_name(app, 1);
+
+    expect_matches_oracle(nm, rules, 8000, 94);
+    TraceConfig tc;
+    tc.n_packets = 8000;
+    tc.seed = 95;
+    std::vector<Packet> probes = generate_trace(rules, tc);
+    const std::vector<Packet> edges = boundary_probes(std::span(rules).first(200));
+    probes.insert(probes.end(), edges.begin(), edges.end());
+    expect_oracle_per_key_and_batched(nm, rules, probes);
   }
 }
 

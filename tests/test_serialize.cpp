@@ -177,6 +177,55 @@ TEST(ClassifierSerialize, LoadedClassifierStillAcceptsUpdates) {
   EXPECT_EQ(loaded->match(p).rule_id, static_cast<int32_t>(extra.id));
 }
 
+// The remainder skip bits are not serialized: restore() recomputes them from
+// the loaded remainder. Rules inserted into the remainder after the build
+// (here over iSet rules they outrank) and iSet tombstones must come back with
+// the same answers and the same skip fraction, bit for bit.
+TEST(ClassifierSerialize, RoundTripKeepsAnswersAndRemainderSkip) {
+  const RuleSet rules = generate_classbench(AppClass::kAcl, 2, 3000, 8);
+  NuevoMatch nm{tm_config()};
+  nm.build(rules);
+  ASSERT_FALSE(nm.isets().empty());
+  RuleSet live = rules;
+  uint32_t next_id = static_cast<uint32_t>(rules.size());
+  for (size_t i = 0; i < nm.isets()[0].size(); i += 97) {
+    Rule late = nm.isets()[0].rules()[i];
+    for (size_t f = 0; f < kNumFields; ++f) late.field[f].hi = late.field[f].lo;
+    late.priority -= 1;
+    late.id = next_id++;
+    ASSERT_TRUE(nm.insert(late));
+    live.push_back(late);
+  }
+  for (size_t i = 50; i < nm.isets()[0].size(); i += 211) {
+    const uint32_t id = nm.isets()[0].rules()[i].id;
+    ASSERT_TRUE(nm.erase(id));
+    std::erase_if(live, [&](const Rule& r) { return r.id == id; });
+  }
+  const double skip = nm.remainder_skip_fraction();
+  ASSERT_GT(skip, 0.0);
+
+  auto loaded = load_classifier(save_classifier(nm), tm_config());
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_DOUBLE_EQ(loaded->remainder_skip_fraction(), skip);
+  ASSERT_EQ(loaded->isets().size(), nm.isets().size());
+  for (size_t s = 0; s < nm.isets().size(); ++s)
+    for (size_t i = 0; i < nm.isets()[s].size(); ++i)
+      ASSERT_EQ(loaded->isets()[s].needs_remainder(i), nm.isets()[s].needs_remainder(i))
+          << "iSet " << s << " rule " << i;
+
+  TraceConfig tc;
+  tc.n_packets = 20'000;
+  tc.seed = 78;
+  const auto trace = generate_trace(live, tc);
+  std::vector<MatchResult> batched(trace.size());
+  loaded->match_batch(trace, batched);
+  for (size_t i = 0; i < trace.size(); ++i) {
+    const auto want = nm.match(trace[i]).rule_id;
+    ASSERT_EQ(loaded->match(trace[i]).rule_id, want) << to_string(trace[i]);
+    ASSERT_EQ(batched[i].rule_id, want) << to_string(trace[i]);
+  }
+}
+
 // --- failure injection -------------------------------------------------------
 
 class CorruptionSweep : public ::testing::TestWithParam<size_t> {};

@@ -15,6 +15,7 @@
 
 #include "classbench/generator.hpp"
 #include "classifiers/linear.hpp"
+#include "common/failpoint.hpp"
 #include "common/rng.hpp"
 #include "nuevomatch/nuevomatch.hpp"
 #include "nuevomatch/online.hpp"
@@ -308,6 +309,75 @@ TEST(OnlineUpdates, JournalReplayPreservesUpdatesDuringRetrain) {
   for (size_t i = 0; i < core.packets.size(); ++i) {
     ASSERT_EQ(nm.match(core.packets[i]).rule_id, oracle.match(core.packets[i]).rule_id)
         << "erase lost across the swap, packet " << i;
+  }
+}
+
+// A retrain's journal replays inserts into the fresh generation's base
+// remainder through NuevoMatch::insert, after the build computed the
+// remainder skip bits. Each insert here outranks an iSet rule whose bit was
+// clear, so the replay must set that bit: the answers stay exact against
+// LinearSearch, and the new generation still skips for the other hits.
+TEST(OnlineUpdates, RetrainReplayKeepsTheRemainderSkipExact) {
+  const RuleSet rules = generate_classbench(AppClass::kAcl, 1, 4000, 37);
+  OnlineNuevoMatch nm{make_online_cfg(/*threshold=*/1.0, /*auto=*/false)};
+  nm.build(rules);
+  std::vector<Rule> targets;
+  {
+    const auto pin = nm.pin();
+    ASSERT_FALSE(pin.nm().isets().empty());
+    const IsetIndex& is = pin.nm().isets()[0];
+    for (size_t i = 0; i < is.size() && targets.size() < 400; i += 3)
+      if (!is.needs_remainder(i)) targets.push_back(is.rules()[i]);
+  }
+  ASSERT_FALSE(targets.empty());
+
+  // Count the replay loop's steps without failing any (never reaches nth).
+  failpoint::Scoped count_replay{failpoint::kOnlineReplay,
+                                 failpoint::Trigger::nth(uint64_t{1} << 60)};
+  RuleSet inserted;
+  uint32_t next_id = 500'000;
+  size_t t = 0;
+  for (int attempt = 0; attempt < 20 && failpoint::evaluations(failpoint::kOnlineReplay) == 0;
+       ++attempt) {
+    nm.retrain_now();
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (nm.retrain_in_progress() && t < targets.size() &&
+           std::chrono::steady_clock::now() < deadline) {
+      Rule late = targets[t++];
+      for (size_t f = 0; f < kNumFields; ++f) late.field[f].hi = late.field[f].lo;
+      late.priority -= 1;
+      late.id = next_id++;
+      ASSERT_TRUE(nm.insert(late));
+      inserted.push_back(late);
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    nm.quiesce();
+  }
+  ASSERT_GT(failpoint::evaluations(failpoint::kOnlineReplay), 0u)
+      << "no insert landed in a retrain's journal";
+  EXPECT_GT(nm.pin().nm().remainder_skip_fraction(), 0.0);
+
+  RuleSet live = rules;
+  live.insert(live.end(), inserted.begin(), inserted.end());
+  LinearSearch oracle;
+  oracle.build(live);
+  std::vector<Packet> probes;
+  for (const Rule& r : inserted) {
+    Packet p;
+    for (size_t f = 0; f < kNumFields; ++f) p.field[f] = r.field[f].lo;
+    probes.push_back(p);
+  }
+  TraceConfig tc;
+  tc.n_packets = 4000;
+  tc.seed = 38;
+  const auto trace = generate_trace(rules, tc);
+  probes.insert(probes.end(), trace.begin(), trace.end());
+  std::vector<MatchResult> batched(probes.size());
+  nm.match_batch(probes, batched);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const int32_t want = oracle.match(probes[i]).rule_id;
+    ASSERT_EQ(nm.match(probes[i]).rule_id, want) << to_string(probes[i]);
+    ASSERT_EQ(batched[i].rule_id, want) << to_string(probes[i]);
   }
 }
 
