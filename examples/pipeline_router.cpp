@@ -160,8 +160,15 @@ int main(int argc, char** argv) {
   const uint64_t gen0 = online->generations();
   uint64_t forced = 0;
   const auto force_swap = [&] {
-    online->retrain_now();
-    online->quiesce();  // make sure the swap lands while packets remain
+    // quiesce() makes sure the swap lands while packets remain. A failed
+    // retrain (e.g. NM_FAILPOINTS=online.retrain=first:N) schedules no retry
+    // of its own, so force the next attempt until one swaps or the engine
+    // degrades.
+    const uint64_t before = online->generations();
+    do {
+      online->retrain_now();
+      online->quiesce();
+    } while (online->generations() == before && !online->health().degraded);
     ++forced;
   };
   const uint64_t pumped = graph.run([&](uint64_t done) {

@@ -7,8 +7,6 @@
 #include <mutex>
 #include <unordered_map>
 
-#include "common/rng.hpp"
-
 namespace nuevomatch::failpoint {
 
 namespace {
@@ -17,7 +15,6 @@ struct Point {
   Trigger trigger;
   uint64_t evaluations = 0;
   uint64_t fires = 0;
-  Rng rng{1};  // kProb stream; reseeded at arm time
 };
 
 struct Registry {
@@ -58,7 +55,6 @@ void arm_from_env_once() {
     case Trigger::Kind::kAlways: fire = true; break;
     case Trigger::Kind::kFirstN: fire = p.evaluations <= p.trigger.n; break;
     case Trigger::Kind::kNth: fire = p.evaluations == p.trigger.n; break;
-    case Trigger::Kind::kProb: fire = p.rng.chance(p.trigger.p); break;
   }
   if (fire) ++p.fires;
   return fire;
@@ -80,20 +76,6 @@ void arm_from_env_once() {
     if (!num(spec.substr(4), n)) return std::nullopt;
     return Trigger::nth(n);
   }
-  if (spec.rfind("prob:", 0) == 0) {
-    std::string_view rest = spec.substr(5);
-    uint64_t seed = 1;
-    if (const size_t colon = rest.find(':'); colon != std::string_view::npos) {
-      if (!num(rest.substr(colon + 1), seed)) return std::nullopt;
-      rest = rest.substr(0, colon);
-    }
-    char* end = nullptr;
-    const std::string p_str{rest};
-    const double p = std::strtod(p_str.c_str(), &end);
-    if (end != p_str.c_str() + p_str.size() || p < 0.0 || p > 1.0)
-      return std::nullopt;
-    return Trigger::prob(p, seed);
-  }
   return std::nullopt;
 }
 
@@ -107,7 +89,6 @@ bool arm(std::string_view name, Trigger trigger) {
   p.trigger = trigger;
   p.evaluations = 0;
   p.fires = 0;
-  p.rng.reseed(trigger.seed);
   armed_count().store(r.points.size(), std::memory_order_relaxed);
   return true;
 }

@@ -15,10 +15,7 @@
 //   * fire-always        — every evaluation fires;
 //   * fire-first:N       — the first N evaluations fire, later ones pass
 //                          (the "fail K consecutive retrains" shape);
-//   * fire-on-nth:N      — exactly the Nth evaluation fires (1-based);
-//   * fire-prob:P[:seed] — each evaluation fires with probability P from a
-//                          seeded xoshiro stream, so a "random" failure
-//                          schedule replays bit-for-bit.
+//   * fire-on-nth:N      — exactly the Nth evaluation fires (1-based).
 //
 // Arming is programmatic (failpoint::arm / ScopedFailpoint for tests) or
 // environmental: NM_FAILPOINTS="online.retrain=first:3,serialize.load=nth:2"
@@ -34,9 +31,9 @@
 //
 // Thread model: should_fire/arm/disarm are safe from any thread (the churn
 // harness arms points while writer/reader/retrain threads race); trigger
-// state (hit counters, the probability stream) advances under the registry
-// mutex, so fire-first:N fires on exactly N evaluations no matter how many
-// threads evaluate concurrently.
+// state (the hit counters) advances under the registry mutex, so
+// fire-first:N fires on exactly N evaluations no matter how many threads
+// evaluate concurrently.
 #pragma once
 
 #include <cstdint>
@@ -53,19 +50,13 @@ struct Trigger {
     kAlways,   ///< every evaluation fires
     kFirstN,   ///< evaluations 1..n fire, later ones pass
     kNth,      ///< exactly evaluation n fires (1-based)
-    kProb,     ///< each evaluation fires with probability p (seeded stream)
   };
   Kind kind = Kind::kAlways;
   uint64_t n = 0;       ///< kFirstN / kNth parameter
-  double p = 0.0;       ///< kProb parameter
-  uint64_t seed = 1;    ///< kProb stream seed
 
   static Trigger always() { return Trigger{}; }
-  static Trigger first(uint64_t n) { return Trigger{Kind::kFirstN, n, 0.0, 1}; }
-  static Trigger nth(uint64_t n) { return Trigger{Kind::kNth, n, 0.0, 1}; }
-  static Trigger prob(double p, uint64_t seed = 1) {
-    return Trigger{Kind::kProb, 0, p, seed};
-  }
+  static Trigger first(uint64_t n) { return Trigger{Kind::kFirstN, n}; }
+  static Trigger nth(uint64_t n) { return Trigger{Kind::kNth, n}; }
 };
 
 /// Arm `name` with `trigger` (replacing any previous arming and resetting
@@ -73,9 +64,9 @@ struct Trigger {
 bool arm(std::string_view name, Trigger trigger);
 
 /// Parse and arm a "name=spec" list: specs are `always`, `first:N`, `nth:N`,
-/// `prob:P[:SEED]`, `off`, separated by ',' or ';'. Returns the number of
-/// points armed; malformed entries are skipped (reported once to stderr —
-/// a misspelled env var must not silently disable a fault drill).
+/// `off`, separated by ',' or ';'. Returns the number of points armed;
+/// malformed entries are skipped (reported once to stderr — a misspelled
+/// env var must not silently disable a fault drill).
 size_t arm_from_spec(std::string_view spec);
 
 /// Disarm one point / all points. Counters for disarmed points are dropped.

@@ -12,7 +12,6 @@
 namespace nuevomatch {
 
 OnlineNuevoMatch::OnlineNuevoMatch(OnlineConfig cfg) : cfg_(std::move(cfg)) {
-  backoff_rng_.reseed(cfg_.backoff_seed);
   // An empty generation (with an empty layer) up front means match() never
   // needs a null check.
   gen_owner_ = std::make_shared<Generation>(cfg_.base);
@@ -378,13 +377,8 @@ void OnlineNuevoMatch::publish_fresh(std::shared_ptr<Generation> fresh,
     std::unique_lock lk{wk_mu_};
     retrain_requested_ = false;
     wk_cv_.wait(lk, [&] { return !retrain_running_; });
-    // A cycle that failed while we waited may have re-armed a backoff
-    // retry; this install supersedes it — and failure accounting restarts
-    // from a clean slate (a fresh generation has no retrain history).
-    retrain_requested_ = false;
-    retrain_retry_ = false;
-    backoff_ms_ = 0;
-    backoff_until_ = {};
+    // Failure accounting restarts from a clean slate: a fresh generation has
+    // no retrain history.
     last_error_.clear();
   }
   retrain_failures_.store(0, std::memory_order_relaxed);
@@ -450,10 +444,10 @@ bool OnlineNuevoMatch::retrain_in_progress() const {
 void OnlineNuevoMatch::retrain_now() { request_retrain(/*forced=*/true); }
 
 void OnlineNuevoMatch::request_retrain(bool forced) {
-  // Degraded mode suppresses auto-retrains: the backoff ladder already
-  // burned max_retrain_failures attempts, so pressure-triggered requests
-  // would spin CPU on a persistently failing train. Recovery is explicit —
-  // retrain_now() (forced) still attempts, and a success clears the flag.
+  // Degraded mode suppresses auto-retrains: max_retrain_failures attempts
+  // already failed, so pressure-triggered requests would spin CPU on a
+  // persistently failing train. Recovery is explicit — retrain_now()
+  // (forced) still attempts, and a success clears the flag.
   if (!forced && degraded_.load(std::memory_order_acquire)) return;
   {
     std::lock_guard lk{wk_mu_};
@@ -529,35 +523,22 @@ std::string OnlineNuevoMatch::name() const {
 void OnlineNuevoMatch::worker_loop() {
   for (;;) {
     bool forced = false;
-    bool retry = false;
     {
       std::unique_lock lk{wk_mu_};
       wk_cv_.wait(lk, [&] { return retrain_requested_ || stop_; });
-      // Backoff gate: a failed cycle's retry waits out its delay here
-      // (retrain_requested_ stays true, so quiesce() keeps waiting through
-      // the whole failure→retry→success sequence); an explicit
-      // retrain_now() or shutdown breaks through immediately.
-      while (!stop_ && !retrain_forced_ &&
-             std::chrono::steady_clock::now() < backoff_until_) {
-        wk_cv_.wait_until(lk, backoff_until_);
-      }
       if (stop_) return;
       retrain_requested_ = false;
       forced = retrain_forced_;
       retrain_forced_ = false;
-      retry = retrain_retry_;
-      retrain_retry_ = false;
       retrain_running_ = true;
     }
     // Auto-triggered requests re-arm on every insert past the threshold, so
     // a burst overlapping a running retrain leaves a pending request whose
     // work the swap already absorbed (journal replay). Skip the redundant
     // seconds-long cycle unless the live pressure still warrants it; an
-    // explicit retrain_now() always runs — and so does a backoff retry (the
-    // failed cycle was warranted when triggered; its journal was dropped,
-    // so current pressure alone under-reports the debt).
+    // explicit retrain_now() always runs.
     CycleOutcome outcome = CycleOutcome::kCancelled;
-    if (forced || retry || absorption() >= cfg_.retrain_threshold) {
+    if (forced || absorption() >= cfg_.retrain_threshold) {
       const uint64_t m_t0 = NM_METRICS_ENABLED ? telemetry::now_ns() : 0;
       outcome = retrain_cycle();
       if (NM_METRICS_ENABLED && outcome == CycleOutcome::kSwapped) {
@@ -573,44 +554,22 @@ void OnlineNuevoMatch::worker_loop() {
       std::lock_guard lk{wk_mu_};
       retrain_running_ = false;
       if (outcome == CycleOutcome::kSwapped) {
-        // Recovery: a successful swap clears the failure ladder, the
+        // Recovery: a successful swap clears the failure count, the
         // degraded flag, and the recorded error.
         retrain_failures_.store(0, std::memory_order_relaxed);
         degraded_.store(false, std::memory_order_release);
-        backoff_ms_ = 0;
-        backoff_until_ = {};
         last_error_.clear();
       } else if (outcome == CycleOutcome::kFailed) {
+        // No retry of its own: the next commit over the threshold or an
+        // explicit retrain_now() tries again. After max_retrain_failures in
+        // a row, degraded mode stops the commit-triggered attempts; the old
+        // generation + churn delta keep serving correct answers until an
+        // explicit retrain_now()/build()/adopt() recovers.
         const uint64_t k =
             retrain_failures_.fetch_add(1, std::memory_order_relaxed) + 1;
         retrain_failures_total_.fetch_add(1, std::memory_order_relaxed);
-        const auto cap =
-            static_cast<uint64_t>(std::max(1, cfg_.max_retrain_failures));
-        if (k >= cap) {
-          // Degraded: stop burning CPU on a persistently failing train. The
-          // old generation + churn delta keep serving correct answers;
-          // request_retrain() suppresses further auto attempts until an
-          // explicit retrain_now()/build()/adopt() recovers.
+        if (k >= static_cast<uint64_t>(std::max(1, cfg_.max_retrain_failures)))
           degraded_.store(true, std::memory_order_release);
-          backoff_ms_ = 0;
-          backoff_until_ = {};
-        } else {
-          // Exponential backoff with seeded jitter: delay doubles per
-          // consecutive failure (clamped to backoff_max_ms), then jitters
-          // uniformly within [d/2, d] so co-failing engines desynchronize —
-          // deterministically, from cfg_.backoff_seed.
-          const int shift = static_cast<int>(std::min<uint64_t>(k - 1, 20));
-          uint64_t d =
-              std::min<uint64_t>(static_cast<uint64_t>(cfg_.backoff_initial_ms)
-                                     << shift,
-                                 cfg_.backoff_max_ms);
-          if (d > 0) d = d / 2 + backoff_rng_.below(d / 2 + 1);
-          backoff_ms_ = d;
-          backoff_until_ =
-              std::chrono::steady_clock::now() + std::chrono::milliseconds(d);
-          retrain_requested_ = true;
-          retrain_retry_ = true;
-        }
       }
     }
     wk_cv_.notify_all();  // wake quiesce()rs / a publish_fresh() waiter
@@ -667,8 +626,8 @@ OnlineNuevoMatch::CycleOutcome OnlineNuevoMatch::retrain_cycle() {
     fresh->nm.build(snapshot, &prev->nm);
   } catch (const std::exception& e) {
     // Training failure keeps the old generation serving. The error is
-    // preserved (count + message in health()), and the worker schedules a
-    // backoff retry — see worker_loop.
+    // preserved (count + message in health()); see worker_loop for what
+    // retries it.
     return abandon_cycle(e.what());
   }
   last_retrain_reused_.store(fresh->nm.reused_isets(), std::memory_order_relaxed);
@@ -751,10 +710,6 @@ EngineHealth OnlineNuevoMatch::health() const {
   {
     std::lock_guard lk{wk_mu_};
     h.retrain_pending = retrain_requested_ || retrain_running_;
-    // retrain_retry_ is armed by a failed cycle and cleared when the worker
-    // begins the retry attempt — exactly the backoff window.
-    h.in_backoff = retrain_retry_;
-    h.backoff_ms = backoff_ms_;
     h.last_error = last_error_;
   }
   return h;

@@ -17,7 +17,10 @@
 //     is ever lost to the race between snapshot and publication;
 //   * the journal is ONE append-ordered vector under the writer lock, plus
 //     one atomic applied-op counter (serializer v3 telemetry); replay order
-//     is append order, which is apply order.
+//     is append order, which is apply order;
+//   * a retrain whose build, train or replay throws leaves the old
+//     generation serving and schedules nothing: the next commit over the
+//     threshold, or retrain_now(), retries it (DESIGN.md "Failure model").
 //
 // Concurrency model (see DESIGN.md "Update path" for the full rationale).
 // The read path is WAIT-FREE between swaps — no lock, no shared_ptr
@@ -59,7 +62,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -72,7 +74,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "nuevomatch/epoch.hpp"
 #include "nuevomatch/nuevomatch.hpp"
 
@@ -99,19 +100,15 @@ struct OnlineConfig {
   bool auto_retrain = true;
 
   // --- fault tolerance (DESIGN.md "Failure model") -------------------------
-  /// Consecutive retrain failures after which the engine enters *degraded*
-  /// mode: it keeps serving the old generation + churn delta correctly, but
-  /// stops auto-retrying (an explicit retrain_now() still attempts, and a
-  /// success clears the flag). Clamped to >= 1.
+  /// A failed retrain schedules no retry of its own: the next commit that
+  /// finds absorption at or above retrain_threshold retries it (absorption
+  /// resets only on a swap, so the pressure is still there), and so does
+  /// retrain_now(). After max_retrain_failures consecutive failures the
+  /// engine enters *degraded* mode: it keeps serving the old generation +
+  /// churn delta correctly, but commits stop requesting retrains (an
+  /// explicit retrain_now() still attempts, and a success clears the flag).
+  /// Clamped to >= 1.
   int max_retrain_failures = 5;
-  /// Exponential-backoff schedule between failed retrain attempts: attempt
-  /// k (1-based) retries after jitter(min(backoff_initial_ms << (k-1),
-  /// backoff_max_ms)), where jitter picks uniformly from [d/2, d] out of a
-  /// stream seeded with `backoff_seed` — deterministic for a given seed, so
-  /// fault drills replay exactly.
-  uint32_t backoff_initial_ms = 10;
-  uint32_t backoff_max_ms = 2000;
-  uint64_t backoff_seed = 0x9E3779B9u;
 };
 
 /// One consistent-enough snapshot of the engine's fault state — the
@@ -133,15 +130,10 @@ struct EngineHealth {
   /// All retrain failures over the engine's lifetime (never resets).
   uint64_t retrain_failures_total = 0;
   /// what() of the most recent retrain/build failure; empty after a
-  /// successful swap (the satellite fix for the silently-swallowed
-  /// exception in retrain_cycle()).
+  /// successful swap.
   std::string last_error;
   /// A retrain is requested or currently running.
   bool retrain_pending = false;
-  /// A failed retrain is waiting out its backoff delay before retrying.
-  bool in_backoff = false;
-  /// The delay of the currently scheduled (or most recent) backoff wait.
-  uint64_t backoff_ms = 0;
   /// Ops queued in the retrain journal right now (0 when no retrain is in
   /// flight).
   size_t journal_depth = 0;
@@ -262,7 +254,8 @@ class OnlineNuevoMatch final : public Classifier {
   /// Absorption ratio of the live generation (update-layer inserts over the
   /// rules the index was trained on).
   [[nodiscard]] double absorption() const;
-  /// True while the background worker is training or swapping.
+  /// True while a retrain is requested or running: health().retrain_pending
+  /// without the rest of the snapshot.
   [[nodiscard]] bool retrain_in_progress() const;
   /// Number of generations published so far (initial build() counts).
   [[nodiscard]] uint64_t generations() const noexcept {
@@ -275,7 +268,7 @@ class OnlineNuevoMatch final : public Classifier {
     return last_retrain_reused_.load(std::memory_order_relaxed);
   }
   /// Request a background retrain now (idempotent while one is pending).
-  /// Breaks through a backoff wait, and is the operator's recovery path out
+  /// Runs regardless of absorption, and is the operator's recovery path out
   /// of degraded mode: a successful forced retrain clears the flag.
   void retrain_now();
   /// Fault snapshot (see EngineHealth). Safe from any thread; takes the
@@ -461,9 +454,9 @@ class OnlineNuevoMatch final : public Classifier {
   [[nodiscard]] std::vector<Rule> compose_rules_locked() const;
   void install_generation_locked(std::shared_ptr<Generation> fresh);
 
-  /// How a retrain cycle ended. kFailed feeds the retry/backoff/degraded
-  /// machinery; kCancelled (a concurrent build()/adopt() superseded the
-  /// cycle, or pressure subsided) is not a failure.
+  /// How a retrain cycle ended. kFailed counts toward the degraded limit;
+  /// kCancelled (a concurrent build()/adopt() superseded the cycle, or
+  /// pressure subsided) is not a failure.
   enum class CycleOutcome : uint8_t { kSwapped, kFailed, kCancelled };
 
   void worker_loop();
@@ -474,7 +467,7 @@ class OnlineNuevoMatch final : public Classifier {
   [[nodiscard]] CycleOutcome abandon_cycle(const char* what);
   /// build()/adopt(): cancel pending retrains, install `fresh` as the live
   /// generation and reset the whole update path (journal, layer, the
-  /// applied-op counter set to `update_ops`; failure/backoff state cleared —
+  /// applied-op counter set to `update_ops`; failure state cleared —
   /// a fresh install is a clean slate).
   void publish_fresh(std::shared_ptr<Generation> fresh, uint64_t update_ops = 0);
   void request_retrain(bool forced);
@@ -531,21 +524,13 @@ class OnlineNuevoMatch final : public Classifier {
   /// Mirrors the published churn delta's size, same discipline.
   std::atomic<size_t> churn_size_{0};
 
-  /// Worker signalling (guards the flags below plus the backoff schedule
-  /// and the last-error string).
+  /// Worker signalling (guards the flags below plus the last-error string).
   mutable std::mutex wk_mu_;
   mutable std::condition_variable wk_cv_;
   bool retrain_requested_ = false;
   bool retrain_forced_ = false;  // explicit retrain_now(): never skipped
   bool retrain_running_ = false;
   bool stop_ = false;
-  /// A failed cycle re-armed itself: the next attempt runs regardless of
-  /// absorption (the failed cycle was warranted when triggered) after
-  /// waiting out backoff_until_.
-  bool retrain_retry_ = false;
-  uint64_t backoff_ms_ = 0;
-  std::chrono::steady_clock::time_point backoff_until_{};
-  Rng backoff_rng_{1};
   std::string last_error_;
   std::thread worker_;
 };

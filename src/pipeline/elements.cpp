@@ -354,12 +354,12 @@ std::string ClassifierElement::report() const {
     } else {
       line += fmt("\n  health: %s — %llu consecutive retrain failure(s) "
                   "(%llu lifetime)",
-                  h.degraded ? "DEGRADED" : "retrying",
+                  h.degraded ? "DEGRADED (commits no longer retrain; a "
+                               "successful retrain_now() recovers)"
+                             : "retrain failed (retried at the next commit "
+                               "over the threshold or by retrain_now())",
                   static_cast<unsigned long long>(h.retrain_failures),
                   static_cast<unsigned long long>(h.retrain_failures_total));
-      if (h.in_backoff)
-        line += fmt(", backoff %llu ms",
-                    static_cast<unsigned long long>(h.backoff_ms));
       if (!h.last_error.empty()) line += ", last error: " + h.last_error;
     }
   } else if (scalar_ != nullptr) {

@@ -36,12 +36,6 @@ void render_engine_prom(std::string& out, const EngineHealth& e) {
   prometheus_gauge(out, "nm_engine_retrain_pending",
                    "1 while a retrain is requested or running",
                    e.retrain_pending);
-  prometheus_gauge(out, "nm_engine_in_backoff",
-                   "1 while a failed retrain waits out its backoff",
-                   e.in_backoff);
-  prometheus_gauge(out, "nm_engine_backoff_ms",
-                   "current/most recent retrain backoff delay",
-                   static_cast<double>(e.backoff_ms));
   prometheus_gauge(out, "nm_engine_journal_depth",
                    "ops queued in the retrain journal",
                    static_cast<double>(e.journal_depth));
@@ -177,8 +171,6 @@ std::string engine_json(const EngineHealth& e) {
   json_kv(out, f, "retrain_failures_total", e.retrain_failures_total);
   json_kv_s(out, f, "last_error", e.last_error);
   json_kv(out, f, "retrain_pending", e.retrain_pending);
-  json_kv(out, f, "in_backoff", e.in_backoff);
-  json_kv(out, f, "backoff_ms", e.backoff_ms);
   json_kv(out, f, "journal_depth", e.journal_depth);
   json_kv(out, f, "churn_rules", e.churn_rules);
   json_kv_d(out, f, "absorption", e.absorption);

@@ -117,18 +117,16 @@ struct ChurnConfig {
 
   /// Fault-injection drill (the ISSUE 6 acceptance gate): at the schedule's
   /// midpoint step, arm the `online.retrain` failpoint to fail this many
-  /// consecutive training attempts, force a retrain, and ride the
-  /// failure → backoff → retry ladder while writers and readers keep
-  /// racing — capturing what health() reported along the way. After the
-  /// schedule the point is disarmed and a forced retrain must recover. The
-  /// oracle checks run unchanged throughout: a failed retrain must never
-  /// change an answer. 0 = off.
+  /// consecutive training attempts, then force one retrain after another
+  /// (a failed retrain schedules no retry of its own) while readers keep
+  /// racing — capturing what health() reported after each attempt, until
+  /// the engine recovers or degrades. After the schedule the point is
+  /// disarmed and a forced retrain must recover. The oracle checks run
+  /// unchanged throughout: a failed retrain must never change an answer.
+  /// 0 = off.
   int fault_retrain_failures = 0;
-  /// Engine fault knobs in drill mode (passed through to OnlineConfig;
-  /// small backoff values keep the drill fast under test).
+  /// Engine fault knob in drill mode (passed through to OnlineConfig).
   int max_retrain_failures = 5;
-  uint32_t backoff_initial_ms = 4;
-  uint32_t backoff_max_ms = 64;
 
   double retrain_threshold = 0.02;
   bool auto_retrain = true;
@@ -210,7 +208,6 @@ struct ChurnResult {
   // Fault-drill observations (populated when fault_retrain_failures > 0).
   uint64_t fault_failures_seen = 0;  ///< max consecutive failures health() showed
   bool degraded_seen = false;        ///< health().degraded observed mid-drill
-  bool backoff_seen = false;         ///< health().in_backoff observed mid-drill
   bool fault_error_seen = false;     ///< health().last_error was non-empty
   EngineHealth final_health;         ///< snapshot after the run's last swap
 };
@@ -262,8 +259,6 @@ class ChurnHarness {
     ocfg.retrain_threshold = cfg_.retrain_threshold;
     ocfg.auto_retrain = cfg_.auto_retrain;
     ocfg.max_retrain_failures = cfg_.max_retrain_failures;
-    ocfg.backoff_initial_ms = cfg_.backoff_initial_ms;
-    ocfg.backoff_max_ms = cfg_.backoff_max_ms;
     OnlineNuevoMatch online{ocfg};
     online.build(base_);
     const uint64_t gen0 = online.generations();
@@ -480,25 +475,23 @@ class ChurnHarness {
       }
       if (cfg_.fault_retrain_failures > 0 && s == cfg_.n_steps / 2) {
         // The drill: the next fault_retrain_failures training attempts
-        // throw. Force a retrain and ride the failure → backoff → retry
-        // ladder, sampling health() — readers keep hammering the stable
-        // core and the step oracle below keeps probing, so any answer the
-        // failure path changes is caught immediately.
+        // throw. Each forced retrain is one attempt; sample health() after
+        // each — readers keep hammering the stable core and the step oracle
+        // below keeps probing, so any answer the failure path changes is
+        // caught immediately. The drill ends in recovery or in degraded
+        // mode, at the latest on attempt fault_retrain_failures + 1.
         failpoint::arm(failpoint::kOnlineRetrain,
                        failpoint::Trigger::first(
                            static_cast<uint64_t>(cfg_.fault_retrain_failures)));
-        online.retrain_now();
-        for (;;) {
+        for (int attempt = 0; attempt <= cfg_.fault_retrain_failures; ++attempt) {
+          online.retrain_now();
+          online.quiesce();
           const EngineHealth h = online.health();
           res.fault_failures_seen =
               std::max(res.fault_failures_seen, h.retrain_failures);
           res.degraded_seen |= h.degraded;
-          res.backoff_seen |= h.in_backoff;
           res.fault_error_seen |= !h.last_error.empty();
-          // The ladder ends in recovery (pending clears on success) or in
-          // degraded mode (auto-retries stop).
-          if (h.degraded || !h.retrain_pending) break;
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          if (h.ok() || h.degraded) break;
         }
       }
       verify_step(online, oracle, probe_cache, s, res);

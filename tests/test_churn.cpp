@@ -231,11 +231,11 @@ TEST(ChurnReplicatedPipeline, ReplicaCrashMidChurnRecoversWithZeroMismatches) {
 
 // The ISSUE 6 acceptance gate: the retrain failpoint armed to fail 3
 // consecutive attempts mid-churn. The engine must serve with ZERO oracle
-// mismatches through failure → backoff → degraded (3 == max_retrain_failures
-// consecutive failures), health() must report the failures, the backoff
-// window, the degraded flag and the preserved error message — and a later
+// mismatches through three failed forced retrains into degraded mode (3 ==
+// max_retrain_failures consecutive failures), health() must report the
+// failures, the degraded flag and the preserved error message — and a later
 // unarmed forced retrain must recover to a fresh, healthy generation. Runs
-// under the TSAN CI leg with writers and readers racing the whole ladder.
+// under the TSAN CI leg with writers and readers racing the whole drill.
 TEST(ChurnFaultInjection, ThreeFailuresDegradeThenRecover) {
   ChurnConfig cfg;
   cfg.seed = 101;
@@ -246,7 +246,6 @@ TEST(ChurnFaultInjection, ThreeFailuresDegradeThenRecover) {
   cfg.n_steps = 3;                 // drill fires after step 1's writers join
   cfg.fault_retrain_failures = 3;
   cfg.max_retrain_failures = 3;    // the third failure crosses into degraded
-  cfg.backoff_initial_ms = 8;      // two observable backoff windows (8, 16 ms)
   cfg.auto_retrain = false;        // deterministic: only the drill's retrains
   cfg.retrain_threshold = 1.0;
   cfg.min_swaps = 1;
@@ -254,7 +253,7 @@ TEST(ChurnFaultInjection, ThreeFailuresDegradeThenRecover) {
 
   const ChurnResult res = harness.run();
 
-  // Serving stayed correct through the whole failure ladder.
+  // Serving stayed correct through every failed retrain.
   EXPECT_EQ(res.applied_ops, res.scheduled_ops);
   EXPECT_EQ(res.concurrent_mismatches, 0u)
       << "a reader racing the failing retrains saw a wrong answer ("
@@ -266,7 +265,6 @@ TEST(ChurnFaultInjection, ThreeFailuresDegradeThenRecover) {
   // health() told the whole story while it happened...
   EXPECT_EQ(res.fault_failures_seen, 3u)
       << "health() never reported the 3 consecutive retrain failures";
-  EXPECT_TRUE(res.backoff_seen) << "health() never reported a backoff window";
   EXPECT_TRUE(res.degraded_seen)
       << "3 consecutive failures must cross into degraded mode";
   EXPECT_TRUE(res.fault_error_seen)
@@ -285,10 +283,10 @@ TEST(ChurnFaultInjection, ThreeFailuresDegradeThenRecover) {
   EXPECT_EQ(res.final_health.retrain_failures_total, 3u);
 }
 
-// Below the degraded threshold the ladder must recover BY ITSELF: two
-// injected failures back off and retry, the third attempt trains for real
-// and swaps — no operator action, no degraded flag, failure state wiped.
-TEST(ChurnFaultInjection, BackoffAutoRecoveryBelowDegradedThreshold) {
+// Below the degraded threshold the drill's forced retries recover: two
+// injected failures, then the third attempt trains for real and swaps — no
+// degraded flag, failure state wiped.
+TEST(ChurnFaultInjection, ForcedRetriesRecoverBelowDegradedThreshold) {
   ChurnConfig cfg;
   cfg.seed = 202;
   cfg.n_rules = 600;
@@ -297,8 +295,7 @@ TEST(ChurnFaultInjection, BackoffAutoRecoveryBelowDegradedThreshold) {
   cfg.n_batch_readers = 0;
   cfg.n_steps = 3;
   cfg.fault_retrain_failures = 2;
-  cfg.max_retrain_failures = 5;    // ladder succeeds before the threshold
-  cfg.backoff_initial_ms = 8;
+  cfg.max_retrain_failures = 5;    // the drill succeeds before the threshold
   cfg.auto_retrain = false;
   cfg.retrain_threshold = 1.0;
   cfg.min_swaps = 1;
@@ -309,7 +306,6 @@ TEST(ChurnFaultInjection, BackoffAutoRecoveryBelowDegradedThreshold) {
   EXPECT_EQ(res.concurrent_mismatches, 0u);
   EXPECT_EQ(res.probe_mismatches, 0u);
   EXPECT_EQ(res.fault_failures_seen, 2u);
-  EXPECT_TRUE(res.backoff_seen);
   EXPECT_FALSE(res.degraded_seen)
       << "2 failures with max=5 must never report degraded";
   EXPECT_GE(res.swaps, 1u);

@@ -1,10 +1,11 @@
 // Fault-tolerant online serving (DESIGN.md "Failure model"): injected
 // retrain/build/replay failures must never corrupt classification — the
 // engine keeps serving the old generation + churn delta oracle-exactly,
-// records the error it used to swallow, retries under seeded exponential
-// backoff, degrades gracefully at the consecutive-failure limit, and
-// recovers through retrain_now(). There is no separate overload cap: the
-// retrain_threshold trigger bounds the churn delta by swapping it away.
+// records the error it used to swallow, leaves the retry to the next commit
+// over the threshold or to retrain_now(), degrades gracefully at the
+// consecutive-failure limit, and recovers through retrain_now(). There is no
+// separate overload cap: the retrain_threshold trigger bounds the churn delta
+// by swapping it away.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,8 +31,6 @@ OnlineConfig make_cfg() {
   cfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
   cfg.base.min_iset_coverage = 0.05;
   cfg.auto_retrain = false;
-  cfg.backoff_initial_ms = 4;   // keep fault drills fast
-  cfg.backoff_max_ms = 32;
   return cfg;
 }
 
@@ -58,9 +57,9 @@ void expect_oracle_exact(const Classifier& engine, const RuleSet& logical,
     ASSERT_EQ(engine.match(p).rule_id, oracle.match(p).rule_id) << to_string(p);
 }
 
-// Satellite #1: the exception retrain_cycle() used to swallow is recorded —
-// and with max_retrain_failures=1 the first failure degrades immediately
-// (no retry), so the post-quiesce state is fully deterministic.
+// The exception a failed retrain_cycle() throws is recorded — and with
+// max_retrain_failures=1 the first failure degrades immediately, so the
+// post-quiesce state is fully deterministic.
 TEST(FaultRetrain, FailureRecordsErrorAndDegradesAtLimit) {
   const RuleSet rules = generate_classbench(AppClass::kAcl, 1, 800, 301);
   OnlineConfig cfg = make_cfg();
@@ -80,7 +79,6 @@ TEST(FaultRetrain, FailureRecordsErrorAndDegradesAtLimit) {
   EXPECT_EQ(h.retrain_failures_total, 1u);
   EXPECT_NE(h.last_error.find("online.retrain"), std::string::npos)
       << "the injected exception's what() must surface: " << h.last_error;
-  EXPECT_FALSE(h.in_backoff);
   EXPECT_EQ(online.generations(), 1u) << "no broken generation may publish";
   expect_oracle_exact(online, rules, 302);  // degraded serving stays exact
 
@@ -98,9 +96,9 @@ TEST(FaultRetrain, FailureRecordsErrorAndDegradesAtLimit) {
   expect_oracle_exact(online, rules, 303);
 }
 
-// Below the degraded limit, failures self-heal: fail twice, back off twice,
-// succeed on the third attempt with no operator involvement.
-TEST(FaultRetrain, BackoffRetryAutoRecovers) {
+// Below the degraded limit each retrain_now() is one attempt: fail twice
+// (each failure waits for the next request), succeed on the third.
+TEST(FaultRetrain, ForcedRetriesRecoverBelowTheLimit) {
   const RuleSet rules = generate_classbench(AppClass::kFw, 1, 700, 311);
   OnlineConfig cfg = make_cfg();
   cfg.max_retrain_failures = 5;
@@ -108,11 +106,22 @@ TEST(FaultRetrain, BackoffRetryAutoRecovers) {
   online.build(rules);
 
   failpoint::Scoped arm{failpoint::kOnlineRetrain, Trigger::first(2)};
+  EngineHealth h;
+  for (uint64_t attempt = 1; attempt <= 2; ++attempt) {
+    online.retrain_now();
+    online.quiesce();
+    h = online.health();
+    EXPECT_FALSE(h.ok());
+    EXPECT_FALSE(h.degraded);
+    EXPECT_FALSE(h.retrain_pending) << "a failed cycle schedules no retry";
+    EXPECT_EQ(h.retrain_failures, attempt);
+    EXPECT_EQ(online.generations(), 1u);
+  }
   online.retrain_now();
-  online.quiesce();  // waits through fail -> backoff -> fail -> backoff -> swap
+  online.quiesce();
 
   EXPECT_EQ(failpoint::fires(failpoint::kOnlineRetrain), 2u);
-  const EngineHealth h = online.health();
+  h = online.health();
   EXPECT_TRUE(h.ok());
   EXPECT_FALSE(h.degraded);
   EXPECT_EQ(h.retrain_failures, 0u);
@@ -120,6 +129,49 @@ TEST(FaultRetrain, BackoffRetryAutoRecovers) {
   EXPECT_TRUE(h.last_error.empty());
   EXPECT_EQ(online.generations(), 2u);
   expect_oracle_exact(online, rules, 312);
+}
+
+// Below the degraded limit, the commit that finds the threshold still
+// crossed is what retries a failed auto-retrain: nothing retries it on a
+// timer in between, and the next over-threshold insert swaps.
+TEST(FaultRetrain, FailedRetrainWaitsForTheNextCommitOverThreshold) {
+  const RuleSet rules = generate_classbench(AppClass::kAcl, 1, 800, 351);
+  OnlineConfig cfg = make_cfg();
+  cfg.auto_retrain = true;
+  cfg.retrain_threshold = 0.001;  // any insert crosses it
+  OnlineNuevoMatch online{cfg};
+  online.build(rules);
+
+  failpoint::Scoped arm{failpoint::kOnlineRetrain, Trigger::first(1)};
+  const RuleSet extras = make_extras(1, 120'000, 352);
+  ASSERT_EQ(online.insert_batch(extras), 1u);  // one commit, one failed cycle
+  online.quiesce();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  EXPECT_EQ(failpoint::evaluations(failpoint::kOnlineRetrain), 1u);
+  EXPECT_EQ(failpoint::fires(failpoint::kOnlineRetrain), 1u);
+  EXPECT_EQ(online.generations(), 1u) << "nothing may retry without a commit";
+  EngineHealth h = online.health();
+  EXPECT_FALSE(h.ok());
+  EXPECT_FALSE(h.degraded);
+  EXPECT_FALSE(h.retrain_pending);
+  EXPECT_EQ(h.retrain_failures, 1u);
+  RuleSet logical = rules;
+  logical.insert(logical.end(), extras.begin(), extras.end());
+  expect_oracle_exact(online, logical, 353);
+
+  const RuleSet extras2 = make_extras(1, 130'000, 354);
+  ASSERT_EQ(online.insert_batch(extras2), 1u);  // still over: retries, swaps
+  online.quiesce();
+
+  EXPECT_EQ(failpoint::fires(failpoint::kOnlineRetrain), 1u);
+  EXPECT_EQ(online.generations(), 2u);
+  h = online.health();
+  EXPECT_TRUE(h.ok());
+  EXPECT_EQ(h.retrain_failures_total, 1u);
+  EXPECT_DOUBLE_EQ(h.absorption, 0.0) << "swap absorbed the churn delta";
+  logical.insert(logical.end(), extras2.begin(), extras2.end());
+  expect_oracle_exact(online, logical, 355);
 }
 
 // Degraded mode suppresses auto-retrain (no failure loop under churn) but
@@ -197,8 +249,8 @@ TEST(FaultBuild, InitialBuildFallsBackToRemainderOnly) {
 }
 
 // A replay failure mid-swap abandons the cycle without losing any journaled
-// update: the retry replays the same logical state and the final rule count
-// and answers account for every accepted insert.
+// update: the retrain_now() that follows trains the same logical state, and
+// the final rule count and answers account for every accepted insert.
 TEST(FaultReplay, ReplayFailureLosesNoUpdates) {
   // A rule-set large enough that training holds the journal open for many
   // milliseconds — the window the drill below must land an insert in.
@@ -221,8 +273,11 @@ TEST(FaultReplay, ReplayFailureLosesNoUpdates) {
     online.retrain_now();
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (online.retrain_in_progress() && online.health().journal_depth == 0 &&
-           std::chrono::steady_clock::now() < deadline) {
+    for (;;) {
+      const EngineHealth h = online.health();
+      if (!h.retrain_pending || h.journal_depth > 0 ||
+          std::chrono::steady_clock::now() >= deadline)
+        break;
       RuleSet one = make_extras(1, next_id++, 342);
       if (online.insert_batch(one) == 1) inserted.push_back(one[0]);
       std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -232,10 +287,13 @@ TEST(FaultReplay, ReplayFailureLosesNoUpdates) {
     failpoint::disarm(failpoint::kOnlineReplay);
   }
   ASSERT_GT(replay_fired, 0u) << "drill never caught the replay window";
+  // The failed cycle schedules no retry of its own.
+  online.retrain_now();
+  online.quiesce();
 
   const EngineHealth h = online.health();
   EXPECT_GE(h.retrain_failures_total, 1u) << "the abandoned cycle must count";
-  EXPECT_TRUE(h.ok()) << "the retry (failpoint exhausted) must recover";
+  EXPECT_TRUE(h.ok()) << "the retrain after the failure must recover";
   EXPECT_EQ(online.size(), rules.size() + inserted.size())
       << "no journaled insert may be lost across abandon + retry";
   RuleSet logical = rules;
@@ -257,7 +315,6 @@ TEST(FaultHealth, SnapshotReflectsSteadyState) {
   EXPECT_EQ(h.retrain_failures_total, 0u);
   EXPECT_TRUE(h.last_error.empty());
   EXPECT_FALSE(h.retrain_pending);
-  EXPECT_FALSE(h.in_backoff);
   EXPECT_EQ(h.journal_depth, 0u);
   EXPECT_EQ(h.churn_rules, 0u);
   EXPECT_DOUBLE_EQ(h.absorption, 0.0);

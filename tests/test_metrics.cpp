@@ -279,8 +279,6 @@ TEST(TelemetrySnapshot, JoinsHealthSurfacesInBothFormats) {
   // Health surfaces only — the registry part may be empty.
   EngineHealth eh;
   eh.generation = 3;
-  eh.in_backoff = true;
-  eh.backoff_ms = 250;
   s.engine = eh;
   pipeline::FlowCache::Stats cs;
   cs.hits = 42;
@@ -298,7 +296,6 @@ TEST(TelemetrySnapshot, JoinsHealthSurfacesInBothFormats) {
 
   const std::string prom = s.to_prometheus();
   EXPECT_NE(prom.find("nm_engine_generation 3"), std::string::npos);
-  EXPECT_NE(prom.find("nm_engine_backoff_ms 250"), std::string::npos);
   EXPECT_NE(prom.find("nm_flowcache_hits_total 42"), std::string::npos);
   EXPECT_NE(prom.find("nm_flowcache_retained_total 17"), std::string::npos);
   EXPECT_NE(prom.find("nm_flowcache_capacity 1024"), std::string::npos);

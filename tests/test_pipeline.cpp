@@ -17,6 +17,7 @@
 #include "classbench/generator.hpp"
 #include "classbench/parser.hpp"
 #include "classifiers/linear.hpp"
+#include "common/failpoint.hpp"
 #include "nuevomatch/nuevomatch.hpp"
 #include "pipeline/elements.hpp"
 #include "pipeline/graph.hpp"
@@ -38,12 +39,14 @@ std::string tmp_path(const std::string& name) {
 }
 
 std::shared_ptr<OnlineNuevoMatch> make_online(const RuleSet& rules,
-                                              bool auto_retrain = false) {
+                                              bool auto_retrain = false,
+                                              int max_retrain_failures = 5) {
   OnlineConfig cfg;
   cfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
   cfg.base.min_iset_coverage = 0.05;
   cfg.auto_retrain = auto_retrain;
   cfg.retrain_threshold = 1.0;
+  cfg.max_retrain_failures = max_retrain_failures;
   auto online = std::make_shared<OnlineNuevoMatch>(std::move(cfg));
   online->build(rules);
   return online;
@@ -556,6 +559,41 @@ TEST(GoldenData, CheckedInFixturesMatchTheGeneratorRecipe) {
   write_classbench(rules_text, rules);
   EXPECT_EQ(rules_text.str(), slurp(root + "/examples/data/router_acl.rules"))
       << "router_acl.rules no longer matches its generator recipe";
+}
+
+// The Classifier element's report carries the attached engine's health: one
+// word while healthy, what retries a failed retrain, and DEGRADED at the
+// consecutive-failure limit.
+TEST(ClassifierReport, HealthLineFollowsTheEngine) {
+  const RuleSet rules = generate_classbench(AppClass::kAcl, 1, 300, 15);
+  auto online = make_online(rules, /*auto_retrain=*/false,
+                            /*max_retrain_failures=*/2);
+  pipeline::ClassifierElement cls;
+  cls.attach(online);
+  std::string r = cls.report();
+  EXPECT_NE(r.find("\n  health: ok"), std::string::npos) << r;
+
+  failpoint::Scoped fail{failpoint::kOnlineRetrain, failpoint::Trigger::always()};
+  online->retrain_now();
+  online->quiesce();
+  r = cls.report();
+  EXPECT_NE(r.find("health: retrain failed (retried at the next commit over "
+                   "the threshold or by retrain_now()) — 1 consecutive "
+                   "retrain failure(s) (1 lifetime)"),
+            std::string::npos)
+      << r;
+  EXPECT_NE(r.find("last error: failpoint: online.retrain"), std::string::npos) << r;
+  EXPECT_EQ(r.find("DEGRADED"), std::string::npos) << r;
+
+  online->retrain_now();
+  online->quiesce();
+  r = cls.report();
+  EXPECT_NE(r.find("health: DEGRADED"), std::string::npos) << r;
+  EXPECT_NE(r.find("2 consecutive retrain failure(s) (2 lifetime)"),
+            std::string::npos)
+      << r;
+  EXPECT_EQ(r.find("retrain failed"), std::string::npos) << r;
+  EXPECT_EQ(r.find("health: ok"), std::string::npos) << r;
 }
 
 // TraceSource bursts are exactly kBurstSize except the tail.

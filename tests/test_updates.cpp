@@ -341,7 +341,7 @@ TEST(OnlineUpdates, RetrainReplayKeepsTheRemainderSkipExact) {
        ++attempt) {
     nm.retrain_now();
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (nm.retrain_in_progress() && t < targets.size() &&
+    while (nm.health().retrain_pending && t < targets.size() &&
            std::chrono::steady_clock::now() < deadline) {
       Rule late = targets[t++];
       for (size_t f = 0; f < kNumFields; ++f) late.field[f].hi = late.field[f].lo;

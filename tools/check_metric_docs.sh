@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The nm_* metric names the code emits and the ones DESIGN.md documents
-# must be the same set. CI runs this in the docs job; it exits nonzero
+# must be the same set. CI runs this in the docs job and ctest runs it as
+# check_metric_docs; it exits nonzero
 # listing every name that is emitted but undocumented, or documented but
 # no longer emitted.
 #
