@@ -60,15 +60,19 @@ PcapSource::PcapSource(const std::string& path)
 }
 
 bool PcapSource::pump(Burst& b) {
+  // Counted in locals and published once per pump: the source is the only
+  // writer, so a relaxed load and store keep the totals exact.
+  uint64_t packets = 0, skipped = 0, filtered = 0;
+  bool failed = false;
   PcapRecord rec;
   while (b.size < kBurstSize) {
     if (!reader_->next(rec)) {
-      if (!reader_->ok()) throw std::runtime_error(reader_->error());
-      break;  // clean EOF
+      failed = !reader_->ok();
+      break;  // clean EOF, or a damaged record (thrown below)
     }
     const auto p = parse_frame(rec.frame, reader_->link_type());
     if (!p.has_value()) {
-      skipped_.fetch_add(1, std::memory_order_relaxed);
+      ++skipped;
       continue;
     }
     // The stream position advances for every parseable frame, filter or
@@ -76,7 +80,7 @@ bool PcapSource::pump(Burst& b) {
     // different replicas merge 1:1 against a scalar run of the same file.
     const uint64_t pos = stream_pos_++;
     if (!accepts(*p, pos)) {
-      filtered_.fetch_add(1, std::memory_order_relaxed);
+      ++filtered;
       continue;
     }
     const uint32_t i = b.size++;
@@ -85,15 +89,22 @@ bool PcapSource::pump(Burst& b) {
     b.index[i] = pos;
     b.result[i] = MatchResult{};
     b.action[i] = -1;
-    packets_.fetch_add(1, std::memory_order_relaxed);
+    ++packets;
   }
+  const auto publish = [](std::atomic<uint64_t>& c, uint64_t n) {
+    c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+  };
+  publish(packets_, packets);
+  publish(skipped_, skipped);
+  publish(filtered_, filtered);
+  if (failed) throw std::runtime_error(reader_->error());
   publish_pos(stream_pos_);
   return b.size > 0;
 }
 
 std::string PcapSource::report() const {
   std::string line =
-      fmt("pcap source: %llu packets, %llu frames skipped (not IPv4)",
+      fmt("pcap source: %llu packets, %llu frames skipped (not parseable IPv4)",
           static_cast<unsigned long long>(packets()),
           static_cast<unsigned long long>(skipped()));
   if (n_replicas() > 1)

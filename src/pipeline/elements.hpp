@@ -52,7 +52,8 @@ class PcapSource final : public SourceElement {
   [[nodiscard]] std::string_view kind() const override { return "PcapSource"; }
   [[nodiscard]] bool pump(Burst& b) override;
   [[nodiscard]] std::string report() const override;
-  /// Frames that could not be projected onto a five-tuple (non-IPv4 ...).
+  /// Frames that could not be projected onto a five-tuple (non-IPv4,
+  /// truncated, bad IHL, injected `pcap.parse` failures).
   [[nodiscard]] uint64_t skipped() const noexcept {
     return skipped_.load(std::memory_order_relaxed);
   }
@@ -69,7 +70,8 @@ class PcapSource final : public SourceElement {
   std::unique_ptr<PcapReader> reader_;
   // Relaxed atomics, not plain u64: pumped by one task thread but read
   // cross-thread (reports, telemetry scrapes, replica supervision) while
-  // the run is live. Single-writer, so relaxed increments stay exact.
+  // the run is live. Single writer: pump() adds its burst's counts with
+  // one relaxed load and store each.
   std::atomic<uint64_t> packets_{0};
   std::atomic<uint64_t> skipped_{0};
   std::atomic<uint64_t> filtered_{0};

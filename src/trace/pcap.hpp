@@ -29,11 +29,13 @@
 
 namespace nuevomatch {
 
-/// One capture record: raw frame bytes + capture timestamp.
+/// One capture record: raw frame bytes + capture timestamp. `frame` is a
+/// view into the reader's block buffer, valid until the reader's next
+/// next() call (or its destruction); copy the bytes to keep them longer.
 struct PcapRecord {
-  uint64_t ts_ns = 0;            ///< capture timestamp, nanoseconds since epoch
-  uint32_t orig_len = 0;         ///< original wire length (frame may be truncated)
-  std::vector<uint8_t> frame;    ///< captured bytes (incl_len of them)
+  uint64_t ts_ns = 0;               ///< capture timestamp, nanoseconds since epoch
+  uint32_t orig_len = 0;            ///< original wire length (frame may be truncated)
+  std::span<const uint8_t> frame;   ///< captured bytes (incl_len of them)
 };
 
 /// pcap link types this reader understands.
@@ -48,6 +50,10 @@ inline constexpr uint32_t kLinkRawIpv4 = 101;   // LINKTYPE_RAW
 /// skip. Record-level damage (truncated header/body, incl_len > orig_len,
 /// implausible lengths) fails next() with the 1-based record index in the
 /// error. No exceptions on the data path.
+///
+/// The file is read in fixed blocks into a buffer the reader owns, and
+/// next() hands out views into it: no copy and no stdio call per record.
+/// The buffer grows only to hold a record larger than one block.
 class PcapReader {
  public:
   explicit PcapReader(const std::string& path);
@@ -63,10 +69,18 @@ class PcapReader {
 
   /// Read the next record. Returns false at clean EOF or on error (check
   /// ok() to tell the two apart — a record truncated mid-file is an error).
+  /// The previous record's frame view is invalid once this is called.
   bool next(PcapRecord& out);
 
  private:
+  /// Make at least `need` unread bytes available at pos_, refilling from
+  /// the file; false when the file ends first.
+  bool fill(size_t need);
+
   std::FILE* f_ = nullptr;
+  std::vector<uint8_t> buf_;  ///< block buffer; bytes [pos_, end_) are unread
+  size_t pos_ = 0;
+  size_t end_ = 0;
   std::string error_;
   uint32_t link_type_ = kLinkEthernet;
   bool nanosecond_ = false;

@@ -345,6 +345,178 @@ TEST(PcapHardening, CorruptLengthsCarryRecordIndex) {
   }
 }
 
+// --- block reads: records that straddle refills -----------------------------
+
+// The reader refills a 16 KiB block (pcap.cpp kBlockBytes); its first read
+// covers file bytes [0, 16 KiB). These captures put a record boundary, a
+// straddling record, and a frame larger than a block where the refills land.
+constexpr size_t kFirstBlock = 16 * 1024;
+
+struct BlockCapture {
+  std::vector<Packet> pkts;
+  std::vector<size_t> frame_len;  ///< written incl_len == orig_len per record
+  std::vector<size_t> start;      ///< file offset of each record header
+  size_t size = 0;                ///< total file bytes
+  size_t jumbo = 0;               ///< index of the larger-than-a-block frame
+};
+
+constexpr uint64_t kBlockBase = 1'600'000'000ull * 1'000'000'000ull;
+
+/// 2400 mixed-protocol records (several blocks), record `jumbo` padded to
+/// 40000 bytes. With `align`, the record crossing the first block's end is
+/// padded to end exactly on it instead.
+BlockCapture write_block_capture(const std::string& path, bool align) {
+  BlockCapture c;
+  const RuleSet rules = generate_classbench(AppClass::kAcl, 1, 200, 11);
+  TraceConfig tc;
+  tc.n_packets = 2'400;
+  c.pkts = generate_trace(rules, tc);
+  for (Packet& p : c.pkts) {
+    if (!proto_has_ports(static_cast<uint8_t>(p[kProto]))) {
+      p.field[kSrcPort] = 0;
+      p.field[kDstPort] = 0;
+    }
+  }
+  c.jumbo = 1'500;
+  PcapWriter w{path, PcapWriterOptions{.nanosecond = true}};
+  size_t off = 24;
+  for (size_t i = 0; i < c.pkts.size(); ++i) {
+    std::vector<uint8_t> frame = synthesize_frame(c.pkts[i]);
+    // parse_frame reads the headers only: trailing padding round-trips.
+    if (i == c.jumbo) frame.resize(40'000);
+    const size_t end = off + 16 + frame.size();
+    if (align && off < kFirstBlock && end + 16 + 64 > kFirstBlock)
+      frame.resize(kFirstBlock - off - 16);
+    c.start.push_back(off);
+    c.frame_len.push_back(frame.size());
+    w.write(kBlockBase + i * 7'919, frame);
+    off += 16 + frame.size();
+  }
+  w.close();
+  EXPECT_TRUE(w.ok()) << w.error();
+  c.size = off;
+  return c;
+}
+
+/// Read `path` to the end; every record must equal the capture's.
+size_t read_and_check(const std::string& path, const BlockCapture& c,
+                      PcapReader& r) {
+  PcapRecord rec;
+  size_t n = 0;
+  while (r.next(rec)) {
+    if (n >= c.pkts.size()) {
+      ADD_FAILURE() << "more records than written";
+      break;
+    }
+    EXPECT_EQ(rec.ts_ns, kBlockBase + n * 7'919) << path << " record " << n;
+    EXPECT_EQ(rec.frame.size(), c.frame_len[n]) << "record " << n;
+    EXPECT_EQ(rec.orig_len, c.frame_len[n]) << "record " << n;
+    const auto parsed = parse_frame(rec.frame, r.link_type());
+    EXPECT_TRUE(parsed.has_value()) << "record " << n;
+    if (parsed.has_value()) {
+      EXPECT_EQ(parsed->field, c.pkts[n].field) << "record " << n;
+    }
+    ++n;
+  }
+  return n;
+}
+
+TEST(PcapBlockReads, MultiBlockCaptureWithJumboFrameReadsBackExactly) {
+  const std::string path = tmp_path("blocks.pcap");
+  const BlockCapture c = write_block_capture(path, /*align=*/false);
+  ASSERT_GT(c.size, 6 * kFirstBlock) << "capture must span several blocks";
+  ASSERT_GT(c.frame_len[c.jumbo], kFirstBlock);
+  PcapReader r{path};
+  ASSERT_TRUE(r.ok()) << r.error();
+  EXPECT_EQ(read_and_check(path, c, r), c.pkts.size());
+  EXPECT_TRUE(r.ok()) << r.error();
+
+  // The convenience loader agrees.
+  size_t skipped = 5;
+  const auto all = read_pcap_packets(path, &skipped);
+  ASSERT_TRUE(all.has_value());
+  EXPECT_EQ(skipped, 0u);
+  ASSERT_EQ(all->size(), c.pkts.size());
+  for (size_t i = 0; i < c.pkts.size(); ++i) EXPECT_EQ((*all)[i].field, c.pkts[i].field);
+}
+
+TEST(PcapBlockReads, EofExactlyOnABlockBoundaryIsClean) {
+  const std::string path = tmp_path("blocks_aligned.pcap");
+  const BlockCapture c = write_block_capture(path, /*align=*/true);
+  const auto at = std::find(c.start.begin(), c.start.end(), kFirstBlock);
+  ASSERT_NE(at, c.start.end()) << "a record must start on the block boundary";
+  const size_t records = static_cast<size_t>(at - c.start.begin());
+
+  std::filesystem::resize_file(path, kFirstBlock);
+  PcapReader r{path};
+  ASSERT_TRUE(r.ok()) << r.error();
+  EXPECT_EQ(read_and_check(path, c, r), records);
+  EXPECT_TRUE(r.ok()) << "a cut on a record boundary is a clean EOF: " << r.error();
+}
+
+/// The 1-based record index and message a cut at `keep` bytes must report,
+/// or "" when the cut lands on a record boundary (clean EOF).
+std::string expected_cut_error(const BlockCapture& c, size_t keep) {
+  for (size_t i = 0; i < c.start.size(); ++i) {
+    const size_t end = c.start[i] + 16 + c.frame_len[i];
+    if (keep == c.start[i]) return "";
+    if (keep < end) {
+      return "pcap record " + std::to_string(i + 1) +
+             (keep < c.start[i] + 16 ? ": truncated record header"
+                                     : ": truncated record body");
+    }
+  }
+  return "";
+}
+
+TEST(PcapBlockReads, TruncationInsideAStraddlingRecordNamesIt) {
+  const std::string full_path = tmp_path("blocks_full.pcap");
+  const BlockCapture c = write_block_capture(full_path, /*align=*/false);
+  const std::vector<uint8_t> full = slurp(full_path);
+  ASSERT_EQ(full.size(), c.size);
+
+  // The record whose body crosses the end of the first block.
+  size_t straddler = 0;
+  while (c.start[straddler] + 16 + c.frame_len[straddler] <= kFirstBlock) ++straddler;
+  ASSERT_LT(c.start[straddler] + 16, kFirstBlock) << "its header fits the block";
+
+  // Every cut around the first refill and across the jumbo frame either
+  // reads back as a clean EOF with exactly the records before it, or fails
+  // naming the record it lands in.
+  std::vector<size_t> cuts;
+  for (size_t k = kFirstBlock - 160; k <= kFirstBlock + 160; ++k) cuts.push_back(k);
+  const size_t j = c.start[c.jumbo];
+  for (const size_t k : {j, j + 1, j + 15, j + 16, j + 17, j + 16 + kFirstBlock,
+                         j + 16 + c.frame_len[c.jumbo] - 1,
+                         j + 16 + c.frame_len[c.jumbo]})
+    cuts.push_back(k);
+
+  const std::string cut_path = tmp_path("blocks_cut.pcap");
+  size_t body_cuts_past_block = 0;
+  for (const size_t keep : cuts) {
+    spit(cut_path, std::span{full}.first(keep));
+    PcapReader r{cut_path};
+    ASSERT_TRUE(r.ok()) << r.error();
+    PcapRecord rec;
+    size_t n = 0;
+    while (r.next(rec)) ++n;
+    const std::string want = expected_cut_error(c, keep);
+    EXPECT_EQ(r.error(), want) << "keep " << keep;
+    const auto rec_at = std::lower_bound(c.start.begin(), c.start.end(), keep);
+    const size_t whole = static_cast<size_t>(rec_at - c.start.begin()) -
+                         (want.empty() ? 0 : 1);
+    EXPECT_EQ(n, whole) << "keep " << keep;
+    if (keep > kFirstBlock && keep < c.start[straddler] + 16 + c.frame_len[straddler]) {
+      EXPECT_EQ(want, "pcap record " + std::to_string(straddler + 1) +
+                          ": truncated record body");
+      ++body_cuts_past_block;
+    }
+  }
+  EXPECT_GT(body_cuts_past_block, 0u) << "no cut landed in the straddling body";
+  EXPECT_EQ(expected_cut_error(c, j + 16 + kFirstBlock),
+            "pcap record " + std::to_string(c.jumbo + 1) + ": truncated record body");
+}
+
 TEST(PcapFailpoint, InjectedParseFailureCountsAsSkip) {
   const std::vector<Packet> pkts = sample_packets();
   const std::string path = tmp_path("fp_parse.pcap");

@@ -6,10 +6,12 @@
 // updates landing mid-stream, and ≥3 forced retrain swaps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -594,6 +596,147 @@ TEST(ClassifierReport, HealthLineFollowsTheEngine) {
       << r;
   EXPECT_EQ(r.find("retrain failed"), std::string::npos) << r;
   EXPECT_EQ(r.find("health: ok"), std::string::npos) << r;
+}
+
+// --- PcapSource: replica split and counters ---------------------------------
+
+// A capture of several reader blocks with unparseable frames mixed in: ARP,
+// an IPv4 header cut short, and a bad IHL.
+struct MixedCapture {
+  std::vector<bool> record_parseable;  ///< per record, in capture order
+  size_t parseable = 0;
+  size_t unparseable = 0;
+};
+
+MixedCapture write_mixed_capture(const std::string& path, const RuleSet& rules) {
+  TraceConfig tc;
+  tc.kind = TraceConfig::Kind::kZipf;
+  tc.zipf_alpha = 1.1;
+  tc.n_packets = 3'000;
+  std::vector<Packet> trace = generate_trace(rules, tc);
+  MixedCapture c;
+  PcapWriter w{path};
+  uint64_t ts = 1'700'000'000ull * 1'000'000'000ull;
+  for (size_t i = 0; i < trace.size(); ++i) {
+    Packet& p = trace[i];
+    if (!proto_has_ports(static_cast<uint8_t>(p[kProto]))) {
+      p.field[kSrcPort] = 0;
+      p.field[kDstPort] = 0;
+    }
+    const std::vector<uint8_t> frame = synthesize_frame(p);
+    if (i % 7 == 3) {
+      std::vector<uint8_t> bad = frame;
+      switch ((i / 7) % 3) {
+        case 0:  // ARP ethertype
+          bad[12] = 0x08;
+          bad[13] = 0x06;
+          break;
+        case 1: bad.resize(14 + 12); break;  // IPv4 header cut short
+        default: bad[14] = 0x43; break;      // IHL 3: a 12-byte header
+      }
+      w.write(ts += 1'000, bad);
+      c.record_parseable.push_back(false);
+      ++c.unparseable;
+    }
+    w.write(ts += 1'000, frame);
+    c.record_parseable.push_back(true);
+    ++c.parseable;
+  }
+  w.close();
+  EXPECT_TRUE(w.ok()) << w.error();
+  return c;
+}
+
+struct ReplicaWalk {
+  uint64_t packets = 0, filtered = 0, skipped = 0;
+  std::string report;
+  std::vector<pipeline::Sink::Record> records;
+};
+
+/// Run each of `n` replicas' PcapSource -> Classifier -> Sink graphs over
+/// the capture, one after another. With `fail_at` > 0, `pcap.parse=nth:K`
+/// is armed afresh for each replica's walk, so the injected failure hits
+/// the same record in every replica.
+std::vector<ReplicaWalk> walk_replicas(const std::string& path,
+                                       const std::shared_ptr<OnlineNuevoMatch>& online,
+                                       uint32_t n, uint64_t fail_at) {
+  std::vector<ReplicaWalk> out(n);
+  for (uint32_t r = 0; r < n; ++r) {
+    std::optional<failpoint::Scoped> arm;
+    if (fail_at > 0) arm.emplace(failpoint::kPcapParse, failpoint::Trigger::nth(fail_at));
+    Graph g;
+    auto& src = g.add(std::make_unique<pipeline::PcapSource>(path), "src");
+    src.set_replica_filter(r, n);
+    auto cls_owned = std::make_unique<pipeline::ClassifierElement>();
+    cls_owned->attach(online);
+    auto& cls = g.add(std::move(cls_owned), "cls");
+    auto& sink = g.add(std::make_unique<pipeline::Sink>(true), "sink");
+    g.connect(src, 0, cls);
+    g.connect(cls, 0, sink);
+    g.run();
+    if (fail_at > 0) {
+      EXPECT_EQ(failpoint::fires(failpoint::kPcapParse), 1u);
+    }
+    out[r] = {src.packets(), src.filtered(), src.skipped(), src.report(),
+              sink.records()};
+  }
+  return out;
+}
+
+TEST(PcapSourceSplit, ReplicasPartitionTheCaptureWithExactCounters) {
+  const RuleSet rules = generate_classbench(AppClass::kAcl, 1, 300, 23);
+  auto online = make_online(rules);
+  const std::string path = tmp_path("mixed_split.pcap");
+  const MixedCapture c = write_mixed_capture(path, rules);
+  ASSERT_GT(std::filesystem::file_size(path), 8u * 16 * 1024) << "several blocks";
+  ASSERT_GT(c.unparseable, 400u);
+
+  // The injected failure lands on a parseable record past several refills.
+  uint64_t fail_at = 2'000;
+  while (!c.record_parseable[fail_at - 1]) ++fail_at;
+
+  for (const uint64_t fail : {uint64_t{0}, fail_at}) {
+    SCOPED_TRACE(fail > 0 ? "pcap.parse=nth:" + std::to_string(fail) : "no failpoint");
+    const uint64_t parseable = c.parseable - (fail > 0 ? 1 : 0);
+    const uint64_t unparseable = c.unparseable + (fail > 0 ? 1 : 0);
+
+    const ReplicaWalk base = walk_replicas(path, online, 1, fail)[0];
+    EXPECT_EQ(base.packets, parseable);
+    EXPECT_EQ(base.filtered, 0u);
+    EXPECT_EQ(base.skipped, unparseable);
+    EXPECT_EQ(base.report, "pcap source: " + std::to_string(parseable) +
+                               " packets, " + std::to_string(unparseable) +
+                               " frames skipped (not parseable IPv4)");
+    ASSERT_EQ(base.records.size(), parseable);
+    for (uint64_t i = 0; i < parseable; ++i) ASSERT_EQ(base.records[i].index, i);
+
+    for (const uint32_t n : {2u, 3u}) {
+      SCOPED_TRACE(std::to_string(n) + " replicas");
+      std::vector<uint64_t> indices;
+      for (const ReplicaWalk& w : walk_replicas(path, online, n, fail)) {
+        EXPECT_GT(w.packets, 0u);
+        EXPECT_EQ(w.packets + w.filtered, parseable);
+        EXPECT_EQ(w.skipped, unparseable);
+        EXPECT_EQ(w.report, "pcap source: " + std::to_string(w.packets) +
+                                " packets, " + std::to_string(unparseable) +
+                                " frames skipped (not parseable IPv4), " +
+                                std::to_string(w.filtered) +
+                                " filtered to other replicas");
+        ASSERT_EQ(w.records.size(), w.packets);
+        for (const pipeline::Sink::Record& d : w.records) {
+          ASSERT_LT(d.index, parseable);
+          const pipeline::Sink::Record& want = base.records[d.index];
+          EXPECT_EQ(d.rule_id, want.rule_id) << "index " << d.index;
+          EXPECT_EQ(d.action, want.action) << "index " << d.index;
+          indices.push_back(d.index);
+        }
+      }
+      // Disjoint and covering: the sorted union is exactly 0..parseable-1.
+      std::sort(indices.begin(), indices.end());
+      ASSERT_EQ(indices.size(), parseable);
+      for (uint64_t i = 0; i < parseable; ++i) ASSERT_EQ(indices[i], i);
+    }
+  }
 }
 
 // TraceSource bursts are exactly kBurstSize except the tail.
