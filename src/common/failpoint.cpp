@@ -48,16 +48,27 @@ void arm_from_env_once() {
   (void)once;
 }
 
-[[nodiscard]] bool decide(Point& p) {
+/// Count one evaluation and let the trigger decide on `ordinal`: the
+/// evaluation count itself (should_fire) or a caller's item number
+/// (should_fire_at).
+[[nodiscard]] bool decide(Point& p, uint64_t ordinal) {
   ++p.evaluations;
   bool fire = false;
   switch (p.trigger.kind) {
     case Trigger::Kind::kAlways: fire = true; break;
-    case Trigger::Kind::kFirstN: fire = p.evaluations <= p.trigger.n; break;
-    case Trigger::Kind::kNth: fire = p.evaluations == p.trigger.n; break;
+    case Trigger::Kind::kFirstN: fire = ordinal <= p.trigger.n; break;
+    case Trigger::Kind::kNth: fire = ordinal == p.trigger.n; break;
   }
   if (fire) ++p.fires;
   return fire;
+}
+
+/// The armed point called `name`, or null; the registry mutex must be held.
+[[nodiscard]] Point* find_armed(Registry& r, std::string_view name) {
+  // Transparent lookup would avoid the temporary string; armed evaluations
+  // are off the steady-state path, so clarity wins.
+  const auto it = r.points.find(std::string{name});
+  return it == r.points.end() ? nullptr : &it->second;
 }
 
 [[nodiscard]] std::optional<Trigger> parse_trigger(std::string_view spec) {
@@ -146,25 +157,31 @@ bool should_fire(std::string_view name) noexcept {
   if (armed_count().load(std::memory_order_relaxed) == 0) return false;
   Registry& r = registry();
   std::lock_guard lk{r.mu};
-  // Transparent lookup would avoid the temporary string; armed evaluations
-  // are off the steady-state path, so clarity wins.
-  const auto it = r.points.find(std::string{name});
-  if (it == r.points.end()) return false;
-  return decide(it->second);
+  Point* p = find_armed(r, name);
+  return p != nullptr && decide(*p, p->evaluations + 1);
+}
+
+bool should_fire_at(std::string_view name, uint64_t ordinal) noexcept {
+  arm_from_env_once();
+  if (armed_count().load(std::memory_order_relaxed) == 0) return false;
+  Registry& r = registry();
+  std::lock_guard lk{r.mu};
+  Point* p = find_armed(r, name);
+  return p != nullptr && decide(*p, ordinal);
 }
 
 uint64_t evaluations(std::string_view name) {
   Registry& r = registry();
   std::lock_guard lk{r.mu};
-  const auto it = r.points.find(std::string{name});
-  return it == r.points.end() ? 0 : it->second.evaluations;
+  const Point* p = find_armed(r, name);
+  return p == nullptr ? 0 : p->evaluations;
 }
 
 uint64_t fires(std::string_view name) {
   Registry& r = registry();
   std::lock_guard lk{r.mu};
-  const auto it = r.points.find(std::string{name});
-  return it == r.points.end() ? 0 : it->second.fires;
+  const Point* p = find_armed(r, name);
+  return p == nullptr ? 0 : p->fires;
 }
 
 std::vector<std::string> armed_points() {

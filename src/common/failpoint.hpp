@@ -17,6 +17,12 @@
 //                          (the "fail K consecutive retrains" shape);
 //   * fire-on-nth:N      — exactly the Nth evaluation fires (1-based).
 //
+// A point that fails one numbered item of a walk that can run several
+// times (pcap.parse: record K of a capture, read once by every replica and
+// again by an oracle) asks should_fire_at(name, k) instead, and the
+// trigger counts items, not evaluations: nth:K fails item K of EVERY walk,
+// first:N items 1..N, always every item.
+//
 // Arming is programmatic (failpoint::arm / ScopedFailpoint for tests) or
 // environmental: NM_FAILPOINTS="online.retrain=first:3,serialize.load=nth:2"
 // arms points before main() logic runs, so any binary in the tree — tests,
@@ -76,6 +82,11 @@ void disarm_all();
 /// The hot-path question. When `name` is not armed this is one relaxed
 /// atomic load; when armed, the trigger decides and both counters advance.
 [[nodiscard]] bool should_fire(std::string_view name) noexcept;
+
+/// The same question about item `ordinal` (1-based) of a walk: the trigger
+/// decides on `ordinal` instead of the evaluation count, so every walk
+/// fails the same items. Both counters advance as in should_fire.
+[[nodiscard]] bool should_fire_at(std::string_view name, uint64_t ordinal) noexcept;
 
 /// Evaluations / fires since arming (0 / 0 when the point is not armed).
 [[nodiscard]] uint64_t evaluations(std::string_view name);

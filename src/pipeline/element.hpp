@@ -91,6 +91,16 @@ struct Burst {
 };
 static_assert(kBurstSize <= 32, "resolved bitmask is 32 bits");
 
+/// Add `n` to an element counter. Element counters have one writer — the
+/// thread firing the element's graph (a graph is one scheduler task, and a
+/// task fires on one thread at a time) — so a relaxed load and store keep
+/// them exact without a locked read-modify-write, and a reader on another
+/// thread (report, telemetry scrape, replica tick) still sees whole values.
+/// Elements count in locals and publish once per burst.
+inline void publish_add(std::atomic<uint64_t>& c, uint64_t n) noexcept {
+  c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+}
+
 class Graph;
 
 class Element {
@@ -289,6 +299,24 @@ class SourceElement : public Element {
     if (steering_ != nullptr)
       return steering_->accepts(replica_, rss_hash(p), pos);
     return n_replicas_ <= 1 || rss_hash(p) % n_replicas_ == replica_;
+  }
+
+  /// Write the packet at stream position `pos` into the burst's next free
+  /// lane, and keep it — advance b.size — only if the replica filter
+  /// accepts it. The lane is written either way and the keep bit is added,
+  /// not branched on: rss_hash % n is a coin flip per flow, so a branch
+  /// would mispredict on about half the packets. Returns the keep bit.
+  /// Requires b.size < kBurstSize.
+  uint32_t emit(Burst& b, const Packet& p, uint64_t ts_ns, uint64_t pos) const noexcept {
+    const uint32_t i = b.size;
+    b.pkt[i] = p;
+    b.ts_ns[i] = ts_ns;
+    b.index[i] = pos;
+    b.result[i] = MatchResult{};
+    b.action[i] = -1;
+    const uint32_t keep = accepts(p, pos) ? 1u : 0u;
+    b.size += keep;
+    return keep;
   }
 
   /// Publish the consumed position (once per pump is enough — the reader

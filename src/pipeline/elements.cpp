@@ -60,9 +60,9 @@ PcapSource::PcapSource(const std::string& path)
 }
 
 bool PcapSource::pump(Burst& b) {
-  // Counted in locals and published once per pump: the source is the only
-  // writer, so a relaxed load and store keep the totals exact.
-  uint64_t packets = 0, skipped = 0, filtered = 0;
+  // Counted in locals and published once per pump (publish_add).
+  uint64_t packets = 0, skipped = 0;
+  const uint64_t pos0 = stream_pos_;
   bool failed = false;
   PcapRecord rec;
   while (b.size < kBurstSize) {
@@ -70,33 +70,19 @@ bool PcapSource::pump(Burst& b) {
       failed = !reader_->ok();
       break;  // clean EOF, or a damaged record (thrown below)
     }
-    const auto p = parse_frame(rec.frame, reader_->link_type());
+    const auto p = parse_record(rec, reader_->link_type());
     if (!p.has_value()) {
       ++skipped;
       continue;
     }
-    // The stream position advances for every parseable frame, filter or
-    // not: Burst::index is the GLOBAL capture position, so decisions from
+    // The stream position advances for every parseable frame, kept or not:
+    // Burst::index is the GLOBAL capture position, so decisions from
     // different replicas merge 1:1 against a scalar run of the same file.
-    const uint64_t pos = stream_pos_++;
-    if (!accepts(*p, pos)) {
-      ++filtered;
-      continue;
-    }
-    const uint32_t i = b.size++;
-    b.pkt[i] = *p;
-    b.ts_ns[i] = rec.ts_ns;
-    b.index[i] = pos;
-    b.result[i] = MatchResult{};
-    b.action[i] = -1;
-    ++packets;
+    packets += emit(b, *p, rec.ts_ns, stream_pos_++);
   }
-  const auto publish = [](std::atomic<uint64_t>& c, uint64_t n) {
-    c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
-  };
-  publish(packets_, packets);
-  publish(skipped_, skipped);
-  publish(filtered_, filtered);
+  publish_add(packets_, packets);
+  publish_add(skipped_, skipped);
+  publish_add(filtered_, stream_pos_ - pos0 - packets);
   if (failed) throw std::runtime_error(reader_->error());
   publish_pos(stream_pos_);
   return b.size > 0;
@@ -128,14 +114,8 @@ TraceSource::TraceSource(const std::string& rules_path, size_t n_packets,
 
 bool TraceSource::pump(Burst& b) {
   while (b.size < kBurstSize && next_ < packets_.size()) {
-    const uint64_t pos = next_++;
-    if (!accepts(packets_[pos], pos)) continue;  // index stays global — see PcapSource
-    const uint32_t i = b.size++;
-    b.pkt[i] = packets_[pos];
-    b.ts_ns[i] = pos * 1'000;
-    b.index[i] = pos;
-    b.result[i] = MatchResult{};
-    b.action[i] = -1;
+    const uint64_t pos = next_++;  // index stays global — see PcapSource
+    emit(b, packets_[pos], pos * 1'000, pos);
   }
   publish_pos(next_);
   return b.size > 0;
@@ -294,8 +274,8 @@ void ClassifierElement::process(Burst& b) {
   };
 
   const auto count = [this](uint32_t n) {
-    bursts_.fetch_add(1, std::memory_order_relaxed);
-    classified_.fetch_add(n, std::memory_order_relaxed);
+    publish_add(bursts_, 1);
+    publish_add(classified_, n);
     if (NM_METRICS_ENABLED) {
       ++m_acc_bursts_;
       m_acc_pkts_ += n;
@@ -410,12 +390,14 @@ void Dispatch::process(Burst& b) {
     s.index[j] = b.index[i];
     s.result[j] = b.result[i];
     s.action[j] = b.action[i];
-    if (b.is_resolved(i)) s.mark_resolved(j);
-    if ((b.from_cache >> i) & 1u) s.from_cache |= 1u << j;
-    counts_[port].fetch_add(1, std::memory_order_relaxed);
+    s.resolved |= ((b.resolved >> i) & 1u) << j;
+    s.from_cache |= ((b.from_cache >> i) & 1u) << j;
   }
-  for (size_t port = 0; port < split_.size(); ++port)
+  // A split's size is this burst's count for its port (publish_add).
+  for (size_t port = 0; port < split_.size(); ++port) {
+    publish_add(counts_[port], split_[port].size);
     forward(split_[port], port);
+  }
 }
 
 std::string Dispatch::report() const {
@@ -432,8 +414,8 @@ std::string Dispatch::report() const {
 Counter::Counter(std::string label) : label_(std::move(label)) {}
 
 void Counter::process(Burst& b) {
-  packets_.fetch_add(b.size, std::memory_order_relaxed);
-  bursts_.fetch_add(1, std::memory_order_relaxed);
+  publish_add(packets_, b.size);
+  publish_add(bursts_, 1);
   forward(b);
 }
 
@@ -449,7 +431,7 @@ std::string Counter::report() const {
 Sink::Sink(bool record) : record_(record) {}
 
 void Sink::process(Burst& b) {
-  packets_.fetch_add(b.size, std::memory_order_relaxed);
+  publish_add(packets_, b.size);
   if (record_) {
     for (uint32_t i = 0; i < b.size; ++i) {
       records_.push_back(Record{b.index[i], b.result[i].rule_id,

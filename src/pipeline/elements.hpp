@@ -70,8 +70,7 @@ class PcapSource final : public SourceElement {
   std::unique_ptr<PcapReader> reader_;
   // Relaxed atomics, not plain u64: pumped by one task thread but read
   // cross-thread (reports, telemetry scrapes, replica supervision) while
-  // the run is live. Single writer: pump() adds its burst's counts with
-  // one relaxed load and store each.
+  // the run is live. pump() publishes its burst's counts (publish_add).
   std::atomic<uint64_t> packets_{0};
   std::atomic<uint64_t> skipped_{0};
   std::atomic<uint64_t> filtered_{0};
@@ -170,8 +169,8 @@ class ClassifierElement final : public Element {
   std::shared_ptr<OnlineNuevoMatch> online_;
   std::shared_ptr<const nuevomatch::Classifier> scalar_;
   std::unordered_map<uint32_t, int32_t> actions_;
-  // Relaxed atomics: incremented by the replica's worker thread, read by
-  // reports/telemetry while firing (was a torn read as plain u64).
+  // Relaxed atomics: published once per burst by the replica's worker
+  // thread (publish_add), read by reports/telemetry while firing.
   std::atomic<uint64_t> classified_{0};
   std::atomic<uint64_t> bursts_{0};
   // Registry-add batch (worker-thread private): flushed every 64 classified
@@ -195,7 +194,7 @@ class Dispatch final : public Element {
  private:
   std::vector<std::string> names_;
   /// Sized once in the constructor, never resized (vector<atomic> must not
-  /// reallocate); relaxed increments, cross-thread reads.
+  /// reallocate); published once per burst (publish_add), cross-thread reads.
   std::vector<std::atomic<uint64_t>> counts_;
   std::vector<Burst> split_;  // reused per-port staging (DAG => no reentry)
 };

@@ -6,6 +6,7 @@
 
 #include "common/failpoint.hpp"
 #include "nuevomatch/online.hpp"
+#include "pipeline/element.hpp"
 
 namespace nuevomatch::pipeline {
 
@@ -34,8 +35,8 @@ uint64_t FlowCache::band_mark(uint8_t band) const noexcept {
   return stamp_src_ != nullptr ? stamp_src_->coherence_band_mark(band) : 0;
 }
 
-bool FlowCache::probe(const Packet& p, uint64_t now, Decision& out) {
-  Entry* base = entries_.data() + set_of(p) * kWays;
+bool FlowCache::probe(size_t set, const Packet& p, uint64_t now, Decision& out) {
+  Entry* base = entries_.data() + set * kWays;
   for (size_t w = 0; w < kWays; ++w) {
     Entry& e = base[w];
     if (e.stamp == kEmpty || e.key != p.field) continue;
@@ -46,7 +47,7 @@ bool FlowCache::probe(const Packet& p, uint64_t now, Decision& out) {
       e.stamp = kEmpty;
       live_.store(live_.load(std::memory_order_relaxed) - 1,
                   std::memory_order_relaxed);
-      bump(stale_);
+      publish_add(stale_, 1);
       return false;
     }
     // The band marks prove the decision current — including when the entry
@@ -54,15 +55,15 @@ bool FlowCache::probe(const Packet& p, uint64_t now, Decision& out) {
     // entry survived commits in other bands — the dependency-aware
     // retention this cache exists for).
     out = e.d;
-    bump(hits_);
+    publish_add(hits_, 1);
     if (e.stamp < now) {
-      bump(retained_);
+      publish_add(retained_, 1);
     } else if (e.stamp > now) {
-      bump(future_);
+      publish_add(future_, 1);
     }
     return true;
   }
-  bump(misses_);
+  publish_add(misses_, 1);
   return false;
 }
 
@@ -77,7 +78,7 @@ void FlowCache::fill(const Packet& p, const Decision& d, uint64_t stamp) {
       // with an older-stamped one: that would downgrade a valid entry into
       // one a same-band commit may already have invalidated.
       if (e.stamp > stamp) {
-        bump(insert_drops_);
+        publish_add(insert_drops_, 1);
         return;
       }
       victim = &e;  // re-stamp the existing entry for this flow
@@ -88,7 +89,7 @@ void FlowCache::fill(const Packet& p, const Decision& d, uint64_t stamp) {
   if (victim == nullptr) {
     victim = base + hand_[set];
     hand_[set] = static_cast<uint8_t>((hand_[set] + 1) % kWays);
-    bump(evictions_);
+    publish_add(evictions_, 1);
   } else if (victim->stamp == kEmpty) {
     live_.store(live_.load(std::memory_order_relaxed) + 1,
                 std::memory_order_relaxed);
@@ -97,13 +98,13 @@ void FlowCache::fill(const Packet& p, const Decision& d, uint64_t stamp) {
   victim->d = d;
   victim->stamp = stamp;
   victim->band = band_of(d);
-  bump(inserts_);
+  publish_add(inserts_, 1);
 }
 
 bool FlowCache::lookup(const Packet& p, Decision& out) {
   // The stamp view is only hit-accounting context (retained/future); the
   // serve/retire verdict comes from the per-band marks inside probe().
-  return probe(p, current_stamp(), out);
+  return probe(set_of(p), p, current_stamp(), out);
 }
 
 void FlowCache::insert(const Packet& p, const Decision& d, uint64_t stamp) {
@@ -125,10 +126,24 @@ uint32_t FlowCache::lookup_burst(const Packet* pkts, uint32_t n,
   // One stamp view per burst is enough for hit accounting; the band marks
   // are still read per lane inside probe().
   const uint64_t now = current_stamp();
-  uint32_t hit_mask = 0;
-  for (uint32_t m = burst_lanes(n, active); m != 0; m &= m - 1) {
+  const uint32_t lanes = burst_lanes(n, active);
+  // Pass 1: hash every lane and start loading its set's lines, so the
+  // lanes' cache misses overlap instead of each probe waiting for its own.
+  std::array<size_t, kBurstLanes> set{};
+  for (uint32_t m = lanes; m != 0; m &= m - 1) {
     const auto i = static_cast<uint32_t>(std::countr_zero(m));
-    if (probe(pkts[i], now, out[i])) hit_mask |= 1u << i;
+    set[i] = set_of(pkts[i]);
+    // A probe reads every way's key and stamp. The set is not line-aligned,
+    // so touch each 64-byte step and its last byte.
+    const auto* ways = reinterpret_cast<const char*>(entries_.data() + set[i] * kWays);
+    for (size_t off = 0; off < kWays * sizeof(Entry); off += 64) __builtin_prefetch(ways + off);
+    __builtin_prefetch(ways + kWays * sizeof(Entry) - 1);
+  }
+  // Pass 2: probe in lane order — the per-lane lookup() exactly.
+  uint32_t hit_mask = 0;
+  for (uint32_t m = lanes; m != 0; m &= m - 1) {
+    const auto i = static_cast<uint32_t>(std::countr_zero(m));
+    if (probe(set[i], pkts[i], now, out[i])) hit_mask |= 1u << i;
   }
   return hit_mask;
 }

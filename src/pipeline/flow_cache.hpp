@@ -33,10 +33,12 @@
 //     MetricsExporter scrape, a replica's tick). The counters they read are
 //     single-writer relaxed atomics: the owner bumps them with a load and a
 //     store, never a locked read-modify-write.
-// The burst forms lookup_burst()/insert_burst() are plain lane loops over
-// the scalar probe/fill bodies, and every lane reads the band mark afresh,
-// so a commit landing mid-burst still invalidates at packet granularity
-// (the coherence contract is per probe).
+// The burst forms run the scalar probe/fill bodies lane by lane, and every
+// lane reads the band mark afresh, so a commit landing mid-burst still
+// invalidates at packet granularity (the coherence contract is per probe).
+// lookup_burst() first hashes every active lane and prefetches its set, so
+// the sets' cache misses overlap, then probes the lanes in lane order: hits,
+// stale retirements and Stats are exactly the per-lane lookup()'s.
 #pragma once
 
 #include <array>
@@ -95,7 +97,8 @@ class FlowCache {
   void insert(const Packet& p, const Decision& d, uint64_t stamp);
 
   /// Burst probe: lookup() for each lane of `active` (bit i = pkts[i]) in
-  /// lane order. Returns the hit mask; out[i] is written for every hit
+  /// lane order, after a first pass that hashes every lane and prefetches
+  /// its set. Returns the hit mask; out[i] is written for every hit
   /// lane. Each lane reads its band mark afresh, so a commit landing
   /// mid-burst invalidates the not-yet-probed lanes exactly as per-packet
   /// probing would. Lanes at or above min(n, kBurstLanes) are ignored.
@@ -179,13 +182,10 @@ class FlowCache {
   };
   static constexpr uint64_t kEmpty = ~uint64_t{0};
 
-  /// Single-writer counter: only the owner thread bumps it, so a relaxed
-  /// load and store suffice, and a reader on another thread still sees a
-  /// whole value.
+  /// Single-writer counter: only the owner thread bumps it (publish_add,
+  /// element.hpp), so a relaxed load and store suffice, and a reader on
+  /// another thread still sees a whole value.
   using Counter = std::atomic<uint64_t>;
-  static void bump(Counter& c) noexcept {
-    c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-  }
 
   [[nodiscard]] static uint64_t hash(const Packet& p) noexcept {
     uint64_t h = 14695981039346656037ull;  // FNV-1a over the five fields
@@ -209,8 +209,9 @@ class FlowCache {
   [[nodiscard]] size_t set_of(const Packet& p) const noexcept {
     return static_cast<size_t>(hash(p)) & (sets_ - 1);
   }
-  /// The per-lane bodies behind lookup*/insert*.
-  [[nodiscard]] bool probe(const Packet& p, uint64_t now, Decision& out);
+  /// The per-lane bodies behind lookup*/insert*; probe() takes the set
+  /// set_of(p) its caller computed.
+  [[nodiscard]] bool probe(size_t set, const Packet& p, uint64_t now, Decision& out);
   void fill(const Packet& p, const Decision& d, uint64_t stamp);
 
   size_t sets_;                // power of two

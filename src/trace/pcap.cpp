@@ -180,7 +180,7 @@ bool PcapReader::next(PcapRecord& out) {
   out.orig_len = rh.orig_len;
   out.ts_ns = static_cast<uint64_t>(rh.ts_sec) * 1'000'000'000ull +
               static_cast<uint64_t>(rh.ts_frac) * (nanosecond_ ? 1ull : 1'000ull);
-  ++n_records_;
+  out.number = ++n_records_;
   return true;
 }
 
@@ -242,9 +242,6 @@ void PcapWriter::write(uint64_t ts_ns, std::span<const uint8_t> frame) {
 // --- frame parse / synthesis ------------------------------------------------
 
 std::optional<Packet> parse_frame(std::span<const uint8_t> frame, uint32_t link_type) {
-  // Injected parse failure (failpoint "pcap.parse"): the frame reports as
-  // unprojectable through the same skip-and-count channel as real damage.
-  if (failpoint::should_fire(failpoint::kPcapParse)) return std::nullopt;
   size_t off = 0;
   if (link_type == kLinkEthernet) {
     if (frame.size() < 14) return std::nullopt;
@@ -282,6 +279,14 @@ std::optional<Packet> parse_frame(std::span<const uint8_t> frame, uint32_t link_
     p.field[kDstPort] = be16(ip + ihl + 2);
   }
   return p;
+}
+
+std::optional<Packet> parse_record(const PcapRecord& rec, uint32_t link_type) {
+  // Decided on the record's number, not on how often the point was asked:
+  // an oracle's walk and every replica's walk of one capture must skip the
+  // same records, or their stream positions stop lining up.
+  if (failpoint::should_fire_at(failpoint::kPcapParse, rec.number)) return std::nullopt;
+  return parse_frame(rec.frame, link_type);
 }
 
 std::vector<uint8_t> synthesize_frame(const Packet& p) {
@@ -354,7 +359,7 @@ std::optional<std::vector<Packet>> read_pcap_packets(const std::string& path,
   size_t skip = 0;
   PcapRecord rec;
   while (r.next(rec)) {
-    if (auto p = parse_frame(rec.frame, r.link_type()); p.has_value()) {
+    if (auto p = parse_record(rec, r.link_type()); p.has_value()) {
       out.push_back(*p);
     } else {
       ++skip;

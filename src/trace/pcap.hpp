@@ -34,6 +34,7 @@ namespace nuevomatch {
 /// next() call (or its destruction); copy the bytes to keep them longer.
 struct PcapRecord {
   uint64_t ts_ns = 0;               ///< capture timestamp, nanoseconds since epoch
+  uint64_t number = 0;              ///< 1-based record number within this reader's walk
   uint32_t orig_len = 0;            ///< original wire length (frame may be truncated)
   std::span<const uint8_t> frame;   ///< captured bytes (incl_len of them)
 };
@@ -85,7 +86,7 @@ class PcapReader {
   uint32_t link_type_ = kLinkEthernet;
   bool nanosecond_ = false;
   bool swapped_ = false;
-  uint64_t n_records_ = 0;  ///< records read so far (error-message index)
+  uint64_t n_records_ = 0;  ///< records read so far (PcapRecord::number, error index)
 };
 
 struct PcapWriterOptions {
@@ -128,6 +129,13 @@ class PcapWriter {
 /// bad IHL...). Ports are 0 for port-less protocols and non-first fragments.
 [[nodiscard]] std::optional<Packet> parse_frame(std::span<const uint8_t> frame,
                                                 uint32_t link_type = kLinkEthernet);
+
+/// parse_frame for a record a PcapReader walk produced, with the
+/// `pcap.parse` failpoint decided on the record's number: an injected
+/// failure reports through the same nullopt (skip-and-count) channel as real
+/// damage, and lands on the same record in every walk of the capture.
+[[nodiscard]] std::optional<Packet> parse_record(const PcapRecord& rec,
+                                                 uint32_t link_type);
 
 /// Synthesize a minimal, well-formed frame for a five-tuple: Ethernet +
 /// IPv4 (correct header checksum) + TCP/UDP header when the protocol has

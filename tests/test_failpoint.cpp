@@ -1,9 +1,9 @@
-// Failpoint framework tests: trigger semantics (always / first:N / nth:N),
-// spec-string and env arming, counters, the RAII
-// Scoped helper, the cheap disarmed gate — and the one failpoint whose
-// graceful-degradation contract lives below the engine: epoch.grow, which
-// must turn chunk-allocation failure into the pre-growth spin, never a
-// crash.
+// Failpoint framework tests: trigger semantics (always / first:N / nth:N,
+// on the evaluation count and on a caller's item number), spec-string and
+// env arming, counters, the RAII Scoped helper, the cheap disarmed gate —
+// and the one failpoint whose graceful-degradation contract lives below
+// the engine: epoch.grow, which must turn chunk-allocation failure into the
+// pre-growth spin, never a crash.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -52,6 +52,27 @@ TEST(FailpointTriggers, AlwaysFirstNthSemantics) {
   EXPECT_EQ(failpoint::fires("t.always"), 5u);
   EXPECT_EQ(failpoint::fires("t.first"), 3u);
   EXPECT_EQ(failpoint::fires("t.nth"), 1u);
+}
+
+// should_fire_at decides on the caller's item number, so a trigger fails
+// the same items on every walk (pcap.parse: record K of each walk of a
+// capture), however many walks came before.
+TEST(FailpointTriggers, OrdinalTriggersRepeatOnEveryWalk) {
+  failpoint::Scoped always{"t.at.always", Trigger::always()};
+  failpoint::Scoped first{"t.at.first", Trigger::first(2)};
+  failpoint::Scoped nth{"t.at.nth", Trigger::nth(3)};
+  for (int walk = 0; walk < 3; ++walk) {
+    for (uint64_t k = 1; k <= 5; ++k) {
+      EXPECT_TRUE(failpoint::should_fire_at("t.at.always", k)) << walk << "/" << k;
+      EXPECT_EQ(failpoint::should_fire_at("t.at.first", k), k <= 2) << walk << "/" << k;
+      EXPECT_EQ(failpoint::should_fire_at("t.at.nth", k), k == 3) << walk << "/" << k;
+    }
+  }
+  EXPECT_EQ(failpoint::evaluations("t.at.nth"), 15u);
+  EXPECT_EQ(failpoint::fires("t.at.always"), 15u);
+  EXPECT_EQ(failpoint::fires("t.at.first"), 6u);
+  EXPECT_EQ(failpoint::fires("t.at.nth"), 3u);
+  EXPECT_FALSE(failpoint::should_fire_at("nobody.armed.this", 1));
 }
 
 TEST(FailpointTriggers, ThreadSafeFirstNFiresExactlyN) {

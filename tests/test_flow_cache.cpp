@@ -12,6 +12,8 @@
 //     next fill instead of evicting a live neighbor;
 //   * size() counts occupancy: fills into empty ways and stale retires
 //     move it, re-stamps and evictions do not, clear() zeroes it;
+//   * lookup_burst equals per-lane lookup() on decisions, hit mask and
+//     every Stats field (shared sets, repeated flows, a mid-burst retire);
 //   * lookup_burst/insert_burst re-read the band marks per lane and stay
 //     coherent while commits and retrain swaps race mid-burst (run under
 //     TSAN in CI).
@@ -22,6 +24,7 @@
 // a band the test can pick by choosing which rule a packet hits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <memory>
@@ -401,6 +404,81 @@ TEST(FlowCacheBurst, BurstProbeHonorsBands) {
   cache.insert_burst(ps.data(), 32, 0xFFFF'0000u, ds.data(), stamp2);
   EXPECT_EQ(cache.lookup_burst(ps.data(), 32, ~uint32_t{0}, out.data()),
             ~uint32_t{0});
+}
+
+// lookup_burst hashes and prefetches every lane before probing any: its
+// decisions, hit mask and every Stats field must still be the per-lane
+// lookup()'s, including lanes that share a set, one flow twice in a burst,
+// and a stale entry retired by an early lane that a later lane then misses.
+TEST(FlowCacheBurst, BurstProbeEqualsPerLaneLookups) {
+  auto online = make_online(band_rules());
+  FlowCache burst{16};  // 4 sets of 4 ways: most of a burst's lanes share a set
+  FlowCache lane{16};
+  burst.set_stamp_source(online.get());
+  lane.set_stamp_source(online.get());
+  const auto fill_both = [&](int rule) {
+    const MatchResult r = online->match(pkt(rule));
+    const Decision d{r.rule_id, r.priority, rule % 3};
+    const uint64_t stamp = burst.current_stamp();
+    burst.insert(pkt(rule), d, stamp);
+    lane.insert(pkt(rule), d, stamp);
+  };
+  const auto expect_same_stats = [&] {
+    const FlowCache::Stats a = burst.stats(), b = lane.stats();
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.stale, b.stale);
+    EXPECT_EQ(a.inserts, b.inserts);
+    EXPECT_EQ(a.evictions, b.evictions);
+    EXPECT_EQ(a.retained, b.retained);
+    EXPECT_EQ(a.future, b.future);
+    EXPECT_EQ(a.insert_drops, b.insert_drops);
+    EXPECT_EQ(burst.size(), lane.size());
+  };
+  const auto probe_both = [&](const std::array<Packet, 32>& ps, uint32_t n,
+                              uint32_t active) {
+    std::array<Decision, 32> got{}, want{};
+    const uint32_t hits = burst.lookup_burst(ps.data(), n, active, got.data());
+    uint32_t want_hits = 0;
+    for (uint32_t i = 0; i < std::min(n, 32u); ++i) {
+      if (((active >> i) & 1u) != 0 && lane.lookup(ps[i], want[i])) want_hits |= 1u << i;
+    }
+    EXPECT_EQ(hits, want_hits);
+    for (uint32_t i = 0; i < 32; ++i) {
+      if (((hits >> i) & 1u) == 0) continue;
+      EXPECT_EQ(got[i].rule_id, want[i].rule_id) << "lane " << i;
+      EXPECT_EQ(got[i].priority, want[i].priority) << "lane " << i;
+      EXPECT_EQ(got[i].action, want[i].action) << "lane " << i;
+    }
+    expect_same_stats();
+    return hits;
+  };
+
+  // 24 flows into 16 ways: evictions, and a full burst over them repeats
+  // flows 0..7 (lanes i and i + 24).
+  for (int r = 0; r < 24; ++r) fill_both(r);
+  ASSERT_GT(burst.stats().evictions, 0u);
+  std::array<Packet, 32> ps;
+  for (int i = 0; i < 32; ++i) ps[static_cast<size_t>(i)] = pkt(i % 24);
+  EXPECT_NE(probe_both(ps, 32, ~uint32_t{0}), 0u);
+
+  // Erase rule 3: band 0 (rules 0..9) is marked. Flow 3 sits in lanes 3
+  // and 27: lane 3 retires its entry as stale, lane 27 then misses.
+  for (int r = 0; r < 10; ++r) fill_both(r);
+  ASSERT_TRUE(online->erase(3));
+  const uint64_t stale0 = burst.stats().stale;
+  const uint64_t misses0 = burst.stats().misses;
+  const uint32_t hits = probe_both(ps, 32, ~uint32_t{0});
+  EXPECT_EQ((hits >> 3) & 1u, 0u);
+  EXPECT_EQ((hits >> 27) & 1u, 0u);
+  EXPECT_GT(burst.stats().stale, stale0);
+  EXPECT_GT(burst.stats().misses, misses0);
+
+  // A partial burst with holes in the active mask.
+  for (int r = 20; r < 40; ++r) fill_both(r);
+  for (int i = 0; i < 32; ++i) ps[static_cast<size_t>(i)] = pkt(20 + (i * 7) % 24);
+  probe_both(ps, 21, 0xA5A5'A5A5u);
+  probe_both(ps, 32, 0x0F0F'F0F0u);
 }
 
 TEST(FlowCacheBurst, BurstProbesStayCoherentAcrossRacingCommitsAndSwaps) {

@@ -408,6 +408,7 @@ size_t read_and_check(const std::string& path, const BlockCapture& c,
       ADD_FAILURE() << "more records than written";
       break;
     }
+    EXPECT_EQ(rec.number, n + 1) << path << " record " << n;
     EXPECT_EQ(rec.ts_ns, kBlockBase + n * 7'919) << path << " record " << n;
     EXPECT_EQ(rec.frame.size(), c.frame_len[n]) << "record " << n;
     EXPECT_EQ(rec.orig_len, c.frame_len[n]) << "record " << n;

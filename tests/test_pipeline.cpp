@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -14,6 +16,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "classbench/generator.hpp"
@@ -23,6 +26,7 @@
 #include "nuevomatch/nuevomatch.hpp"
 #include "pipeline/elements.hpp"
 #include "pipeline/graph.hpp"
+#include "pipeline/replicate.hpp"
 #include "trace/pcap.hpp"
 #include "trace/trace.hpp"
 #include "tuplemerge/tuplemerge.hpp"
@@ -736,6 +740,142 @@ TEST(PcapSourceSplit, ReplicasPartitionTheCaptureWithExactCounters) {
       ASSERT_EQ(indices.size(), parseable);
       for (uint64_t i = 0; i < parseable; ++i) ASSERT_EQ(indices[i], i);
     }
+  }
+}
+
+// One arming for every walk: `pcap.parse` is decided on the record's number
+// within its walk, so ONE nth:K arming skips the same record in each
+// replica's walk, and a 2- or 3-replica run's merged decisions equal the
+// 1-replica run's under the same arming.
+TEST(PcapSourceSplit, OneArmingFailsTheSameRecordInEveryReplicaWalk) {
+  const RuleSet rules = generate_classbench(AppClass::kAcl, 1, 300, 23);
+  auto online = make_online(rules);
+  const std::string path = tmp_path("mixed_split_one_arming.pcap");
+  const MixedCapture c = write_mixed_capture(path, rules);
+  uint64_t fail_at = 2'000;
+  while (!c.record_parseable[fail_at - 1]) ++fail_at;
+  const uint64_t parseable = c.parseable - 1;
+
+  const auto merged = [&](uint32_t n) {
+    failpoint::Scoped arm{failpoint::kPcapParse, failpoint::Trigger::nth(fail_at)};
+    std::vector<pipeline::Sink::Record> all;
+    for (const ReplicaWalk& w : walk_replicas(path, online, n, /*fail_at=*/0)) {
+      EXPECT_EQ(w.skipped, c.unparseable + 1);
+      all.insert(all.end(), w.records.begin(), w.records.end());
+    }
+    EXPECT_EQ(failpoint::fires(failpoint::kPcapParse), n) << "one skip per walk";
+    std::sort(all.begin(), all.end(),
+              [](const auto& a, const auto& b) { return a.index < b.index; });
+    return all;
+  };
+  const std::vector<pipeline::Sink::Record> base = merged(1);
+  ASSERT_EQ(base.size(), parseable);
+  for (const uint32_t n : {2u, 3u}) {
+    SCOPED_TRACE(std::to_string(n) + " replicas");
+    const std::vector<pipeline::Sink::Record> got = merged(n);
+    ASSERT_EQ(got.size(), parseable);
+    for (uint64_t i = 0; i < parseable; ++i) {
+      ASSERT_EQ(got[i].index, i);
+      EXPECT_EQ(got[i].rule_id, base[i].rule_id) << "index " << i;
+      EXPECT_EQ(got[i].action, base[i].action) << "index " << i;
+    }
+  }
+}
+
+// --- element counters -------------------------------------------------------
+
+// Element counters have one writer and publish once per burst
+// (publish_add). After multi-burst replicated runs on as many threads as
+// replicas, every count is exact against an independent one, and a tick
+// reads them while the replicas fire (the cross-thread reads the TSAN leg
+// checks).
+TEST(ElementCounters, ExactAfterMultiBurstReplicatedRuns) {
+  const RuleSet rules = generate_classbench(AppClass::kAcl, 1, 300, 29);
+  auto online = make_online(rules);
+  TraceConfig tc;
+  tc.kind = TraceConfig::Kind::kZipf;
+  tc.n_packets = 5'000;
+  const std::vector<Packet> trace = generate_trace(rules, tc);
+
+  // Dispatch(a0, a1, rest): action 0 -> port 0, action 1 -> port 1, any
+  // other action or a miss -> port 2.
+  LinearSearch oracle;
+  oracle.build(rules);
+  std::unordered_map<uint32_t, int32_t> action_of;
+  for (const Rule& r : rules) action_of.emplace(r.id, r.action);
+  std::array<uint64_t, 3> want_port{};
+  for (const Packet& p : trace) {
+    const MatchResult m = oracle.match(p);
+    const int32_t a = m.hit() ? action_of.at(static_cast<uint32_t>(m.rule_id)) : -1;
+    ++want_port[a == 0 || a == 1 ? static_cast<size_t>(a) : 2];
+  }
+  ASSERT_GT(want_port[0], 0u);
+  ASSERT_GT(want_port[2], 0u);
+
+  for (const uint32_t n : {2u, 3u}) {
+    SCOPED_TRACE(std::to_string(n) + " replicas");
+    pipeline::ReplicatedGraph rg(n, [&](uint32_t, uint32_t) {
+      Graph g;
+      auto& src = g.add(std::make_unique<pipeline::TraceSource>(trace), "src");
+      auto& cache = g.add(std::make_unique<pipeline::FlowCacheElement>(256), "cache");
+      auto cls_owned = std::make_unique<pipeline::ClassifierElement>();
+      cls_owned->attach(online);
+      cls_owned->set_actions(rules);
+      auto& cls = g.add(std::move(cls_owned), "cls");
+      auto& cnt = g.add(std::make_unique<pipeline::Counter>(), "cnt");
+      auto& d = g.add(std::make_unique<pipeline::Dispatch>(
+                          std::vector<std::string>{"a0", "a1", "rest"}),
+                      "dispatch");
+      g.connect(src, 0, cache);
+      g.connect(cache, 0, cls);
+      g.connect(cls, 0, cnt);
+      g.connect(cnt, 0, d);
+      for (size_t port = 0; port < 3; ++port) {
+        auto& sink = g.add(std::make_unique<pipeline::Sink>(),
+                           "sink" + std::to_string(port));
+        g.connect(d, port, sink);
+      }
+      return g;
+    });
+    std::atomic<uint64_t> ticks{0};
+    pipeline::ReplicatedRunOptions opts;
+    opts.threads = n;
+    opts.quantum = 2;  // short slices: replicas interleave and migrate
+    opts.tick = [&](uint64_t) {
+      EXPECT_LE(rg.total_sink_packets(), trace.size());
+      ticks.fetch_add(1, std::memory_order_relaxed);
+    };
+    EXPECT_EQ(rg.run(opts), trace.size());
+    EXPECT_GT(ticks.load(), 0u);
+
+    std::array<uint64_t, 3> port{};
+    uint64_t counted = 0, hits = 0;
+    for (uint32_t r = 0; r < n; ++r) {
+      Graph& g = rg.replica(r);
+      const auto& cnt = *static_cast<const pipeline::Counter*>(g.find("cnt"));
+      const auto& d = *static_cast<const pipeline::Dispatch*>(g.find("dispatch"));
+      const auto& cls = *static_cast<const pipeline::ClassifierElement*>(g.find("cls"));
+      const FlowCache::Stats cs =
+          static_cast<const pipeline::FlowCacheElement*>(g.find("cache"))->cache().stats();
+      const uint64_t kept = cnt.packets();
+      // A TraceSource burst is full except the last.
+      EXPECT_EQ(cnt.bursts(), (kept + kBurstSize - 1) / kBurstSize) << "replica " << r;
+      EXPECT_GT(cnt.bursts(), 10u) << "replica " << r;
+      EXPECT_EQ(cs.lookups(), kept) << "replica " << r;
+      EXPECT_EQ(cls.classified(), cs.misses + cs.stale) << "replica " << r;
+      for (size_t k = 0; k < 3; ++k) {
+        const auto& sink = *static_cast<const pipeline::Sink*>(
+            g.find("sink" + std::to_string(k)));
+        EXPECT_EQ(sink.packets(), d.port_packets(k)) << "replica " << r << " port " << k;
+        port[k] += d.port_packets(k);
+      }
+      counted += kept;
+      hits += cs.hits;
+    }
+    EXPECT_EQ(counted, trace.size());
+    EXPECT_EQ(port, want_port);
+    EXPECT_EQ(rg.total_sink_packets(), trace.size());
+    EXPECT_GT(hits, 0u) << "the cache never hit: the Classifier count is vacuous";
   }
 }
 
