@@ -22,8 +22,10 @@
 // one shared engine) and run on a Click-style task scheduler — the merged
 // replica decisions must be packet-for-packet identical to the scalar run:
 //
-// With --metrics the run also emits a final telemetry snapshot of the last
-// graph run (registry counters/histograms joined with engine health and the
+// Without --metrics the output is the same on every run of one binary.
+// With --metrics the run also prints the replicated run's fires per thread
+// and steals, and emits a final telemetry snapshot of the last graph run
+// (registry counters/histograms joined with engine health and the
 // flow-cache stats summed over every cache; the replicated run adds the
 // replica layer):
 //   --metrics         Prometheus text to stdout at exit
@@ -282,12 +284,15 @@ int main(int argc, char** argv) {
           ++diverged;
       }
     }
-    const pipeline::SchedulerStats& st = rg->last_stats();
-    std::printf("replica fires per thread:");
-    for (const uint64_t f : st.fires_per_thread)
-      std::printf(" %llu", static_cast<unsigned long long>(f));
-    std::printf("  (steals: %llu)\n",
-                static_cast<unsigned long long>(st.steals));
+    // Which thread fired which replica is scheduler telemetry: it differs
+    // from run to run, so it is printed with the other metrics only.
+    if (metrics) {
+      const pipeline::SchedulerStats& st = rg->last_stats();
+      std::printf("replica fires per thread:");
+      for (const uint64_t f : st.fires_per_thread)
+        std::printf(" %llu", static_cast<unsigned long long>(f));
+      std::printf("  (steals: %llu)\n", static_cast<unsigned long long>(st.steals));
+    }
     std::printf("replica differential: %llu divergences over %zu merged "
                 "records (%llu packets)\n",
                 static_cast<unsigned long long>(diverged), merged.size(),

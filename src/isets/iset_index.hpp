@@ -2,9 +2,12 @@
 // position of the matching rule in a field-sorted array, a bounded secondary
 // search around the prediction, and multi-field validation of the candidate.
 //
-// Field values of the sorted rules are stored as structure-of-arrays so the
-// secondary search touches densely packed cache lines (paper Section 4,
-// "Inference and secondary search").
+// Two arrays, one per stage. The range starts of the indexed field are a
+// dense uint32_t array, so the secondary search walks packed cache lines
+// (paper Section 4, "Inference and secondary search"). Everything validation
+// reads for one position -- the rule body, its tombstone and its shape bits
+// -- is one 64-byte Slot, so a candidate costs one cache-line fetch, which
+// search() prefetches.
 #pragma once
 
 #include <atomic>
@@ -40,8 +43,8 @@ class IsetIndex {
 
   /// Full lookup: predict, search, validate. Returns the validated match or
   /// a miss (validation may reject the candidate on another field, §3.6).
-  /// A candidate that cannot beat `priority_floor` is rejected from packed
-  /// metadata before its rule body is ever fetched (paper §4).
+  /// A candidate that cannot beat `priority_floor` is rejected before any
+  /// of its fields is compared (paper §4).
   [[nodiscard]] MatchResult lookup(
       const Packet& p,
       int32_t priority_floor = std::numeric_limits<int32_t>::max()) const noexcept;
@@ -56,10 +59,12 @@ class IsetIndex {
   /// Writes values.size() predictions to `out`.
   void predict_batch(std::span<const uint32_t> values, std::span<rqrmi::Prediction> out,
                      rqrmi::SimdLevel level = rqrmi::best_simd_level()) const noexcept;
-  /// Bounded binary search around the prediction; -1 when no stored range
-  /// contains the value. On a hit it prefetches everything validate() reads
-  /// for that position (packed metadata and both cache lines of the rule
-  /// body), so a caller that searches several iSets or packets before
+  /// Bounded search around the prediction: the last position of the window
+  /// whose range starts at or below the value, or -1 when there is none.
+  /// Only that position's range can contain the value, but it may end below
+  /// it (a gap between ranges); validate() rejects such a candidate. The
+  /// search prefetches the candidate's slot, the one cache line validate()
+  /// reads, so a caller that searches several iSets or packets before
   /// validating any of them overlaps those misses.
   [[nodiscard]] int32_t search(uint32_t field_value,
                                const rqrmi::Prediction& pred) const noexcept;
@@ -68,10 +73,10 @@ class IsetIndex {
                     std::span<const rqrmi::Prediction> preds,
                     std::span<int32_t> out) const noexcept;
   /// Validate candidate position against all packet fields (tombstone-aware)
-  /// under a priority floor: the packed priority/shape metadata decides
-  /// cheap rejections (floor) and cheap accepts (rules wildcard outside the
-  /// indexed field) without touching the rule body (paper Section 4 packs
-  /// per-rule values exactly to avoid these memory accesses).
+  /// under a priority floor. It reads only the candidate's slot, in order:
+  /// the floor, the tombstone, the end of the indexed field's range (search
+  /// may return a gap), the shape byte's wildcard shortcut, then the other
+  /// fields of the body.
   [[nodiscard]] MatchResult validate(
       int32_t pos, const Packet& p,
       int32_t priority_floor = std::numeric_limits<int32_t>::max()) const noexcept;
@@ -91,34 +96,36 @@ class IsetIndex {
   /// full rule array must travel with the model, so deletions are encoded as
   /// dead ids on the side. Atomic read — safe to call concurrently with
   /// erase() (same contract as lookups).
-  [[nodiscard]] bool alive(size_t i) const noexcept { return alive_load(i) != 0; }
+  [[nodiscard]] bool alive(size_t i) const noexcept { return alive_load(slots_[i]) != 0; }
 
   // --- remainder skip bit (paper §4 early termination, across stages) -----
   // needs_remainder(i) is set when some rule of the remainder this iSet was
   // marked against overlaps rule i's 5-field box and outranks it under
   // MatchResult::beats. A packet whose best iSet hit is rule i lies inside
   // its box, so with the bit clear no remainder rule can beat the hit. The
-  // bit lives in the shape byte search() prefetches, beside (never inside)
-  // the tombstone byte erase() flips concurrently; it is written only
-  // before the index is published to readers.
+  // bit lives in the slot's shape byte, beside (never inside) the tombstone
+  // byte erase() flips concurrently; it is written only before the index is
+  // published to readers.
 
   /// Whether a marked remainder rule overlaps and outranks rule `i`.
   [[nodiscard]] bool needs_remainder(size_t i) const noexcept {
-    return (shape_[i] & kNeedsRemainder) != 0;
+    return (slots_[i].shape & kNeedsRemainder) != 0;
   }
   /// Clear every needs_remainder bit, then set it for each rule that some
-  /// rule of `remainder` overlaps and outranks (build/restore). Per remainder
-  /// rule it scans the smaller of two candidate sets: the positions it
-  /// overlaps in the indexed field (a binary-searched range) and the rules
-  /// it outranks (a suffix of a rank order radix-sorted on first use and
-  /// dropped on return).
+  /// rule of `remainder` overlaps and outranks (build/restore). Each
+  /// remainder rule has two candidate sets: the positions it overlaps in
+  /// the indexed field (a binary-searched range) and the rules it outranks
+  /// (a suffix of a rank order radix-sorted on first use and dropped on
+  /// return). A rule with a narrow set scans that set. The rules whose sets
+  /// are both wide share one pass over the slots, which tests each clear
+  /// slot against them best first and stops at the first that marks it.
   void mark_remainder(std::span<const Rule> remainder);
   /// Set the bits of the rules `r` overlaps and outranks: a rule inserted
   /// into the remainder after the build. Scans the overlap range only.
   void mark_remainder_rule(const Rule& r) noexcept;
 
   [[nodiscard]] int field() const noexcept { return field_; }
-  [[nodiscard]] size_t size() const noexcept { return rules_.size(); }
+  [[nodiscard]] size_t size() const noexcept { return slots_.size(); }
   [[nodiscard]] size_t live_rules() const noexcept { return live_; }
   [[nodiscard]] uint32_t max_search_error() const noexcept {
     return model_.max_search_error();
@@ -126,49 +133,53 @@ class IsetIndex {
   /// RQ-RMI weights — the part that must stay in cache (Figure 1 keeps the
   /// rule bodies in DRAM).
   [[nodiscard]] size_t model_bytes() const noexcept { return model_.memory_bytes(); }
-  /// Sorted field arrays + rule bodies (the DRAM side).
+  /// Search array + slots (the DRAM side).
   [[nodiscard]] size_t rule_storage_bytes() const noexcept;
   [[nodiscard]] const rqrmi::RqRmi& model() const noexcept { return model_; }
-  [[nodiscard]] const std::vector<Rule>& rules() const noexcept { return rules_; }
+  /// The rule at position `i` (positions follow the indexed field's order).
+  [[nodiscard]] const Rule& rule(size_t i) const noexcept { return slots_[i].rule; }
 
  private:
-  /// Fill the SoA arrays from rules_; validates sortedness/disjointness.
+  /// One rule and the per-rule state validation reads, on one cache line.
+  struct alignas(64) Slot {
+    Rule rule;
+    uint8_t alive = 1;  ///< 0 once tombstoned; see alive_load()
+    uint8_t shape = 0;  ///< kWildRest | kNeedsRemainder
+  };
+  static_assert(sizeof(Slot) == 64 && alignof(Slot) == 64, "one slot per cache line");
+
+  /// Fill lo_ and slots_ from `rules`; validates sortedness/disjointness.
   /// Leaves every needs_remainder bit clear.
-  void index_rules();
+  void index_rules(std::span<const Rule> rules);
   /// Positions [first, last) whose ranges overlap `r` in the indexed field.
   [[nodiscard]] std::pair<size_t, size_t> overlap_range(const Rule& r) const noexcept;
   /// Set the needs_remainder bit of each position in [first, last) that `r`
   /// outranks and overlaps.
   void mark_range(const Rule& r, size_t first, size_t last) noexcept;
 
-  /// Packed per-rule shape bits (shape_).
+  /// Slot::shape bits.
   static constexpr uint8_t kWildRest = 1;        ///< wildcard in every non-indexed field
   static constexpr uint8_t kNeedsRemainder = 2;  ///< see needs_remainder()
 
-  /// Tombstone flag access. std::atomic_ref on the plain byte array keeps
-  /// the SoA layout (and its serializer framing) unchanged while giving the
-  /// reader/writer race defined behavior; relaxed order suffices because
-  /// nothing else is published through the flag (the rule body it gates is
-  /// immutable) — cross-thread visibility ordering comes from the caller
-  /// (the online engine's swap machinery, or plain thread join).
-  [[nodiscard]] uint8_t alive_load(size_t i) const noexcept {
-    return std::atomic_ref<uint8_t>(const_cast<uint8_t&>(alive_[i]))
+  /// Tombstone flag access. std::atomic_ref on the plain byte keeps the slot
+  /// layout while giving the reader/writer race defined behavior; relaxed
+  /// order suffices because nothing else is published through the flag (the
+  /// rule body it gates is immutable) — cross-thread visibility ordering
+  /// comes from the caller (the online engine's swap machinery, or plain
+  /// thread join).
+  [[nodiscard]] static uint8_t alive_load(const Slot& s) noexcept {
+    return std::atomic_ref<uint8_t>(const_cast<uint8_t&>(s.alive))
         .load(std::memory_order_relaxed);
   }
-  void alive_store(size_t i, uint8_t v) noexcept {
-    std::atomic_ref<uint8_t>(alive_[i]).store(v, std::memory_order_relaxed);
+  static void alive_store(Slot& s, uint8_t v) noexcept {
+    std::atomic_ref<uint8_t>(s.alive).store(v, std::memory_order_relaxed);
   }
 
   int field_ = 0;
   uint64_t domain_ = 0;
   double inv_domain_ = 0.0;  // 1/(domain_+1): multiply, don't divide, per key
-  std::vector<uint32_t> lo_;      // SoA: range starts, sorted
-  std::vector<uint32_t> hi_;      // SoA: range ends
-  std::vector<int32_t> prio_;     // SoA: rule priorities
-  std::vector<uint32_t> id_;      // SoA: rule ids
-  std::vector<uint8_t> shape_;    // kWildRest | kNeedsRemainder bits
-  std::vector<Rule> rules_;       // same order as lo_/hi_
-  std::vector<uint8_t> alive_;    // tombstones
+  std::vector<uint32_t> lo_;   // range starts of the indexed field, sorted
+  std::vector<Slot> slots_;    // same order as lo_
   std::unordered_map<uint32_t, uint32_t> pos_by_id_;  // O(1) erase
   size_t live_ = 0;
   rqrmi::RqRmi model_;

@@ -95,8 +95,9 @@ void NuevoMatch::build(std::span<const Rule> rules, const NuevoMatch* reuse_mode
     std::vector<const IsetIndex*> pinned;
     for (const IsetIndex& donor : reuse_models_from->isets_) {
       if (static_cast<int>(pinned.size()) >= cfg_.max_isets) break;
-      bool intact = !donor.rules().empty();
-      for (const Rule& r : donor.rules()) {
+      bool intact = donor.size() != 0;
+      for (size_t i = 0; i < donor.size(); ++i) {
+        const Rule& r = donor.rule(i);
         const auto it = pos_by_id_.find(r.id);
         if (it == pos_by_id_.end() || !same_index_rule(rules_[it->second], r)) {
           intact = false;
@@ -108,7 +109,7 @@ void NuevoMatch::build(std::span<const Rule> rules, const NuevoMatch* reuse_mode
     if (!pinned.empty()) {
       std::unordered_set<uint32_t> pinned_ids;
       for (const IsetIndex* is : pinned)
-        for (const Rule& r : is->rules()) pinned_ids.insert(r.id);
+        for (size_t i = 0; i < is->size(); ++i) pinned_ids.insert(is->rule(i).id);
       std::vector<Rule> leftover;
       leftover.reserve(rules_.size() - pinned_ids.size());
       for (const Rule& r : rules_)
@@ -143,9 +144,9 @@ void NuevoMatch::build(std::span<const Rule> rules, const NuevoMatch* reuse_mode
           // Rebuild the array from the snapshot's rule bodies (identical
           // ranges/priority/id, possibly rewritten actions) in donor order.
           std::vector<Rule> arr;
-          arr.reserve(donor->rules().size());
-          for (const Rule& r : donor->rules())
-            arr.push_back(rules_[pos_by_id_.at(r.id)]);
+          arr.reserve(donor->size());
+          for (size_t i = 0; i < donor->size(); ++i)
+            arr.push_back(rules_[pos_by_id_.at(donor->rule(i).id)]);
           IsetIndex idx;
           idx.restore(donor->field(), std::move(arr), donor->model());
           isets_.push_back(std::move(idx));
@@ -282,8 +283,8 @@ std::vector<Rule> NuevoMatch::remainder_rules() const {
   // and that reincarnation lives in the remainder.
   std::unordered_set<uint32_t> in_iset;
   for (const IsetIndex& is : isets_) {
-    for (size_t i = 0; i < is.rules().size(); ++i) {
-      if (is.alive(i)) in_iset.insert(is.rules()[i].id);
+    for (size_t i = 0; i < is.size(); ++i) {
+      if (is.alive(i)) in_iset.insert(is.rule(i).id);
     }
   }
   std::vector<Rule> out;
@@ -325,8 +326,8 @@ void NuevoMatch::restore(std::vector<IsetIndex> isets, std::vector<Rule> remaind
   }
   rules_.clear();
   for (const IsetIndex& is : isets_) {
-    for (size_t i = 0; i < is.rules().size(); ++i) {
-      if (is.alive(i)) rules_.push_back(is.rules()[i]);
+    for (size_t i = 0; i < is.size(); ++i) {
+      if (is.alive(i)) rules_.push_back(is.rule(i));
     }
   }
   rules_.insert(rules_.end(), remainder_rules.begin(), remainder_rules.end());

@@ -213,14 +213,23 @@ __attribute__((target("sse2"))) size_t batch_sse2(const FlatArena& a,
   return i;
 }
 
+/// Lanes [0, width) set: the load mask of a stage's row of `width` floats.
+__attribute__((target("avx2"))) inline __m256i lanes_below(uint32_t width) noexcept {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int32_t>(width)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
 /// 8 lanes per group: per-lane submodel selection via AVX2 gathers over the
-/// transposed blocks. The main loop interleaves TWO independent 8-lane
-/// groups (16 keys per iteration): the stage walk of one group is a serial
-/// dependency chain (gathers -> arithmetic -> routing -> next stage's
-/// gathers), so a second in-flight chain roughly doubles the ILP without
-/// changing any lane's arithmetic. Processes floor(n/8)*8 keys; returns the
-/// count handled. After the last routing step `j` IS the leaf index, so the
-/// error table is gathered with it directly.
+/// transposed blocks. A stage of at most 8 submodels fits one register per
+/// row, so it is read with one masked load per row and each lane picks its
+/// submodel's weight with an in-register permute instead of a gather: the
+/// same floats, so the same arithmetic. The main loop interleaves TWO
+/// independent 8-lane groups (16 keys per iteration): the stage walk of one
+/// group is a serial dependency chain (gathers -> arithmetic -> routing ->
+/// next stage's gathers), so a second in-flight chain roughly doubles the
+/// ILP without changing any lane's arithmetic. Processes floor(n/8)*8 keys;
+/// returns the count handled. After the last routing step `j` IS the leaf
+/// index, so the error table is gathered with it directly.
 __attribute__((target("avx2"))) size_t batch_avx2(const FlatArena& a,
                                                    const float* keys, size_t n,
                                                    Prediction* out) noexcept {
@@ -251,6 +260,24 @@ __attribute__((target("avx2"))) size_t batch_avx2(const FlatArena& a,
           zB = _mm256_max_ps(zB, zero);
           accA = _mm256_add_ps(accA, _mm256_mul_ps(w2, zA));
           accB = _mm256_add_ps(accB, _mm256_mul_ps(w2, zB));
+        }
+      } else if (st.width <= 8) {
+        const __m256i row = lanes_below(st.width);
+        const __m256 b2 = _mm256_maskload_ps(d + st.b2, row);
+        accA = _mm256_permutevar8x32_ps(b2, jA);
+        accB = _mm256_permutevar8x32_ps(b2, jB);
+        for (size_t k = 0; k < static_cast<size_t>(kHiddenWidth); ++k) {
+          const __m256 w1 = _mm256_maskload_ps(d + st.w1 + k * st.width, row);
+          const __m256 b1 = _mm256_maskload_ps(d + st.b1 + k * st.width, row);
+          const __m256 w2 = _mm256_maskload_ps(d + st.w2 + k * st.width, row);
+          __m256 zA = _mm256_add_ps(_mm256_mul_ps(_mm256_permutevar8x32_ps(w1, jA), xA),
+                                    _mm256_permutevar8x32_ps(b1, jA));
+          __m256 zB = _mm256_add_ps(_mm256_mul_ps(_mm256_permutevar8x32_ps(w1, jB), xB),
+                                    _mm256_permutevar8x32_ps(b1, jB));
+          zA = _mm256_max_ps(zA, zero);
+          zB = _mm256_max_ps(zB, zero);
+          accA = _mm256_add_ps(accA, _mm256_mul_ps(_mm256_permutevar8x32_ps(w2, jA), zA));
+          accB = _mm256_add_ps(accB, _mm256_mul_ps(_mm256_permutevar8x32_ps(w2, jB), zB));
         }
       } else {
         accA = _mm256_i32gather_ps(d + st.b2, jA, 4);
@@ -312,6 +339,20 @@ __attribute__((target("avx2"))) size_t batch_avx2(const FlatArena& a,
                                    _mm256_set1_ps(d[st.b1 + k]));
           z = _mm256_max_ps(z, zero);
           acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(d[st.w2 + k]), z));
+        }
+      } else if (st.width <= 8) {
+        const __m256i row = lanes_below(st.width);
+        acc = _mm256_permutevar8x32_ps(_mm256_maskload_ps(d + st.b2, row), j);
+        for (size_t k = 0; k < static_cast<size_t>(kHiddenWidth); ++k) {
+          const __m256 w1 =
+              _mm256_permutevar8x32_ps(_mm256_maskload_ps(d + st.w1 + k * st.width, row), j);
+          const __m256 b1 =
+              _mm256_permutevar8x32_ps(_mm256_maskload_ps(d + st.b1 + k * st.width, row), j);
+          __m256 z = _mm256_add_ps(_mm256_mul_ps(w1, x), b1);
+          z = _mm256_max_ps(z, zero);
+          const __m256 w2 =
+              _mm256_permutevar8x32_ps(_mm256_maskload_ps(d + st.w2 + k * st.width, row), j);
+          acc = _mm256_add_ps(acc, _mm256_mul_ps(w2, z));
         }
       } else {
         acc = _mm256_i32gather_ps(d + st.b2, j, 4);

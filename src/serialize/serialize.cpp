@@ -135,14 +135,15 @@ void put_classifier_body(ByteWriter& w, const NuevoMatch& nm) {
   w.put_u32(static_cast<uint32_t>(nm.isets().size()));
   for (const IsetIndex& is : nm.isets()) {
     w.put_u32(static_cast<uint32_t>(is.field()));
-    put_rules_body(w, is.rules());
+    w.put_u64(is.size());  // put_rules_body's framing, one slot at a time
+    for (size_t i = 0; i < is.size(); ++i) put_rule(w, is.rule(i));
     put_model_body(w, is.model());
     // v2: deletions since the last (re)build are tombstones in the array
     // above (the model is trained on the full array); ship their ids so the
     // load path can re-apply them instead of resurrecting the rules.
     w.put_u32(static_cast<uint32_t>(is.size() - is.live_rules()));
     for (size_t i = 0; i < is.size(); ++i)
-      if (!is.alive(i)) w.put_u32(is.rules()[i].id);
+      if (!is.alive(i)) w.put_u32(is.rule(i).id);
   }
   put_rules_body(w, nm.remainder_rules());
   // v2: update-pressure counters, so absorption tracking (and with it the

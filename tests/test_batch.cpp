@@ -3,6 +3,7 @@
 // allowed to change timing only, never results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <span>
@@ -11,6 +12,7 @@
 #include "classbench/generator.hpp"
 #include "common/rng.hpp"
 #include "cutsplit/cutsplit.hpp"
+#include "classifiers/linear.hpp"
 #include "nuevomatch/nuevomatch.hpp"
 #include "nuevomatch/online.hpp"
 #include "trace/trace.hpp"
@@ -209,6 +211,88 @@ TEST(Batch, EmptyAndTinyInputs) {
   nm.match_batch(trace, out);
   for (size_t i = 0; i < trace.size(); ++i)
     EXPECT_EQ(out[i].rule_id, nm.match(trace[i]).rule_id);
+}
+
+// The iSet search may return a gap candidate (a range that starts at or
+// below the value but ends before it) and leaves the rejection to validate.
+// On every iSet rule's lo-1, lo, hi and hi+1 in the indexed field, and on 0
+// and 2^32-1, with a tenth of the iSet rules tombstoned: the staged calls at
+// every SIMD level, per-key match(), match_batch and a floored match all
+// return LinearSearch's answer.
+TEST(Batch, IsetEdgeProbesAgreeOnEveryPath) {
+  const RuleSet rules = generate_classbench(AppClass::kAcl, 1, 3000, 12);
+  NuevoMatchConfig cfg;
+  cfg.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
+  cfg.min_iset_coverage = 0.05;
+  NuevoMatch nm(cfg);
+  nm.build(rules);
+  ASSERT_FALSE(nm.isets().empty());
+
+  std::vector<Packet> probes;
+  std::vector<uint32_t> doomed;
+  for (const IsetIndex& is : nm.isets()) {
+    const auto fi = static_cast<size_t>(is.field());
+    for (size_t i = 0; i < is.size(); ++i) {
+      const Rule& r = is.rule(i);
+      if (i % 10 == 3) doomed.push_back(r.id);
+      Packet corner;
+      for (size_t f = 0; f < kNumFields; ++f) corner.field[f] = r.field[f].lo;
+      std::vector<uint64_t> vals{r.field[fi].lo, r.field[fi].hi};
+      if (r.field[fi].lo > 0) vals.push_back(r.field[fi].lo - 1);
+      if (r.field[fi].hi < kFieldDomain[fi]) vals.push_back(uint64_t{r.field[fi].hi} + 1);
+      if (i == 0) vals.push_back(0);
+      if (i + 1 == is.size()) vals.push_back(kFieldDomain[fi]);
+      for (const uint64_t v : vals) {
+        Packet p = corner;
+        p.field[fi] = static_cast<uint32_t>(v);
+        probes.push_back(p);
+      }
+    }
+  }
+  for (const uint32_t id : doomed) ASSERT_TRUE(nm.erase(id));
+  RuleSet live;
+  for (const Rule& r : rules)
+    if (std::find(doomed.begin(), doomed.end(), r.id) == doomed.end()) live.push_back(r);
+  LinearSearch oracle;
+  oracle.build(live);
+
+  std::vector<MatchResult> batched(probes.size());
+  nm.match_batch(probes, batched);
+  std::vector<int32_t> want(probes.size());
+  for (size_t i = 0; i < probes.size(); ++i) {
+    want[i] = oracle.match(probes[i]).rule_id;
+    ASSERT_EQ(nm.match(probes[i]).rule_id, want[i]) << "per-key: " << to_string(probes[i]);
+    ASSERT_EQ(batched[i].rule_id, want[i]) << "match_batch: " << to_string(probes[i]);
+    const int32_t floor = 1500;
+    ASSERT_EQ(nm.match_with_floor(probes[i], floor).rule_id,
+              oracle.match_with_floor(probes[i], floor).rule_id)
+        << "floored: " << to_string(probes[i]);
+  }
+
+  // The same answers from the public stages, threading the floor from iSet
+  // to iSet and then into the remainder.
+  for (const rqrmi::SimdLevel level :
+       {rqrmi::SimdLevel::kSerial, rqrmi::SimdLevel::kSse, rqrmi::SimdLevel::kAvx}) {
+    std::vector<MatchResult> best(probes.size());
+    for (const IsetIndex& is : nm.isets()) {
+      std::vector<uint32_t> vals(probes.size());
+      for (size_t i = 0; i < probes.size(); ++i) vals[i] = probes[i][is.field()];
+      std::vector<rqrmi::Prediction> preds(vals.size());
+      std::vector<int32_t> pos(vals.size());
+      is.predict_batch(vals, preds, level);
+      is.search_batch(vals, preds, pos);
+      for (size_t i = 0; i < probes.size(); ++i) {
+        const MatchResult r = is.validate(pos[i], probes[i], best[i].tie_floor());
+        if (r.beats(best[i])) best[i] = r;
+      }
+    }
+    for (size_t i = 0; i < probes.size(); ++i) {
+      const MatchResult rem = nm.remainder().match_with_floor(probes[i], best[i].tie_floor());
+      const MatchResult got = rem.beats(best[i]) ? rem : best[i];
+      ASSERT_EQ(got.rule_id, want[i])
+          << "staged, level " << rqrmi::to_string(level) << ": " << to_string(probes[i]);
+    }
+  }
 }
 
 }  // namespace

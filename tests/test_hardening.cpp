@@ -204,7 +204,7 @@ TEST(IsetFastPath, ErasedRuleNeverReturnedThroughShortcut) {
   const RuleSet rules = generate_classbench(AppClass::kAcl, 3, 1500, 30);
   IsetIndex idx = build_iset(rules);
   ASSERT_GT(idx.size(), 10u);
-  const Rule victim = idx.rules()[idx.size() / 2];
+  const Rule victim = idx.rule(idx.size() / 2);
   ASSERT_TRUE(idx.erase(victim.id));
   Packet p;
   for (int f = 0; f < kNumFields; ++f)

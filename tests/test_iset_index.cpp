@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "classbench/generator.hpp"
@@ -181,6 +182,106 @@ TEST(IsetIndex, SearchAtArrayEdgesStaysInBounds) {
   }
 }
 
+// search() returns the last window position whose range starts at or below
+// the value, without reading where that range ends, so a value in the gap
+// after a range yields a candidate whose range ends below it; validate()
+// must reject it from the slot. The staged calls (per key and batched, at
+// every SIMD level) and lookup() agree with a brute-force scan of the iSet
+// on each rule's lo-1, lo, hi and hi+1 and on 0 and 2^32-1, for tombstoned
+// rules, rules wildcard outside the indexed field (validate's shortcut) and
+// rules whose other fields reject the packet, with and without a floor.
+TEST(IsetIndex, SearchMayReturnAGapThatValidateRejects) {
+  Rng rng{41};
+  std::vector<Rule> rules;
+  uint32_t lo = 5;  // 0 lies in the gap before the first range
+  for (uint32_t i = 0; i < 300; ++i) {
+    Rule r;
+    for (int f = 0; f < kNumFields; ++f) r.field[static_cast<size_t>(f)] = full_range(f);
+    const uint32_t width = 1 + static_cast<uint32_t>(rng.below(1u << 20));
+    r.field[kDstIp] = Range{lo, lo + width - 1};
+    lo += width + (i % 3 == 0 ? 0 : 1 + static_cast<uint32_t>(rng.below(1u << 22)));
+    if (i % 4 != 0) r.field[kProto] = Range{6, 6};  // not wildcard elsewhere
+    r.priority = static_cast<int32_t>(rng.below(50));
+    r.id = i;
+    rules.push_back(r);
+  }
+  ASSERT_LT(rules.back().field[kDstIp].hi, 0xFFFFFFFFu);  // and 2^32-1 after the last
+  IsetIndex idx;
+  idx.build(kDstIp, rules, rqrmi::default_config(rules.size()));
+  for (uint32_t i = 7; i < rules.size(); i += 25) ASSERT_TRUE(idx.erase(i));
+
+  const auto brute = [&](const Packet& p, int32_t floor) {
+    for (const Rule& r : rules)
+      if (r.matches(p) && idx.alive(r.id) && r.priority < floor)
+        return MatchResult{static_cast<int32_t>(r.id), r.priority};
+    return MatchResult{};
+  };
+  std::vector<Packet> probes;
+  const auto probe = [&](uint32_t v) {
+    for (const uint32_t proto : {6u, 17u}) {
+      Packet p;
+      p.field[kDstIp] = v;
+      p.field[kProto] = proto;
+      probes.push_back(p);
+    }
+  };
+  probe(0);
+  probe(0xFFFFFFFFu);
+  for (const Rule& r : rules) {
+    const Range& f = r.field[kDstIp];
+    for (const uint32_t v : {f.lo - 1, f.lo, f.hi, f.hi + 1}) probe(v);
+  }
+
+  size_t gaps = 0, shortcuts = 0, body_rejects = 0, dead = 0;
+  for (const Packet& p : probes) {
+    const uint32_t v = p[kDstIp];
+    const int32_t pos = idx.search(v, idx.predict(v, rqrmi::SimdLevel::kSerial));
+    const MatchResult want = brute(p, std::numeric_limits<int32_t>::max());
+    if (pos >= 0) {
+      const Rule& c = idx.rule(static_cast<size_t>(pos));
+      ASSERT_LE(c.field[kDstIp].lo, v);
+      if (c.field[kDstIp].hi < v) {
+        ++gaps;
+        ASSERT_FALSE(idx.validate(pos, p).hit()) << "gap candidate at " << v;
+      } else if (!idx.alive(static_cast<size_t>(pos))) {
+        ++dead;
+      } else if (c.is_wildcard(kProto)) {
+        shortcuts += p[kProto] == 17 ? 1 : 0;
+      } else {
+        body_rejects += c.matches(p) ? 0 : 1;
+      }
+    }
+    ASSERT_EQ(idx.lookup(p).rule_id, want.rule_id) << "lookup at " << v;
+    if (!want.hit()) continue;
+    ASSERT_EQ(idx.lookup(p, want.priority + 1).rule_id, want.rule_id) << v;
+    ASSERT_FALSE(idx.lookup(p, want.priority).hit()) << "floor at own priority, " << v;
+    ASSERT_EQ(idx.validate(pos, p, want.priority + 1).rule_id, want.rule_id) << v;
+    ASSERT_FALSE(idx.validate(pos, p, want.priority).hit()) << v;
+  }
+  EXPECT_GT(gaps, 0u);
+  EXPECT_GT(shortcuts, 0u);
+  EXPECT_GT(body_rejects, 0u);
+  EXPECT_GT(dead, 0u);
+
+  std::vector<uint32_t> vals(probes.size());
+  for (size_t i = 0; i < probes.size(); ++i) vals[i] = probes[i][kDstIp];
+  for (const rqrmi::SimdLevel level :
+       {rqrmi::SimdLevel::kSerial, rqrmi::SimdLevel::kSse, rqrmi::SimdLevel::kAvx}) {
+    std::vector<rqrmi::Prediction> preds(vals.size());
+    std::vector<int32_t> pos(vals.size());
+    idx.predict_batch(vals, preds, level);
+    idx.search_batch(vals, preds, pos);
+    for (size_t i = 0; i < probes.size(); ++i) {
+      const int32_t want = brute(probes[i], std::numeric_limits<int32_t>::max()).rule_id;
+      ASSERT_EQ(idx.validate(pos[i], probes[i]).rule_id, want)
+          << "batched, level " << rqrmi::to_string(level) << ", value " << vals[i];
+      const int32_t one = idx.search(vals[i], idx.predict(vals[i], level));
+      ASSERT_EQ(idx.validate(one, probes[i]).rule_id, want)
+          << "per key, level " << rqrmi::to_string(level) << ", value " << vals[i];
+    }
+  }
+}
+
 TEST(IsetIndex, PortFieldIndexing) {
   // iSets can be built on 16-bit fields too (paper Figure 6 uses Port).
   RuleSet rules(100);
@@ -209,17 +310,21 @@ TEST(IsetIndex, PortFieldIndexing) {
 // every SIMD level (a level the CPU lacks degrades to a narrower kernel), on
 // every window width the search uses, for probes at, between and beyond the
 // stored values — including values across the sign bit the AVX2 kernel
-// biases away.
+// biases away. Each window is its own heap block, so a kernel that read past
+// the window's end would show under AddressSanitizer.
 TEST(IsetIndex, CountLeqAgreesWithUpperBoundAtEveryLevel) {
   Rng rng{17};
-  for (size_t width = 1; width <= 40; ++width) {
+  // Every window length 0..40: every length of the AVX2 kernel's masked
+  // last chunk (0..7) after 0..5 full chunks.
+  for (size_t width = 0; width <= 40; ++width) {
     for (int rep = 0; rep < 20; ++rep) {
       std::vector<uint32_t> window(width);
       for (uint32_t& x : window) x = rng.next_u32();
-      if (rep % 2 == 0) window[0] = 0;
-      if (rep % 3 == 0) window[width - 1] = 0xFFFFFFFFu;
+      if (width > 0 && rep % 2 == 0) window[0] = 0;
+      if (width > 0 && rep % 3 == 0) window[width - 1] = 0xFFFFFFFFu;
       std::sort(window.begin(), window.end());
       window.erase(std::unique(window.begin(), window.end()), window.end());
+      window.shrink_to_fit();
       std::vector<uint32_t> probes{0u, 0x7FFFFFFFu, 0x80000000u, 0xFFFFFFFFu};
       for (uint32_t x : window) {
         probes.push_back(x);

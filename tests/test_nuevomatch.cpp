@@ -11,6 +11,7 @@
 
 #include "classbench/generator.hpp"
 #include "classbench/stanford.hpp"
+#include "common/rng.hpp"
 #include "cutsplit/cutsplit.hpp"
 #include "neurocuts/neurocuts.hpp"
 #include "nuevomatch/nuevomatch.hpp"
@@ -172,7 +173,7 @@ TEST(NuevoMatch, StagedWalkMatchesLinearSearchUnderFloorsAndTombstones) {
 
   std::vector<uint32_t> doomed;
   for (const IsetIndex& is : nm.isets())
-    for (size_t i = 0; i < is.rules().size(); i += 10) doomed.push_back(is.rules()[i].id);
+    for (size_t i = 0; i < is.size(); i += 10) doomed.push_back(is.rule(i).id);
   for (const uint32_t id : doomed) ASSERT_TRUE(nm.erase(id)) << id;
   RuleSet live;
   for (const Rule& r : rules)
@@ -238,8 +239,8 @@ bool brute_needs_remainder(const Rule& w, std::span<const Rule> remainder) {
 void expect_bits_match_brute_force(const NuevoMatch& nm, std::span<const Rule> remainder) {
   for (const IsetIndex& is : nm.isets())
     for (size_t i = 0; i < is.size(); ++i)
-      ASSERT_EQ(is.needs_remainder(i), brute_needs_remainder(is.rules()[i], remainder))
-          << "iSet rule " << is.rules()[i].id;
+      ASSERT_EQ(is.needs_remainder(i), brute_needs_remainder(is.rule(i), remainder))
+          << "iSet rule " << is.rule(i).id;
 }
 
 /// Boundary probes: each rule's lo corner with one field moved to that
@@ -365,7 +366,7 @@ TEST(NuevoMatchRemainderSkip, FirstStageRunsOnlyForMissesAndSetBits) {
   SkipFixture fx;
   const IsetIndex& is = fx.nm.isets()[0];
   std::unordered_map<int32_t, size_t> pos;
-  for (size_t i = 0; i < is.size(); ++i) pos[static_cast<int32_t>(is.rules()[i].id)] = i;
+  for (size_t i = 0; i < is.size(); ++i) pos[static_cast<int32_t>(is.rule(i).id)] = i;
   const std::vector<Packet> probes = boundary_probes(fx.all);
   size_t expected = 0;
   for (const Packet& p : probes) {
@@ -406,9 +407,9 @@ TEST(NuevoMatchRemainderSkip, InsertOverAClearBitWins) {
   SkipFixture fx;
   const IsetIndex& is = fx.nm.isets()[0];
   ASSERT_FALSE(is.needs_remainder(5));
-  Rule late = is.rules()[5];
+  Rule late = is.rule(5);
   for (size_t f = 0; f < kNumFields; ++f) late.field[f] = Range{late.field[f].hi, late.field[f].hi};
-  late.priority = is.rules()[5].priority - 1;
+  late.priority = is.rule(5).priority - 1;
   late.id = 68;
   ASSERT_TRUE(fx.nm.insert(late));
   EXPECT_TRUE(is.needs_remainder(5));
@@ -447,6 +448,149 @@ TEST(NuevoMatchRemainderSkip, BitsMatchBruteForceAndTiesStayExact) {
     probes.insert(probes.end(), edges.begin(), edges.end());
     expect_oracle_per_key_and_batched(nm, rules, probes);
   }
+}
+
+// Remainder rules wide in the iSet's field (full wildcards, or address
+// blocks spanning 65..300 iSet rules) that also outrank many iSet rules
+// take the build's shared pass over the slots; the blocks start and end at
+// different positions. Narrow rules, and worst-priority rules that outrank
+// few iSet rules, take their own scans. Priorities come from 24 values and
+// ids are shuffled, so for the best-priority iSet rules the bit is decided
+// by an id tie-break, both ways. The bits equal the brute-force definition
+// and the answers stay exact.
+TEST(NuevoMatchRemainderSkip, WideRemainderRulesMatchBruteForce) {
+  Rng rng{99};
+  constexpr uint32_t kIset = 1024, kWide = 160, kNarrow = 40;
+  const auto open_rule = [] {
+    Rule r;
+    for (int f = 0; f < kNumFields; ++f) r.field[static_cast<size_t>(f)] = full_range(f);
+    return r;
+  };
+  std::vector<Rule> iset_rules, remainder;
+  for (uint32_t i = 0; i < kIset; ++i) {
+    Rule r = open_rule();
+    r.field[kSrcIp] = Range{i << 22, (i << 22) + (1u << 21) - 1};
+    if (i % 3 != 0) {
+      r.field[kProto] = Range{6, 6};
+      const auto port = static_cast<uint32_t>(rng.below(1000));
+      r.field[kDstPort] = Range{port, port + static_cast<uint32_t>(rng.below(3000))};
+    }
+    r.priority = static_cast<int32_t>(rng.below(24));
+    iset_rules.push_back(r);
+  }
+  for (uint32_t k = 0; k < kWide + kNarrow; ++k) {
+    Rule r = open_rule();
+    if (k >= kWide) {
+      const auto first = static_cast<uint32_t>(rng.below(kIset - 8));
+      r.field[kSrcIp] = Range{(first << 22) + 7,
+                              ((first + static_cast<uint32_t>(rng.below(8))) << 22) + 9};
+    } else if (k % 4 == 1) {
+      r.field[kProto] = Range{17, 17};  // overlaps only the wildcard-rest rules
+    } else if (k % 4 == 2) {
+      const auto port = static_cast<uint32_t>(rng.below(2000));
+      r.field[kDstPort] = Range{port, port + 500};
+    } else if (k % 4 == 3) {
+      const auto first = static_cast<uint32_t>(rng.below(kIset - 300));
+      const auto span = 65 + static_cast<uint32_t>(rng.below(236));
+      r.field[kSrcIp] = Range{(first << 22) + 1, ((first + span) << 22) - 1};
+    }
+    r.priority = k % 10 == 9 ? 23 : static_cast<int32_t>(rng.below(24));
+    remainder.push_back(r);
+  }
+  std::vector<uint32_t> ids(kIset + kWide + kNarrow);
+  for (uint32_t i = 0; i < ids.size(); ++i) ids[i] = i;
+  for (size_t i = ids.size() - 1; i > 0; --i) std::swap(ids[i], ids[rng.below(i + 1)]);
+  for (uint32_t i = 0; i < kIset; ++i) iset_rules[i].id = ids[i];
+  for (uint32_t k = 0; k < kWide + kNarrow; ++k) remainder[k].id = ids[kIset + k];
+
+  // The fixture reaches every path: wide rules (both candidate sets above
+  // the build's 64), and iSet rules whose bit an id tie-break decides.
+  const auto outranks = [](const Rule& a, const Rule& b) {
+    return MatchResult{static_cast<int32_t>(a.id), a.priority}.beats(
+        MatchResult{static_cast<int32_t>(b.id), b.priority});
+  };
+  const auto overlap = [](const Rule& a, const Rule& b) {
+    for (size_t f = 0; f < kNumFields; ++f)
+      if (!a.field[f].overlaps(b.field[f])) return false;
+    return true;
+  };
+  size_t wide = 0;
+  for (const Rule& r : remainder) {
+    size_t in_range = 0, worse = 0;
+    for (const Rule& w : iset_rules) {
+      in_range += r.field[kSrcIp].overlaps(w.field[kSrcIp]) ? 1 : 0;
+      worse += outranks(r, w) ? 1 : 0;
+    }
+    wide += in_range > 64 && worse > 64 ? 1 : 0;
+  }
+  EXPECT_GT(wide, 100u);
+  size_t set_by_id = 0, clear_by_id = 0;
+  for (const Rule& w : iset_rules) {
+    bool better = false, tie_wins = false, tie_loses = false;
+    for (const Rule& r : remainder) {
+      if (!overlap(r, w)) continue;
+      better = better || r.priority < w.priority;
+      if (r.priority == w.priority) (r.id < w.id ? tie_wins : tie_loses) = true;
+    }
+    if (better) continue;
+    set_by_id += tie_wins ? 1 : 0;
+    clear_by_id += !tie_wins && tie_loses ? 1 : 0;
+  }
+  EXPECT_GT(set_by_id, 0u);
+  EXPECT_GT(clear_by_id, 0u);
+
+  NuevoMatch nm{base_config([] { return std::make_unique<TupleMerge>(); })};
+  IsetIndex idx;
+  idx.build(kSrcIp, iset_rules, rqrmi::default_config(iset_rules.size()));
+  std::vector<IsetIndex> isets;
+  isets.push_back(std::move(idx));
+  nm.restore(std::move(isets), remainder);
+  expect_bits_match_brute_force(nm, remainder);
+
+  std::vector<Rule> all = remainder;
+  all.insert(all.end(), iset_rules.begin(), iset_rules.end());
+  expect_oracle_per_key_and_batched(nm, all, boundary_probes(all));
+}
+
+// The shared pass holds the wide rules whose overlap range covers the
+// current slot: each rule must join at its first slot and leave after its
+// last, also when another rule's range ends one slot earlier. Pairs of
+// address blocks (positions [100j, 100j+70) and [100j+5, 100j+71)) that
+// outrank every iSet rule: the bits are exactly their union.
+TEST(NuevoMatchRemainderSkip, WideRulesEndingOnAdjacentSlots) {
+  std::vector<Rule> iset_rules, remainder;
+  const auto open_rule = [] {
+    Rule r;
+    for (int f = 0; f < kNumFields; ++f) r.field[static_cast<size_t>(f)] = full_range(f);
+    return r;
+  };
+  for (uint32_t i = 0; i < 1024; ++i) {
+    Rule r = open_rule();
+    r.field[kSrcIp] = Range{i << 22, (i << 22) + (1u << 21) - 1};
+    r.priority = static_cast<int32_t>(100 + i);
+    r.id = 30 + i;
+    iset_rules.push_back(r);
+  }
+  for (uint32_t j = 0; j < 10; ++j) {
+    for (const auto& [first, last] : {std::pair{100 * j, 100 * j + 70},
+                                      std::pair{100 * j + 5, 100 * j + 71}}) {
+      Rule r = open_rule();
+      r.field[kSrcIp] = Range{first << 22, (last << 22) - 1};
+      r.priority = static_cast<int32_t>(remainder.size());
+      r.id = static_cast<uint32_t>(remainder.size());
+      remainder.push_back(r);
+    }
+  }
+  NuevoMatch nm{base_config([] { return std::make_unique<TupleMerge>(); })};
+  IsetIndex idx;
+  idx.build(kSrcIp, iset_rules, rqrmi::default_config(iset_rules.size()));
+  std::vector<IsetIndex> isets;
+  isets.push_back(std::move(idx));
+  nm.restore(std::move(isets), remainder);
+  const IsetIndex& is = nm.isets()[0];
+  for (size_t i = 0; i < is.size(); ++i)
+    ASSERT_EQ(is.needs_remainder(i), i < 1000 && i % 100 < 71) << "iSet rule " << i;
+  expect_bits_match_brute_force(nm, remainder);
 }
 
 TEST(NuevoMatch, IsetCountIsBoundedByKMaxIsets) {

@@ -103,9 +103,10 @@ TEST_P(BatchDifferential, RaggedTailSizes) {
   cfg.stage_widths = c.widths;
   RqRmi model;
   model.build(make_intervals(c.n, c.seed), cfg);
-  const auto keys = make_keys(17, c.seed ^ 0xACE);
-  // Every size 1..17 covers: below one SSE group, between SSE and AVX group
-  // sizes, exact multiples, and multiples plus ragged tails.
+  const auto keys = make_keys(40, c.seed ^ 0xACE);
+  // Every size 1..40 covers: below one SSE group, between SSE and AVX group
+  // sizes, exact multiples, multiples plus ragged tails, and every tail of
+  // the AVX2 kernel's 16-key loop (its 8-key loop, then scalar lanes).
   for (size_t len = 1; len <= keys.size(); ++len) {
     expect_batch_equals_scalar(
         model, std::span<const float>{keys.data(), len},
@@ -118,7 +119,15 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ModelCase{200, {1, 4}, 11}, ModelCase{1500, {1, 4, 16}, 12},
                       ModelCase{5000, {1, 4, 128}, 13},
                       ModelCase{20000, {1, 8, 256}, 14},
-                      ModelCase{1, {1, 4}, 15}, ModelCase{3, {1, 4}, 16}));
+                      ModelCase{1, {1, 4}, 15}, ModelCase{3, {1, 4}, 16},
+                      // The AVX2 kernel reads a stage of <= 8 submodels with
+                      // masked loads and permutes, a wider one with gathers:
+                      // widths on both sides of that boundary, as middle and
+                      // last stage, and 6 (whose last row ends mid-line).
+                      ModelCase{600, {1, 8}, 17}, ModelCase{600, {1, 9}, 18},
+                      ModelCase{600, {1, 16}, 19}, ModelCase{3000, {1, 6, 9}, 20},
+                      ModelCase{3000, {1, 8, 16}, 21}, ModelCase{3000, {1, 9, 8}, 22},
+                      ModelCase{3000, {1, 16, 8}, 23}));
 
 TEST(BatchLookup, TrivialModelYieldsEmptyPredictions) {
   RqRmi model;

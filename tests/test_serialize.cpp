@@ -189,7 +189,7 @@ TEST(ClassifierSerialize, RoundTripKeepsAnswersAndRemainderSkip) {
   RuleSet live = rules;
   uint32_t next_id = static_cast<uint32_t>(rules.size());
   for (size_t i = 0; i < nm.isets()[0].size(); i += 97) {
-    Rule late = nm.isets()[0].rules()[i];
+    Rule late = nm.isets()[0].rule(i);
     for (size_t f = 0; f < kNumFields; ++f) late.field[f].hi = late.field[f].lo;
     late.priority -= 1;
     late.id = next_id++;
@@ -197,7 +197,7 @@ TEST(ClassifierSerialize, RoundTripKeepsAnswersAndRemainderSkip) {
     live.push_back(late);
   }
   for (size_t i = 50; i < nm.isets()[0].size(); i += 211) {
-    const uint32_t id = nm.isets()[0].rules()[i].id;
+    const uint32_t id = nm.isets()[0].rule(i).id;
     ASSERT_TRUE(nm.erase(id));
     std::erase_if(live, [&](const Rule& r) { return r.id == id; });
   }

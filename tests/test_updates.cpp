@@ -327,7 +327,7 @@ TEST(OnlineUpdates, RetrainReplayKeepsTheRemainderSkipExact) {
     ASSERT_FALSE(pin.nm().isets().empty());
     const IsetIndex& is = pin.nm().isets()[0];
     for (size_t i = 0; i < is.size() && targets.size() < 400; i += 3)
-      if (!is.needs_remainder(i)) targets.push_back(is.rules()[i]);
+      if (!is.needs_remainder(i)) targets.push_back(is.rule(i));
   }
   ASSERT_FALSE(targets.empty());
 
@@ -619,9 +619,9 @@ TEST(OnlineUpdates, RetrainReusesModelsForUnchangedIsets) {
   bool found = false;
   nm.with_stable_view([&](const NuevoMatch& v) {
     for (const IsetIndex& is : v.isets()) {
-      for (size_t i = 0; i < is.rules().size(); ++i) {
+      for (size_t i = 0; i < is.size(); ++i) {
         if (is.alive(i)) {
-          iset_victim = is.rules()[i].id;
+          iset_victim = is.rule(i).id;
           found = true;
           return;
         }
