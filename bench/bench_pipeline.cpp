@@ -133,8 +133,8 @@ RunResult run_pipeline(const std::shared_ptr<OnlineNuevoMatch>& online,
 }
 
 /// (c) per-core scaling: the same graph shape replicated N ways — RSS split
-/// across the sources, per-replica flow caches, one shared engine — driven
-/// by the Click-style scheduler on N threads. A ReplicatedGraph run is
+/// across the sources, per-replica flow caches, one shared engine — one
+/// replica per thread on N threads. A ReplicatedGraph run is
 /// one-shot, so every pass builds a fresh instance (flow caches start cold
 /// each pass; the model caches stay warm after the first).
 double run_replicated(const std::shared_ptr<OnlineNuevoMatch>& online,
@@ -319,7 +319,7 @@ int main() {
   }
 
   // (c) per-core scaling -----------------------------------------------------
-  // N pipeline replicas on N scheduler threads, one shared engine. Scaling
+  // N pipeline replicas on N threads, one shared engine. Scaling
   // is bounded by the host's hardware threads (printed below and recorded
   // as hw_cores): threads beyond them time-slice and show overhead, not
   // speedup.
@@ -343,13 +343,13 @@ int main() {
   }
 
   // (d) fault recovery -------------------------------------------------------
-  // Two replicas, two scheduler threads, quarantine supervision. "clean" is
+  // Two replicas, two threads, quarantine supervision. "clean" is
   // the supervised run with no fault armed (prices the supervision overhead
   // against section (c)'s unsupervised 2-thread row); "crash" injects one
   // replica death mid-stream via pipeline.task.fire and measures whole-run
   // throughput WITH the quarantine -> re-steer -> drain -> rejoin ladder
   // inside the timed window, plus the supervisor's own recovery-latency
-  // measurement. The crash lands at the 3rd scheduled fire, i.e. after the
+  // measurement. The crash lands at the 3rd replica step, i.e. after the
   // pipeline is flowing but with most of the trace still ahead — worst case
   // for the re-steered survivors.
   std::printf("\n(d) fault recovery (2 replicas, quarantine + rejoin, "
@@ -377,10 +377,9 @@ int main() {
   // (e) telemetry overhead ---------------------------------------------------
   // The same steady-state single-graph run (cache 8192) with the hot-path
   // instrumentation ON vs gated OFF at runtime. The DESIGN.md "Telemetry"
-  // budget is <=2% — this row is the evidence. Honest caveat: the runtime
-  // gate still costs one relaxed bool load per instrumented site; the true
-  // zero is -DNM_METRICS=OFF, which compiles those sites out entirely and
-  // cannot be measured from inside one binary.
+  // budget is <=2% — this row is the evidence. The gate itself still costs
+  // one relaxed bool load per instrumented site, which this row cannot
+  // separate out.
   std::printf("\n(e) telemetry overhead (steady state, cache 8192)\n");
   std::printf("%-14s %10s %12s\n", "metrics", "Mpps", "overhead");
   // A delta this small drowns in single-core machine-state drift if one arm

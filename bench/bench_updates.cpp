@@ -24,7 +24,7 @@
 //   (e) writer progress vs reader saturation: one saturated writer against
 //       0/2/4 spinning readers — the no-starvation regression row;
 //   (f) replicated-pipeline readers during churn: the reader side is the
-//       real 2-replica dataplane graph on the Click-style scheduler, every
+//       real 2-replica dataplane graph on two replica threads, every
 //       merged record verified against the stable core while a saturated
 //       writer and fire-and-forget retrains race it;
 //   plus competitor context for the headline updates/sec: TupleMerge alone,
@@ -565,11 +565,11 @@ int main() {
 
   // (f) replicated-pipeline readers during churn: the reader side is the
   // REAL dataplane — a 2-replica TraceSource -> FlowCache -> Classifier ->
-  // Sink graph on a 2-thread Click-style scheduler, all replicas fanned
+  // Sink graph, one replica per thread on 2 threads, all replicas fanned
   // into the churning engine — instead of a hand-rolled lookup loop. Each
   // pass is a fresh ReplicatedGraph (runs are one-shot); every merged
   // record is checked against the stable core, so this row both prices and
-  // verifies the scheduler path under a saturated writer.
+  // verifies the replica runner under a saturated writer.
   std::printf("\n-- (f) replicated-pipeline readers during churn --\n");
   {
     OnlineConfig pcfg;

@@ -19,13 +19,14 @@
 //
 // With a thread count, the SAME config is additionally replicated that many
 // ways (RSS five-tuple split across the sources, per-replica flow caches,
-// one shared engine) and run on a Click-style task scheduler — the merged
-// replica decisions must be packet-for-packet identical to the scalar run:
+// one shared engine) and run one replica per thread — the merged replica
+// decisions must be packet-for-packet identical to the scalar run. The
+// replicated run also prints its steps per thread; a replica never changes
+// threads, so that line depends only on the capture and the RSS split.
 //
 // Without --metrics the output is the same on every run of one binary.
-// With --metrics the run also prints the replicated run's fires per thread
-// and steals, and emits a final telemetry snapshot of the last graph run
-// (registry counters/histograms joined with engine health and the
+// With --metrics the run also emits a final telemetry snapshot of the last
+// graph run (registry counters/histograms joined with engine health and the
 // flow-cache stats summed over every cache; the replicated run adds the
 // replica layer):
 //   --metrics         Prometheus text to stdout at exit
@@ -242,12 +243,12 @@ int main(int argc, char** argv) {
   bool ok = mismatches == 0 && stale_served == 0 &&
             decisions.size() == pumped && (!can_swap_midstream || swaps >= 3);
 
-  // --- replicated run: N replicas on N scheduler threads ------------------
+  // --- replicated run: N replicas on N threads ----------------------------
   // Same config text, replicated: replica 0 trains, the rest adopt its
   // engine; the RSS split partitions the capture by flow. The merged
   // records must be IDENTICAL to the scalar run's, index for index.
   if (n_threads > 1) {
-    std::printf("\nreplicated run: %zu replicas on %zu scheduler threads\n",
+    std::printf("\nreplicated run: %zu replicas on %zu threads\n",
                 n_threads, n_threads);
     // A pipeline.* failpoint armed via NM_FAILPOINTS turns this run into a
     // fault drill: supervise with quarantine/rejoin instead of fail-stop,
@@ -284,15 +285,12 @@ int main(int argc, char** argv) {
           ++diverged;
       }
     }
-    // Which thread fired which replica is scheduler telemetry: it differs
-    // from run to run, so it is printed with the other metrics only.
-    if (metrics) {
-      const pipeline::SchedulerStats& st = rg->last_stats();
-      std::printf("replica fires per thread:");
-      for (const uint64_t f : st.fires_per_thread)
-        std::printf(" %llu", static_cast<unsigned long long>(f));
-      std::printf("  (steals: %llu)\n", static_cast<unsigned long long>(st.steals));
-    }
+    // Replica i runs on thread i % threads for the whole run, so this line
+    // is the same on every run of one capture (CI diffs it).
+    std::printf("replica fires per thread:");
+    for (const uint64_t f : rg->last_stats().fires_per_thread)
+      std::printf(" %llu", static_cast<unsigned long long>(f));
+    std::printf("\n");
     std::printf("replica differential: %llu divergences over %zu merged "
                 "records (%llu packets)\n",
                 static_cast<unsigned long long>(diverged), merged.size(),

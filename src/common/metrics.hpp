@@ -18,13 +18,10 @@
 //     nuevomatch::percentile (linear interpolation at rank (p/100)*(N-1),
 //     with samples inside a bucket assumed evenly spread over its span).
 //
-// Two switches keep instrumented hot paths within the ~1-2% budget:
-//   * compile-time: build with -DNM_METRICS=0 and every NM_METRICS_ENABLED
-//     guard collapses to `if (false)` — the instrumentation (including its
-//     registry lookups and clock reads) is dead code the optimizer strips;
-//   * runtime: set_metrics_enabled(false) leaves exactly one relaxed bool
-//     load per instrumentation site (bench_pipeline's telemetry row measures
-//     the on/off delta through this gate in one binary).
+// Instrumented hot paths stay within the ~1-2% budget behind one runtime
+// gate: set_metrics_enabled(false) leaves exactly one relaxed bool load per
+// instrumentation site (bench_pipeline's telemetry row measures the on/off
+// delta through this gate in one binary).
 // Latency sites additionally SAMPLE (NM_SAMPLE_EVERY) so steady_clock reads
 // are paid on 1-in-N events, not per packet.
 //
@@ -45,10 +42,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#ifndef NM_METRICS
-#define NM_METRICS 1
-#endif
 
 namespace nuevomatch::telemetry {
 
@@ -76,7 +69,7 @@ void set_metrics_enabled(bool on) noexcept;
   return slot;
 }
 
-#if NM_METRICS
+/// Guard for one instrumentation site: the runtime gate, one relaxed load.
 #define NM_METRICS_ENABLED (::nuevomatch::telemetry::metrics_enabled())
 /// Per-call-site 1-in-N sampling gate (thread-local counter; no atomics).
 #define NM_SAMPLE_EVERY(n)                                             \
@@ -84,10 +77,6 @@ void set_metrics_enabled(bool on) noexcept;
     static thread_local uint32_t nm_sample_c_ = 0;                     \
     return ++nm_sample_c_ >= (n) ? (nm_sample_c_ = 0, true) : false;   \
   }())
-#else
-#define NM_METRICS_ENABLED false
-#define NM_SAMPLE_EVERY(n) false
-#endif
 
 /// One cache line per shard slot: a thread's increments dirty only its own
 /// line (the whole point of sharding).

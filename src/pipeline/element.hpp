@@ -92,8 +92,8 @@ struct Burst {
 static_assert(kBurstSize <= 32, "resolved bitmask is 32 bits");
 
 /// Add `n` to an element counter. Element counters have one writer — the
-/// thread firing the element's graph (a graph is one scheduler task, and a
-/// task fires on one thread at a time) — so a relaxed load and store keep
+/// thread stepping the element's graph (a replica graph is stepped by one
+/// thread for its whole run) — so a relaxed load and store keep
 /// them exact without a locked read-modify-write, and a reader on another
 /// thread (report, telemetry scrape, replica tick) still sees whole values.
 /// Elements count in locals and publish once per burst.
@@ -159,7 +159,7 @@ class Element {
 /// RSS-style five-tuple hash: the replica-split function. Everything a flow
 /// is (all five header fields) goes in, so all packets of a flow land on
 /// the same replica — the property the flow-affinity ordering argument in
-/// DESIGN.md "Scheduler" rests on. Finalized FNV-1a like FlowCache::hash,
+/// DESIGN.md "Replica threads" rests on. Finalized FNV-1a like FlowCache::hash,
 /// but an independent function on purpose: cache set selection inside a
 /// replica and traffic splitting across replicas must not correlate, or a
 /// replica's flows would crowd a fraction of its cache's sets.
@@ -188,7 +188,7 @@ class Element {
 ///
 /// Mutation contract: epochs are appended with nondecreasing `from`, only
 /// while every source is quiesced at a position < `from` (ReplicatedGraph
-/// pauses all replica tasks, waits out in-flight pumps, and picks the
+/// pauses all replica steps, waits out in-flight pumps, and picks the
 /// cutover ahead of every source's published position). Readers therefore
 /// never race a mutation; the pause/resume atomics publish the new epochs.
 class ReplicaSteering {

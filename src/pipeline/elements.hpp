@@ -68,7 +68,7 @@ class PcapSource final : public SourceElement {
 
  private:
   std::unique_ptr<PcapReader> reader_;
-  // Relaxed atomics, not plain u64: pumped by one task thread but read
+  // Relaxed atomics, not plain u64: pumped by one replica thread but read
   // cross-thread (reports, telemetry scrapes, replica supervision) while
   // the run is live. pump() publishes its burst's counts (publish_add).
   std::atomic<uint64_t> packets_{0};

@@ -25,10 +25,9 @@
 // paper's Fig. 8 runs one independent instance per core, and a replicated
 // pipeline builds one cache per replica):
 //   * lookup*(), insert*(), clear() and set_stamp_source() are called only
-//     from the thread that is firing the owning graph. A scheduler handoff
-//     between threads goes through the queue mutex, which orders it; the
-//     quarantine hook that drains a crashed replica runs on the thread that
-//     caught the crash.
+//     from the thread that is stepping the owning graph. A replica is
+//     stepped by one thread for its whole run, and the quarantine ladder
+//     that drains a crashed replica runs on that same thread.
 //   * stats(), size() and capacity() may be called from any thread (a
 //     MetricsExporter scrape, a replica's tick). The counters they read are
 //     single-writer relaxed atomics: the owner bumps them with a load and a

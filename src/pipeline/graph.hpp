@@ -31,7 +31,7 @@ namespace nuevomatch::pipeline {
 /// Lightweight per-graph runtime telemetry (the per-replica slice of the
 /// pipeline's RuntimeHealth report). Plain fields: read it only while the
 /// graph is not being stepped — after run()/finish_run(), or from the
-/// replication supervisor while the replica's task is quiesced.
+/// replication supervisor while the replica is quiesced.
 struct GraphHealth {
   uint64_t steps = 0;     ///< bursts pumped through step()/run()
   uint64_t packets = 0;   ///< packets those bursts carried
@@ -72,11 +72,11 @@ class Graph {
   /// number of packets pumped.
   uint64_t run(const std::function<void(uint64_t)>& tick = {});
 
-  /// Incremental drive — the scheduler's unit of work (one Task fire is
-  /// one step()): pump ONE burst from the graph's source and push it
-  /// through. Returns false at end of stream (and stays false); adds the
-  /// burst's packet count to *pumped when given. Requires exactly one
-  /// source. Initializes the graph on first call.
+  /// Incremental drive — a replica thread's unit of work: pump ONE burst
+  /// from the graph's source and push it through. Returns false at end of
+  /// stream (and stays false); adds the burst's packet count to *pumped
+  /// when given. Requires exactly one source. Initializes the graph on
+  /// first call.
   [[nodiscard]] bool step(uint64_t* pumped = nullptr);
   /// finish() every element (writers flushed) — run() does this itself;
   /// step() drivers call it once after the last step. First error rethrown
@@ -111,7 +111,7 @@ class Graph {
   int anon_counter_ = 0;
   bool initialized_ = false;
   // step() state: the single source, end-of-stream latch, and the burst
-  // buffer (a member so a scheduler fire needs no per-step allocation).
+  // buffer (a member so a step needs no per-step allocation).
   SourceElement* step_src_ = nullptr;
   bool step_eos_ = false;
   Burst step_burst_;

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <stdexcept>
 #include <thread>
 
 #include "common/failpoint.hpp"
+#include "common/metrics.hpp"
 
 namespace nuevomatch::pipeline {
 
@@ -152,23 +154,22 @@ void ReplicatedGraph::readopt(uint32_t idx) {
   }
 }
 
-void ReplicatedGraph::quarantine_replica(uint32_t idx, Task& t,
-                                         Scheduler& sched,
+bool ReplicatedGraph::quarantine_replica(uint32_t idx,
                                          const ReplicatedRunOptions& opts) {
   const auto start = std::chrono::steady_clock::now();
   // 0. Serialize: a second replica crashing while this ladder runs blocks
   //    here until the first recovery is COMPLETE (pause cleared). The
-  //    blocked thread is a catcher, not a pump — its crashed task already
-  //    left the pumping_ bracket — so holding it cannot deadlock the
-  //    quiesce below, and every ladder runs against a settled steering
-  //    table and health record.
+  //    blocked thread is not pumping — its crashed step already left the
+  //    pumping_ bracket — so holding it cannot deadlock the quiesce below,
+  //    and every ladder runs against a settled steering table and health
+  //    record.
   const std::lock_guard<std::mutex> rec(recovery_mu_);
   // 1. Quiesce: no source may advance while we pick the re-steer cutover.
-  //    The catching thread sits BETWEEN fires of the crashed task, so only
-  //    sibling replicas can be mid-pump; they run to burst completion and
-  //    park on the paused gate. (The pumping_/paused_ pair is seq_cst: a
-  //    pump either sees paused and backs out, or its increment is seen
-  //    here and we wait it out — never neither.)
+  //    This thread sits BETWEEN steps of the crashed replica, so only
+  //    replicas on other threads can be mid-pump; they run to burst
+  //    completion and park on the paused gate. (The pumping_/paused_ pair
+  //    is seq_cst: a pump either sees paused and backs out, or its
+  //    increment is seen here and we wait it out — never neither.)
   paused_.store(true, std::memory_order_seq_cst);
   while (pumping_.load(std::memory_order_seq_cst) != 0)
     std::this_thread::yield();
@@ -202,8 +203,8 @@ void ReplicatedGraph::quarantine_replica(uint32_t idx, Task& t,
   // 4. Re-steer epochs: the dead replica's slice is owned by survivors for
   //    [cut, cut+window), then by the rejoined replica again. Positions the
   //    crashed replica consumed before `cut` stay ITS property — its source
-  //    state survived the crash (the fire seam is between bursts), so the
-  //    reinstated task serves them and nothing is lost or duplicated. If
+  //    state survived the crash (the step seam is between bursts), so the
+  //    rejoined replica serves them and nothing is lost or duplicated. If
   //    the epoch table is full (pathological repeated crashes), skip the
   //    re-steer: ownership then simply never leaves the replica, which is
   //    still a partition — just without survivor coverage of the window.
@@ -228,26 +229,23 @@ void ReplicatedGraph::quarantine_replica(uint32_t idx, Task& t,
     }
   }
 
-  // 6. Respawn: re-enter the task on its home queue. Happens before the
-  //    liveness release in the scheduler (the hook is synchronous), so the
-  //    run can never slip out from under a rejoining replica.
-  const bool rejoined = rejoining && sched.reinstate(t);
-
+  // 6. Respawn: a rejoining replica is simply stepped again by this thread.
   {
     const std::lock_guard<std::mutex> lk(health_mu_);
     ReplicaHealth& rh = rhealth_[idx];
-    rh.state = rejoined ? ReplicaHealth::State::kRejoined
-                        : ReplicaHealth::State::kQuarantined;
+    rh.state = rejoining ? ReplicaHealth::State::kRejoined
+                         : ReplicaHealth::State::kQuarantined;
     ++rh.quarantines;
-    if (rejoined) ++rh.rejoins;
+    if (rejoining) ++rh.rejoins;
     rh.drained_entries += drained;
-    if (opts.rejoin && !rejoined) ++rejoin_failures_;
+    if (opts.rejoin && !rejoining) ++rejoin_failures_;
     recovery_ns_ += static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start)
             .count());
   }
   paused_.store(false, std::memory_order_seq_cst);
+  return rejoining;
 }
 
 uint64_t ReplicatedGraph::run(const ReplicatedRunOptions& opts) {
@@ -259,11 +257,10 @@ uint64_t ReplicatedGraph::run(const ReplicatedRunOptions& opts) {
   for (Graph& g : graphs_) g.initialize();
 
   const auto n = static_cast<uint32_t>(graphs_.size());
-  const bool supervised = opts.policy != SupervisorPolicy::kEscalate;
-  if (supervised) {
+  if (opts.policy == SupervisorPolicy::kQuarantine) {
     // Swap the fixed modulo split for the piecewise steering table. Its
     // epoch-0 owner function is IDENTICAL to the modulo split, so an
-    // uneventful supervised run produces the exact PR 7 partition.
+    // uneventful supervised run produces the exact unsupervised partition.
     steering_ = std::make_unique<ReplicaSteering>(n);
     for (Graph& g : graphs_) {
       for (const auto& e : g.elements()) {
@@ -273,71 +270,193 @@ uint64_t ReplicatedGraph::run(const ReplicatedRunOptions& opts) {
     }
   }
 
+  const auto n_threads =
+      static_cast<uint32_t>(std::clamp<size_t>(opts.threads, 1, n));
+  // Each replica's record is written only by its own thread and read after
+  // the join; one cache line each, so neighbouring replicas on different
+  // threads do not share a line.
+  struct alignas(64) ReplicaRun {
+    TaskPhase phase = TaskPhase::kRunnable;
+    uint64_t fires = 0;
+    uint64_t worked = 0;
+    uint64_t idle = 0;
+    uint32_t quarantines = 0;
+    std::string last_error;
+  };
+  std::vector<ReplicaRun> runs(n);
   std::atomic<uint64_t> total{0};
-  Scheduler::Options sopt;
-  sopt.quantum = opts.quantum;
-  Scheduler sched(opts.threads, sopt);
+  std::atomic<bool> stop{false};
+  std::mutex err_mu;
+  std::exception_ptr first_error;  // guarded by err_mu
+  uint64_t suppressed = 0;         // guarded by err_mu
+  // Escalation: keep the first error for the rethrow, count the rest, and
+  // stop every thread at its next turn.
+  const auto escalate = [&] {
+    {
+      const std::lock_guard<std::mutex> lk(err_mu);
+      if (first_error == nullptr)
+        first_error = std::current_exception();
+      else
+        ++suppressed;
+    }
+    stop.store(true, std::memory_order_release);
+  };
 
-  const auto n_threads = static_cast<uint32_t>(sched.threads());
-  std::vector<Task*> rtasks(n, nullptr);
-  for (uint32_t i = 0; i < n; ++i) {
-    Graph* g = &graphs_[i];
-    Task::Options topt;
-    topt.home = i % n_threads;  // round-robin initial placement
-    topt.label = "replica@" + std::to_string(i);
-    topt.policy = opts.policy;
-    rtasks[i] = &sched.add(
-        [g, this, &total, &opts]() -> TaskState {
-          // Pump accounting brackets the step so the quarantine path can
-          // quiesce: increment FIRST, then check the gate (seq_cst pairs
-          // with quarantine_replica's store/load order).
-          pumping_.fetch_add(1, std::memory_order_seq_cst);
-          if (paused_.load(std::memory_order_seq_cst)) {
-            pumping_.fetch_sub(1, std::memory_order_release);
-            return TaskState::kIdle;
-          }
-          uint64_t pumped = 0;
-          bool more = false;
+  enum class Step : uint8_t { kWorked, kPaused, kDone, kFailed };
+  // One step of replica i. Throws whatever the step (or the
+  // pipeline.task.fire failpoint at its seam) throws.
+  const auto step = [&](uint32_t i) -> Step {
+    if (failpoint::should_fire(failpoint::kPipelineTaskFire))
+      throw std::runtime_error("injected: pipeline.task.fire");
+    // Pump accounting brackets the step so the quarantine path can
+    // quiesce: increment FIRST, then check the gate (seq_cst pairs with
+    // quarantine_replica's store/load order).
+    pumping_.fetch_add(1, std::memory_order_seq_cst);
+    if (paused_.load(std::memory_order_seq_cst)) {
+      pumping_.fetch_sub(1, std::memory_order_release);
+      return Step::kPaused;
+    }
+    // 1-in-64 sampled step latency: a sampled step reads the clock at both
+    // ends, every other step reads it not at all.
+    const bool sampled = NM_METRICS_ENABLED && NM_SAMPLE_EVERY(64);
+    const uint64_t t0 = sampled ? telemetry::now_ns() : 0;
+    uint64_t pumped = 0;
+    bool more = false;
+    try {
+      more = graphs_[i].step(&pumped);
+    } catch (...) {
+      pumping_.fetch_sub(1, std::memory_order_release);
+      throw;
+    }
+    pumping_.fetch_sub(1, std::memory_order_release);
+    if (sampled) {
+      static telemetry::Histogram& h = telemetry::registry().histogram(
+          "nm_sched_fire_ns", "replica step latency (sampled 1-in-64)");
+      h.record(telemetry::now_ns() - t0);
+    }
+    if (!more) return Step::kDone;
+    const uint64_t cum =
+        total.fetch_add(pumped, std::memory_order_relaxed) + pumped;
+    if (opts.tick) opts.tick(cum);
+    return Step::kWorked;
+  };
+
+  // Applies the policy to the exception in flight from replica i's step;
+  // call only from inside a catch block.
+  const auto supervise = [&](uint32_t i, ReplicaRun& r) -> Step {
+    try {
+      throw;
+    } catch (const std::exception& e) {
+      r.last_error = e.what();
+    } catch (...) {
+      r.last_error = "non-std exception";
+    }
+    if (opts.policy == SupervisorPolicy::kEscalate) {
+      escalate();
+      r.phase = TaskPhase::kDone;
+      return Step::kFailed;
+    }
+    ++r.quarantines;
+    if (NM_METRICS_ENABLED) {
+      static telemetry::Counter& m = telemetry::registry().counter(
+          "nm_sched_quarantines_total", "replica quarantine entries");
+      m.add(1);
+    }
+    bool rejoined = false;
+    try {
+      rejoined = quarantine_replica(i, opts);
+    } catch (...) {
+      escalate();  // a broken recovery ladder is fatal
+    }
+    if (!rejoined) r.phase = TaskPhase::kQuarantined;
+    return Step::kFailed;
+  };
+
+  // Thread `tid` steps replicas tid, tid + n_threads, ... one step each per
+  // turn, until every one of them is done or quarantined for good. It
+  // yields when all of them were turned back by a quarantine's pause.
+  const auto thread_loop = [&](uint32_t tid) {
+    try {
+      uint32_t live = 0;
+      for (uint32_t i = tid; i < n; i += n_threads) ++live;
+      while (live > 0 && !stop.load(std::memory_order_acquire)) {
+        bool all_paused = true;
+        for (uint32_t i = tid; i < n; i += n_threads) {
+          ReplicaRun& r = runs[i];
+          if (r.phase != TaskPhase::kRunnable) continue;
+          ++r.fires;
+          Step st = Step::kFailed;
           try {
-            more = g->step(&pumped);
+            st = step(i);
           } catch (...) {
-            pumping_.fetch_sub(1, std::memory_order_release);
-            throw;  // the scheduler's supervisor takes it from here
+            st = supervise(i, r);
           }
-          pumping_.fetch_sub(1, std::memory_order_release);
-          if (!more) return TaskState::kDone;
-          const uint64_t cum =
-              total.fetch_add(pumped, std::memory_order_relaxed) + pumped;
-          if (opts.tick) opts.tick(cum);
-          return TaskState::kWorked;
-        },
-        std::move(topt));
-  }
+          if (st == Step::kPaused) {
+            ++r.idle;
+            continue;
+          }
+          all_paused = false;
+          if (st == Step::kWorked) ++r.worked;
+          if (st == Step::kDone) r.phase = TaskPhase::kDone;
+          if (r.phase != TaskPhase::kRunnable) --live;
+        }
+        if (all_paused) std::this_thread::yield();
+      }
+    } catch (...) {
+      escalate();  // the supervision bookkeeping itself failed
+    }
+  };
 
-  if (supervised) {
-    sched.set_on_quarantine([this, &sched, &rtasks, &opts](Task& t) {
-      const auto it = std::find(rtasks.begin(), rtasks.end(), &t);
-      quarantine_replica(static_cast<uint32_t>(it - rtasks.begin()), t, sched,
-                         opts);
-    });
-  }
-
-  std::exception_ptr run_err;
+  std::vector<std::thread> workers;
+  workers.reserve(n_threads - 1);
   try {
-    sched.run();
+    for (uint32_t tid = 1; tid < n_threads; ++tid)
+      workers.emplace_back(thread_loop, tid);
   } catch (...) {
-    run_err = std::current_exception();
+    // Could not start a thread: stop the ones already running first.
+    stop.store(true, std::memory_order_release);
+    for (std::thread& w : workers) w.join();
+    throw;
   }
-  stats_ = sched.stats();
+  thread_loop(0);
+  for (std::thread& w : workers) w.join();
+
+  stats_ = SchedulerStats{};
+  stats_.fires_per_thread.assign(n_threads, 0);
+  RuntimeHealth rt;
+  rt.suppressed_errors = suppressed;
+  for (uint32_t i = 0; i < n; ++i) {
+    const ReplicaRun& r = runs[i];
+    stats_.fires += r.fires;
+    stats_.worked += r.worked;
+    stats_.idle_fires += r.idle;
+    stats_.fires_per_thread[i % n_threads] += r.fires;
+    rt.quarantines += r.quarantines;
+    rt.tasks.push_back(TaskHealth{"replica@" + std::to_string(i), r.phase,
+                                  r.fires, r.worked, r.quarantines,
+                                  r.last_error});
+  }
+  // Registry totals in one bulk add per run — the per-step hot path keeps
+  // its thread-private counts and pays nothing for these.
+  if (NM_METRICS_ENABLED) {
+    static telemetry::Counter& mf = telemetry::registry().counter(
+        "nm_sched_fires_total", "replica steps across all runs");
+    static telemetry::Counter& mw = telemetry::registry().counter(
+        "nm_sched_worked_total", "replica steps that pumped a burst");
+    static telemetry::Counter& mi = telemetry::registry().counter(
+        "nm_sched_idle_fires_total", "replica steps turned back by a pause");
+    mf.add(stats_.fires);
+    mw.add(stats_.worked);
+    mi.add(stats_.idle_fires);
+  }
   {
     const std::lock_guard<std::mutex> lk(health_mu_);
-    runtime_health_ = sched.health();
+    runtime_health_ = std::move(rt);
     for (uint32_t i = 0; i < n; ++i)
       rhealth_[i].steps = graphs_[i].health().steps;
   }
-  // Escalated errors keep the PR 7 surface: rethrow without finishing the
-  // graphs (exactly what a direct sched.run() throw did before).
-  if (run_err != nullptr) std::rethrow_exception(run_err);
+  // An escalated error is rethrown without finishing the graphs.
+  if (first_error != nullptr) std::rethrow_exception(first_error);
   for (Graph& g : graphs_) g.finish_run();
   return total.load(std::memory_order_relaxed);
 }

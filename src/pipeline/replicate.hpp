@@ -1,10 +1,12 @@
-// Per-core pipeline replication (DESIGN.md "Scheduler"): N copies of one
-// element graph, an RSS five-tuple split across their sources, one shared
-// OnlineNuevoMatch fanned into through the epoch domain, all driven by the
-// Click-style task scheduler (scheduler.hpp) — one Task per replica, one
-// fire = one burst through the whole replica graph. Background retraining
-// is the shared engine's own business (OnlineConfig::auto_retrain: its
-// worker fires on retrain_threshold), so no replica hosts training duties.
+// Per-core pipeline replication (DESIGN.md "Replica threads"): N copies of
+// one element graph, an RSS five-tuple split across their sources, one
+// shared OnlineNuevoMatch fanned into through the epoch domain. run() starts
+// `threads` OS threads (the calling thread is thread 0) and replica i is
+// stepped only by thread i % threads, one Graph::step() — one burst through
+// the whole replica graph — per turn. A replica never changes threads, so
+// its elements' plain state needs no handoff. Background retraining is the
+// shared engine's own business (OnlineConfig::auto_retrain: its worker fires
+// on retrain_threshold), so no replica hosts training duties.
 //
 //   ReplicatedGraph rg = ReplicatedGraph::parse(config_text, 4);
 //   ReplicatedRunOptions opts;
@@ -26,6 +28,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -35,30 +38,73 @@
 
 #include "pipeline/elements.hpp"
 #include "pipeline/graph.hpp"
-#include "pipeline/scheduler.hpp"
 
 namespace nuevomatch::pipeline {
 
+/// What run() does with a replica whose step threw.
+enum class SupervisorPolicy : uint8_t {
+  kEscalate,    ///< stop every replica thread, rethrow out of run() (default)
+  kQuarantine,  ///< quarantine the replica; siblings keep stepping
+};
+
+/// Where a replica is in its run: stepping, quarantined for good, or done.
+enum class TaskPhase : uint8_t {
+  kRunnable,     ///< being stepped (a rejoined replica is runnable again)
+  kQuarantined,  ///< quarantined and not rejoining
+  kDone,         ///< reached end of stream (or was finished by escalation)
+};
+
+/// Step totals of the last run(). `steals` is always 0 — a replica never
+/// changes threads — and stays because perfbench's `sched.steals` row
+/// reads it.
+struct SchedulerStats {
+  uint64_t fires = 0;       ///< replica steps across all threads
+  uint64_t worked = 0;      ///< steps that pumped a burst
+  uint64_t idle_fires = 0;  ///< steps turned back by a quarantine's pause
+  uint64_t steals = 0;
+  std::vector<uint64_t> fires_per_thread;
+};
+
+/// One replica's step record (RuntimeHealth::tasks).
+struct TaskHealth {
+  std::string label;  ///< "replica@<i>"
+  TaskPhase phase = TaskPhase::kRunnable;
+  uint64_t fires = 0;
+  uint64_t worked = 0;
+  uint32_t quarantines = 0;
+  std::string last_error;  ///< what() of the replica's most recent failure
+};
+
+/// Step-level supervision report of the last run().
+struct RuntimeHealth {
+  std::vector<TaskHealth> tasks;
+  uint32_t quarantines = 0;  ///< quarantine entries across all replicas
+  /// Escalated errors after the first: only the first is rethrown from
+  /// run(), the rest are counted here (and keep their per-replica
+  /// last_error) so a multi-replica failure is not mistaken for one.
+  uint64_t suppressed_errors = 0;
+};
+
 struct ReplicatedRunOptions {
-  size_t threads = 1;   ///< scheduler threads (1 = deterministic inline run)
-  uint32_t quantum = 8; ///< bursts per scheduler slice (fairness knob)
+  /// OS threads, clamped to [1, replicas]; replica i runs on thread
+  /// i % threads. 1 = deterministic inline run on the calling thread.
+  size_t threads = 1;
   /// Runs after every burst with the CUMULATIVE packet count across all
-  /// replicas. May fire concurrently from several scheduler threads —
+  /// replicas. May fire concurrently from several replica threads —
   /// the hook must be thread-safe (differential tests serialize inside).
   std::function<void(uint64_t)> tick;
 
   // --- supervision (DESIGN.md "Failure model") ---------------------------
-  /// Policy applied to every replica task (the only tasks the run has).
-  /// kEscalate — the default — preserves the PR 7 fail-stop semantics
-  /// bit-for-bit: one crash stops the world and rethrows out of run().
-  /// kQuarantine arms the recovery ladder: crash → quiesce sources →
-  /// re-steer the dead slice to survivors → drain the replica's cache →
-  /// respawn (re-adopt the shared engine) → rejoin.
+  /// kEscalate — the default — is fail-stop: one crash stops every thread
+  /// and rethrows out of run(). kQuarantine runs the recovery ladder on
+  /// the crashed replica's own thread: quiesce sources → re-steer the dead
+  /// slice to survivors → drain the replica's cache → respawn (re-adopt
+  /// the shared engine) → rejoin.
   SupervisorPolicy policy = SupervisorPolicy::kEscalate;
-  /// Respawn + reinstate a quarantined replica after draining it. When
-  /// false the replica stays down: its undelivered slice outside the
-  /// re-steer window is never served (a lossy degraded mode the
-  /// differential surfaces deliberately); health records the quarantine.
+  /// Rejoin a quarantined replica after draining it. When false the
+  /// replica stays down: its undelivered slice outside the re-steer window
+  /// is never served (a lossy degraded mode the differential surfaces
+  /// deliberately); health records the quarantine.
   bool rejoin = true;
 };
 
@@ -72,10 +118,10 @@ struct ReplicaHealth {
   uint64_t steps = 0;            ///< bursts stepped (GraphHealth)
 };
 
-/// The replicated dataplane's full supervision report: the scheduler's
-/// per-task RuntimeHealth plus the replica layer above it. Complete after
-/// run() returns (the runtime part is snapshotted then); the replica-layer
-/// counters are live during the run as well.
+/// The replicated dataplane's full supervision report: the per-replica
+/// step records (RuntimeHealth) plus the recovery ladder's counters.
+/// Complete after run() returns (the runtime part is snapshotted then); the
+/// replica-layer counters are live during the run as well.
 struct PipelineHealth {
   RuntimeHealth runtime;
   std::vector<ReplicaHealth> replicas;
@@ -115,12 +161,13 @@ class ReplicatedGraph {
   /// replicas disagree — that graph shape is a bug, not a configuration.
   [[nodiscard]] OnlineNuevoMatch* shared_online() const;
 
-  /// Drive all replicas to exhaustion on `opts.threads` scheduler threads
-  /// (the calling thread is one of them), then finish_run() each replica.
-  /// One-shot, like Scheduler::run. Returns total packets pumped.
+  /// Drive all replicas to exhaustion on `opts.threads` threads (the
+  /// calling thread is thread 0), then finish_run() each replica.
+  /// One-shot. Returns total packets pumped. Under kEscalate the first
+  /// replica error stops every thread and is rethrown here after the join.
   uint64_t run(const ReplicatedRunOptions& opts = {});
 
-  /// Scheduler telemetry from the last run().
+  /// Step totals from the last run().
   [[nodiscard]] const SchedulerStats& last_stats() const noexcept {
     return stats_;
   }
@@ -137,19 +184,18 @@ class ReplicatedGraph {
   /// Per-replica reports concatenated, replica-tagged.
   [[nodiscard]] std::string report() const;
 
-  /// Supervision report (scheduler runtime + replica layer). The runtime
-  /// part is snapshotted when run() returns; replica-layer counters are
+  /// Supervision report (step records + replica layer). The runtime part
+  /// is snapshotted when run() returns; replica-layer counters are
   /// maintained live by the quarantine path.
   [[nodiscard]] PipelineHealth health() const;
 
  private:
   explicit ReplicatedGraph(std::vector<Graph> graphs);
   void install_filters();
-  /// The on_quarantine hook body for a replica task: quiesce → re-steer →
-  /// drain → (maybe) rejoin. Runs on the catching thread, synchronously,
-  /// between that task's fires.
-  void quarantine_replica(uint32_t idx, Task& t, Scheduler& sched,
-                          const ReplicatedRunOptions& opts);
+  /// The recovery ladder for crashed replica `idx`: quiesce → re-steer →
+  /// drain → (maybe) rejoin. Runs inline on the replica's own thread,
+  /// between its steps. Returns true when the replica rejoins.
+  bool quarantine_replica(uint32_t idx, const ReplicatedRunOptions& opts);
   /// Respawn step of a rejoin: re-couple the replica's cache stamp source
   /// and verify it still feeds the ONE shared engine. Throws on mismatch
   /// (and on the pipeline.replica.adopt failpoint).
@@ -162,11 +208,11 @@ class ReplicatedGraph {
   // Supervision state (unused — and cost-free — under kEscalate).
   std::unique_ptr<ReplicaSteering> steering_;
   /// Serializes whole recovery ladders: two replicas crashing near-
-  /// simultaneously (failpoint count > 1) each run the on_quarantine hook
-  /// on their own catching thread. The ladder mutates single-writer state
-  /// (the steering table) and relies on the paused_/pumping_
-  /// quiesce holding until IT clears the pause — so the second quarantine
-  /// must wait out the first entirely, not interleave with it.
+  /// simultaneously (failpoint count > 1) each run the ladder on their own
+  /// thread. The ladder mutates single-writer state (the steering table)
+  /// and relies on the paused_/pumping_ quiesce holding until IT clears
+  /// the pause — so the second quarantine must wait out the first
+  /// entirely, not interleave with it.
   std::mutex recovery_mu_;
   std::atomic<bool> paused_{false};    ///< quiesce gate for replica pumps
   std::atomic<uint32_t> pumping_{0};   ///< pumps currently in flight

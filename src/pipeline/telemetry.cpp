@@ -48,12 +48,12 @@ void render_engine_prom(std::string& out, const EngineHealth& e) {
 
 void render_runtime_prom(std::string& out, const RuntimeHealth& r) {
   prometheus_counter(out, "nm_runtime_quarantines_total",
-                     "task quarantine entries across all tasks",
+                     "replica quarantine entries across all replicas",
                      r.quarantines);
   prometheus_counter(out, "nm_runtime_suppressed_errors_total",
-                     "task errors dropped after the first recorded one",
+                     "replica errors dropped after the first recorded one",
                      r.suppressed_errors);
-  prometheus_gauge(out, "nm_runtime_tasks", "tasks registered",
+  prometheus_gauge(out, "nm_runtime_tasks", "replicas run",
                    static_cast<double>(r.tasks.size()));
 }
 

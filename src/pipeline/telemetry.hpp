@@ -1,8 +1,8 @@
 // telemetry::Snapshot — the join between the generic metric registry
 // (common/metrics.hpp) and the four structured health surfaces the dataplane
-// already exposes: EngineHealth (nuevomatch/online.hpp), RuntimeHealth
-// (pipeline/scheduler.hpp), PipelineHealth (pipeline/replicate.hpp) and
-// FlowCache::Stats (pipeline/flow_cache.hpp).
+// already exposes: EngineHealth (nuevomatch/online.hpp), RuntimeHealth and
+// PipelineHealth (pipeline/replicate.hpp) and FlowCache::Stats
+// (pipeline/flow_cache.hpp).
 //
 // Division of labour (and why there are no duplicate series): the registry
 // holds EVENT metrics — things that happen on hot paths and must be counted
@@ -23,7 +23,6 @@
 #include "nuevomatch/online.hpp"
 #include "pipeline/flow_cache.hpp"
 #include "pipeline/replicate.hpp"
-#include "pipeline/scheduler.hpp"
 
 namespace nuevomatch::telemetry {
 
@@ -35,7 +34,7 @@ struct Snapshot {
   RegistrySnapshot registry;
 
   std::optional<EngineHealth> engine;
-  /// Replica supervision layer, including the scheduler's RuntimeHealth.
+  /// Replica supervision layer, including the per-replica RuntimeHealth.
   std::optional<pipeline::PipelineHealth> pipeline;
   /// Summed across every FlowCache feeding this snapshot.
   std::optional<pipeline::FlowCache::Stats> cache;

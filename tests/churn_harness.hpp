@@ -76,17 +76,17 @@ struct ChurnConfig {
   /// Readers that are REAL pipeline replicas: each reader thread repeatedly
   /// builds an N-replica TraceSource → FlowCache → Classifier → Sink graph
   /// over the stable core (all replicas fanned into the one online engine
-  /// under churn) and runs it on a Click-style scheduler, then checks the
+  /// under churn) and runs it on `replica_threads` threads, then checks the
   /// merged records against the core answers. This is the full dataplane —
-  /// RSS split, per-replica caches, scheduler migration, epoch pinning —
+  /// RSS split, per-replica caches, replica threads, epoch pinning —
   /// racing writers and swaps, not a hand-rolled lookup loop.
   int n_replica_readers = 0;
   uint32_t replica_count = 2;   ///< replicas per replicated-graph pass
-  size_t replica_threads = 2;   ///< scheduler threads per pass
+  size_t replica_threads = 2;   ///< replica threads per pass
   /// Replica-crash drill (the ISSUE 9 acceptance gate): every replicated
   /// pass runs under SupervisorPolicy::kQuarantine with the
-  /// pipeline.task.fire failpoint armed to kill one replica task at a
-  /// seeded fire index mid-pass. The quarantine → re-steer → drain →
+  /// pipeline.task.fire failpoint armed to kill one replica at a
+  /// seeded step index mid-pass. The quarantine → re-steer → drain →
   /// rejoin ladder must serve every core packet's invariant answer anyway
   /// — the existing zero-mismatch check stays in force, and the harness
   /// additionally tallies quarantines/rejoins so a drill where the crash
@@ -352,7 +352,7 @@ class ChurnHarness {
     // Replicated-pipeline readers: each pass is a fresh N-replica graph
     // (ReplicatedGraph is one-shot) over the stable core, fanned into the
     // online engine via a non-owning alias. The merged records — produced
-    // through per-replica caches, the RSS split, and scheduler migration —
+    // through per-replica caches, the RSS split, and the replica threads —
     // must carry every core packet's invariant answer, keyed by the global
     // stream index, while writers and swaps race the passes.
     const auto online_alias =
@@ -363,7 +363,7 @@ class ChurnHarness {
     for (int t = 0; t < cfg_.n_replica_readers; ++t) {
       readers.emplace_back([&, online_alias, t] {
         // Crash drill: each pass arms a seeded one-shot kill of whatever
-        // task reaches the Nth scheduled fire — the between-bursts seam,
+        // replica takes the Nth step — the between-bursts seam,
         // so recovery must be lossless and the zero-mismatch check below
         // applies unchanged through quarantine → re-steer → rejoin.
         Rng crash_rng{cfg_.seed ^ 0xC4A5Dull ^ (static_cast<uint64_t>(t) << 32)};

@@ -147,11 +147,11 @@ TEST(ChurnFlowCache, CacheFrontedReadersCoherentAcrossSwaps) {
 
 // Readers that are REAL pipeline replicas (the ISSUE 7 churn gate): each
 // reader pass builds a 3-replica TraceSource → FlowCache → Classifier →
-// Sink graph fanned into the churning engine and runs it on a 2-thread
-// Click-style scheduler. Every merged record — produced through the RSS
-// split, per-replica caches, and scheduler work stealing — must carry the
-// stable core's invariant answer at its global stream index while writers
-// and one forced swap per step race the passes.
+// Sink graph fanned into the churning engine and runs it on 2 threads (one
+// of them steps two replicas). Every merged record — produced through the
+// RSS split, per-replica caches, and concurrent replica threads — must
+// carry the stable core's invariant answer at its global stream index
+// while writers and one forced swap per step race the passes.
 TEST(ChurnReplicatedPipeline, ReplicaGraphReadersMatchCoreAcrossSwaps) {
   ChurnConfig cfg;
   cfg.seed = 93;

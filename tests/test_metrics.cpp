@@ -17,8 +17,8 @@
 //     from its own thread, also while replicas fire, refuses a taken port,
 //     and dumps its file on destruction;
 //   * an instrumented pipeline run populates the end-to-end burst latency
-//     histogram (nm_pipeline_burst_ns) and the scheduler fire histogram
-//     feeds p50/p99 from real samples.
+//     histogram (nm_pipeline_burst_ns), which feeds p50/p99 from real
+//     samples.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -492,9 +492,6 @@ TEST(MetricsExporter, ServesScrapesDuringReplicatedRun) {
 }
 
 // --- instrumented pipeline populates latency histograms ---------------------
-// (Compiled out under -DNM_METRICS=OFF: these two assert on the hot-path
-// instrumentation the kill switch exists to strip.)
-#if NM_METRICS
 
 TEST(MetricsPipeline, BurstLatencyHistogramPopulated) {
   // Enough packets that the 1-in-32 burst sampler must fire: 256 bursts.
@@ -527,8 +524,6 @@ TEST(MetricsSampling, OneInNIsExact) {
     if (NM_SAMPLE_EVERY(64)) ++fired;
   EXPECT_EQ(fired, 10);
 }
-
-#endif  // NM_METRICS
 
 }  // namespace
 }  // namespace nuevomatch

@@ -840,7 +840,6 @@ TEST(ElementCounters, ExactAfterMultiBurstReplicatedRuns) {
     std::atomic<uint64_t> ticks{0};
     pipeline::ReplicatedRunOptions opts;
     opts.threads = n;
-    opts.quantum = 2;  // short slices: replicas interleave and migrate
     opts.tick = [&](uint64_t) {
       EXPECT_LE(rg.total_sink_packets(), trace.size());
       ticks.fetch_add(1, std::memory_order_relaxed);

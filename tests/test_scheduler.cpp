@@ -1,12 +1,11 @@
-// The Click-style task scheduler (src/pipeline/scheduler.hpp) and the
-// per-core replicated dataplane built on it (src/pipeline/replicate.hpp).
-// The archetype here is differential: a replicated, scheduled, work-stolen
-// run must be PROVABLY equivalent to the scalar single-thread oracle —
-// identical per-packet decisions joined on the global stream index,
-// identical aggregate counter totals — including across forced mid-stream
-// generation swaps of the one shared online engine. The scheduler unit
-// tests pin the mechanics that equivalence rests on: quantum fairness,
-// migration between fires only, clean shutdown.
+// The per-core replicated dataplane (src/pipeline/replicate.hpp): N replica
+// graphs, replica i stepped only by thread i % threads. The archetype here
+// is differential: a replicated run on several threads must be PROVABLY
+// equivalent to the scalar single-thread oracle — identical per-packet
+// decisions joined on the global stream index, identical aggregate counter
+// totals — including across forced mid-stream generation swaps of the one
+// shared online engine. The ReplicaThreads tests pin the placement that
+// equivalence rests on: a replica never changes threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +15,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "classbench/generator.hpp"
@@ -24,7 +24,6 @@
 #include "pipeline/elements.hpp"
 #include "pipeline/graph.hpp"
 #include "pipeline/replicate.hpp"
-#include "pipeline/scheduler.hpp"
 #include "trace/pcap.hpp"
 #include "trace/trace.hpp"
 #include "tuplemerge/tuplemerge.hpp"
@@ -35,9 +34,6 @@ namespace {
 using pipeline::Graph;
 using pipeline::ReplicatedGraph;
 using pipeline::ReplicatedRunOptions;
-using pipeline::Scheduler;
-using pipeline::Task;
-using pipeline::TaskState;
 
 std::string tmp_path(const std::string& name) {
   return (std::filesystem::path(::testing::TempDir()) / name).string();
@@ -56,105 +52,97 @@ std::shared_ptr<OnlineNuevoMatch> make_online(const RuleSet& rules,
   return online;
 }
 
-// --- scheduler unit tests ---------------------------------------------------
+// --- replica placement ------------------------------------------------------
 
-// The quantum bounds how long one task can monopolize a thread: with two
-// always-ready tasks on ONE thread, task A can fire at most `quantum`
-// consecutive times between two fires of task B. This is the no-starvation
-// property — a saturated source cannot lock a classifier task out.
-TEST(SchedulerCore, QuantumBoundsConsecutiveFiresOfOneTask) {
-  constexpr uint32_t kQuantum = 4;
-  Scheduler::Options opt;
-  opt.quantum = kQuantum;
-  Scheduler sched(1, opt);
+// Pass-through element that records which OS thread carried each burst.
+// Single writer: only the thread stepping its replica touches `seen`.
+class ThreadProbe final : public pipeline::Element {
+ public:
+  [[nodiscard]] std::string_view kind() const override { return "ThreadProbe"; }
+  void process(pipeline::Burst& b) override {
+    seen.push_back(std::this_thread::get_id());
+    forward(b);
+  }
+  std::vector<std::thread::id> seen;
+};
 
-  uint64_t a_fires = 0;
-  uint64_t b_fires = 0;
-  uint64_t last_a_at_b = 0;
-  uint64_t max_gap = 0;
-  sched.add([&]() -> TaskState {
-    return ++a_fires >= 400 ? TaskState::kDone : TaskState::kWorked;
+// `replicas` copies of TraceSource -> ThreadProbe -> Counter over `trace`.
+ReplicatedGraph probed_graph(uint32_t replicas,
+                             const std::vector<Packet>& trace) {
+  return ReplicatedGraph(replicas, [&](uint32_t, uint32_t) {
+    Graph g;
+    auto& src = g.add(std::make_unique<pipeline::TraceSource>(trace), "src");
+    auto& probe = g.add(std::make_unique<ThreadProbe>(), "probe");
+    auto& cnt = g.add(std::make_unique<pipeline::Counter>(), "cnt");
+    g.connect(src, 0, probe);
+    g.connect(probe, 0, cnt);
+    return g;
   });
-  sched.add([&]() -> TaskState {
-    max_gap = std::max(max_gap, a_fires - last_a_at_b);
-    last_a_at_b = a_fires;
-    return ++b_fires >= 100 ? TaskState::kDone : TaskState::kWorked;
-  });
-  sched.run();
-
-  EXPECT_EQ(a_fires, 400u);
-  EXPECT_EQ(b_fires, 100u);
-  // While both tasks were live, B observed at most one full A-quantum
-  // between its own fires.
-  EXPECT_LE(max_gap, kQuantum);
-  EXPECT_EQ(sched.stats().fires, 500u);
 }
 
-// An idle thread steals a queued task; migration happens only between
-// fires, so the task's own fire sequence stays totally ordered. The
-// migrant refuses to make progress on its home thread — it can ONLY finish
-// if work stealing moves it.
-TEST(SchedulerCore, IdleThreadStealsTask) {
-  Scheduler sched(2);
-  std::set<int> migrant_threads;
-  std::mutex mu;
-  uint64_t migrant_work = 0;
-
-  Task& migrant = sched.add(
-      [&]() -> TaskState {
-        if (Scheduler::current_thread() == 0) return TaskState::kIdle;
-        {
-          const std::lock_guard<std::mutex> lk(mu);
-          migrant_threads.insert(Scheduler::current_thread());
-        }
-        return ++migrant_work < 10 ? TaskState::kWorked : TaskState::kDone;
-      },
-      {.home = 0, .label = "migrant"});
-  sched.run();
-
-  EXPECT_TRUE(migrant.done());
-  EXPECT_GE(migrant.migrations(), 1u);
-  EXPECT_EQ(migrant_work, 10u);
-  EXPECT_EQ(migrant.worked(), 9u);  // the final kDone fire is not "worked"
-  EXPECT_EQ(migrant_threads, std::set<int>{1});  // never worked on home
-  EXPECT_GE(sched.stats().steals, 1u);
+std::set<std::thread::id> threads_of(const ReplicatedGraph& rg, uint32_t r) {
+  const auto& seen =
+      static_cast<const ThreadProbe*>(rg.replica(r).find("probe"))->seen;
+  return {seen.begin(), seen.end()};
 }
 
-// request_stop() from inside a fire: every thread finishes its current
-// fire and drains out; nothing is leaked (the ASan leg verifies), and the
-// not-yet-done tasks are simply left undone.
-TEST(SchedulerCore, RequestStopDrainsCleanly) {
-  Scheduler sched(2);
-  uint64_t fires = 0;
-  // Closure state that would leak if shutdown abandoned queue entries.
-  auto payload = std::make_shared<std::vector<int>>(1024, 7);
-  Task& forever = sched.add([payload]() -> TaskState {
-    return TaskState::kWorked;
-  });
-  sched.add([&]() -> TaskState {
-    if (++fires >= 50) {
-      sched.request_stop();
-      return TaskState::kIdle;
+std::vector<Packet> numbered_trace(size_t n) {
+  std::vector<Packet> pkts(n);
+  for (size_t i = 0; i < n; ++i) pkts[i].field[0] = static_cast<uint32_t>(i);
+  return pkts;
+}
+
+// With one thread per replica, every burst of a replica rides the same OS
+// thread, and no two replicas share one: a replica never changes threads,
+// so its elements' plain state needs no handoff.
+TEST(ReplicaThreads, EachReplicaStaysOnItsOwnThread) {
+  const std::vector<Packet> trace = numbered_trace(64 * pipeline::kBurstSize);
+  for (const uint32_t n : {2u, 4u}) {
+    ReplicatedGraph rg = probed_graph(n, trace);
+    ReplicatedRunOptions opts;
+    opts.threads = n;
+    EXPECT_EQ(rg.run(opts), trace.size());
+
+    std::set<std::thread::id> all;
+    for (uint32_t r = 0; r < n; ++r) {
+      const std::set<std::thread::id> ids = threads_of(rg, r);
+      ASSERT_EQ(ids.size(), 1u) << "replica " << r << " changed threads";
+      EXPECT_TRUE(all.insert(*ids.begin()).second)
+          << "replica " << r << " shares a thread with another replica";
     }
-    return TaskState::kWorked;
-  });
-  sched.run();
-  EXPECT_FALSE(forever.done());
-  EXPECT_GE(fires, 50u);
-  EXPECT_GT(sched.stats().fires, 0u);
+    // Thread i steps exactly replica i: its step count is the replica's.
+    const pipeline::SchedulerStats& st = rg.last_stats();
+    const pipeline::RuntimeHealth h = rg.health().runtime;
+    ASSERT_EQ(st.fires_per_thread.size(), n);
+    for (uint32_t r = 0; r < n; ++r)
+      EXPECT_EQ(st.fires_per_thread[r], h.tasks[r].fires) << "replica " << r;
+    EXPECT_EQ(st.steals, 0u);
+  }
 }
 
-// A throwing task stops the whole scheduler cleanly and run() rethrows the
-// first exception after every worker joined.
-TEST(SchedulerCore, TaskExceptionPropagatesOutOfRun) {
-  Scheduler sched(2);
-  uint64_t fires = 0;
-  sched.add([&]() -> TaskState {
-    if (++fires >= 5) throw std::runtime_error("boom");
-    return TaskState::kWorked;
-  });
-  sched.add([]() -> TaskState { return TaskState::kWorked; });
-  EXPECT_THROW(sched.run(), std::runtime_error);
+// threads = 1 is the inline run: every replica is stepped by the caller.
+TEST(ReplicaThreads, OneThreadRunsEveryReplicaOnTheCaller) {
+  const std::vector<Packet> trace = numbered_trace(16 * pipeline::kBurstSize);
+  ReplicatedGraph rg = probed_graph(3, trace);
+  EXPECT_EQ(rg.run(), trace.size());
+  for (uint32_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(threads_of(rg, r),
+              std::set<std::thread::id>{std::this_thread::get_id()})
+        << "replica " << r;
+  }
+  EXPECT_EQ(rg.last_stats().fires_per_thread.size(), 1u);
+}
+
+// More threads than replicas are clamped: a thread with no replica to step
+// is never started.
+TEST(ReplicaThreads, ThreadCountIsClampedToReplicas) {
+  const std::vector<Packet> trace = numbered_trace(8 * pipeline::kBurstSize);
+  ReplicatedGraph rg = probed_graph(2, trace);
+  ReplicatedRunOptions opts;
+  opts.threads = 8;
+  EXPECT_EQ(rg.run(opts), trace.size());
+  EXPECT_EQ(rg.last_stats().fires_per_thread.size(), 2u);
+  EXPECT_NE(*threads_of(rg, 0).begin(), *threads_of(rg, 1).begin());
 }
 
 // --- graph step() -----------------------------------------------------------
@@ -235,11 +223,11 @@ TEST(ReplicaSplit, SourcesPartitionTheTraceByFlowHash) {
 
 // --- the differential layer -------------------------------------------------
 
-// Per-flow (here: per-replica, which is coarser) record order must survive
-// scheduling, quanta, and work stealing: within one replica's sink the
-// global indices arrive strictly increasing, because a replica is one task
-// and a task's fires are totally ordered no matter where they run.
-TEST(ReplicaDifferential, PerReplicaOrderSurvivesMigration) {
+// Per-flow (here: per-replica, which is coarser) record order must hold
+// when threads share replicas (4 replicas on 2 threads): within one
+// replica's sink the global indices arrive strictly increasing, because a
+// replica is stepped by one thread, one burst at a time.
+TEST(ReplicaDifferential, PerReplicaOrderHoldsWhenThreadsShareReplicas) {
   const RuleSet rules = generate_classbench(AppClass::kAcl, 1, 300, 37);
   auto online = make_online(rules);
   TraceConfig tc;
@@ -262,7 +250,6 @@ TEST(ReplicaDifferential, PerReplicaOrderSurvivesMigration) {
   });
   ReplicatedRunOptions opts;
   opts.threads = 2;
-  opts.quantum = 2;  // short slices force interleaving and steals
   EXPECT_EQ(rg.run(opts), trace.size());
 
   for (uint32_t r = 0; r < kReplicas; ++r) {
@@ -278,11 +265,11 @@ TEST(ReplicaDifferential, PerReplicaOrderSurvivesMigration) {
 }
 
 // THE acceptance differential: the golden pcap through a 1-thread scalar
-// graph and through a 4-replica scheduled graph (4 threads, shared engine,
+// graph and through a 4-replica graph (4 threads, shared engine,
 // ≥3 forced mid-stream generation swaps) must produce identical per-packet
 // decisions and identical aggregate Counter totals. The rule-set never
 // changes, so the swaps must be answer-invariant — any divergence is a
-// scheduler/fan-in bug. Runs under TSAN in CI.
+// replica-runner/fan-in bug. Runs under TSAN in CI.
 TEST(ReplicaDifferential, FourReplicasMatchScalarOracleOnGoldenPcap) {
   const std::string root = NM_SOURCE_ROOT;
   const std::string config =
@@ -311,7 +298,7 @@ TEST(ReplicaDifferential, FourReplicasMatchScalarOracleOnGoldenPcap) {
   const uint64_t scalar_counted =
       static_cast<const pipeline::Counter*>(scalar.find("cnt"))->packets();
 
-  // Replicated run: 4 replicas on 4 scheduler threads, one shared engine,
+  // Replicated run: 4 replicas on 4 threads, one shared engine,
   // three forced generation swaps landing mid-stream.
   ReplicatedGraph rg = ReplicatedGraph::parse(config, 4);
   OnlineNuevoMatch* online = rg.shared_online();
@@ -320,12 +307,11 @@ TEST(ReplicaDifferential, FourReplicasMatchScalarOracleOnGoldenPcap) {
 
   std::mutex swap_mu;
   int swaps = 0;
-  // Tick values arrive out of order across scheduler threads, so fire
+  // Tick values arrive out of order across replica threads, so fire
   // every threshold the cumulative count has passed, not just the next.
   constexpr uint64_t kSwapAt[3] = {16, 32, 48};
   ReplicatedRunOptions opts;
   opts.threads = 4;
-  opts.quantum = 1;  // every burst reschedules: maximal interleaving
   opts.tick = [&](uint64_t done) {
     const std::lock_guard<std::mutex> lk(swap_mu);
     while (swaps < 3 && done >= kSwapAt[swaps]) {
@@ -394,7 +380,6 @@ TEST(ReplicaDifferential, TraceScaleMatchesLinearOracleThroughSwaps) {
   const uint64_t swap_at[3] = {n / 4, n / 2, 3 * n / 4};
   ReplicatedRunOptions opts;
   opts.threads = 2;
-  opts.quantum = 2;
   opts.tick = [&](uint64_t done) {  // reorder-robust: see golden-pcap test
     const std::lock_guard<std::mutex> lk(swap_mu);
     while (swaps < 3 && done >= swap_at[swaps]) {
@@ -430,7 +415,7 @@ TEST(ReplicaDifferential, TraceScaleMatchesLinearOracleThroughSwaps) {
   EXPECT_GT(hits, 0u) << "flow caches never hit — differential vacuous";
 }
 
-// Background retraining needs no scheduler task: the shared engine's own
+// Background retraining needs no replica's help: the shared engine's own
 // auto-retrain worker fires on the retrain_threshold it was built with.
 // Churn committed mid-run (from the tick) pushes absorption past the
 // threshold, the insert requests the retrain, and the tick waits for the

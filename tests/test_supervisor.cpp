@@ -1,12 +1,13 @@
-// Task fault domains and the pipeline recovery ladder: the scheduler's
+// Replica fault domains and the recovery ladder: the run's
 // SupervisorPolicy (escalate / quarantine), the suppressed-error counter,
 // and the ReplicatedGraph quarantine → re-steer → drain → rejoin path —
-// all driven deterministically through the pipeline failpoints. A quarantined task restarts only through the
-// on_quarantine hook (reinstate()); there is no in-place retry policy, and
-// background retraining belongs to the shared engine's own auto-retrain
-// worker, so a replica crash never moves training duties anywhere. Runs
-// under the TSAN and ASan/UBSan CI legs: a crash-during-burst must be
-// leak-clean (the in-flight burst is dropped, not leaked).
+// all driven deterministically through the pipeline failpoints. The ladder
+// runs inline on the crashed replica's own thread, and a rejoined replica
+// is simply stepped again by that thread; there is no in-place retry
+// policy, and background retraining belongs to the shared engine's own
+// auto-retrain worker, so a replica crash never moves training duties
+// anywhere. Runs under the TSAN and ASan/UBSan CI legs: a crash-during-
+// burst must be leak-clean (the in-flight burst is dropped, not leaked).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +22,6 @@
 #include "pipeline/elements.hpp"
 #include "pipeline/graph.hpp"
 #include "pipeline/replicate.hpp"
-#include "pipeline/scheduler.hpp"
 #include "trace/trace.hpp"
 #include "tuplemerge/tuplemerge.hpp"
 
@@ -34,12 +34,9 @@ using pipeline::ReplicaHealth;
 using pipeline::ReplicatedGraph;
 using pipeline::ReplicatedRunOptions;
 using pipeline::RuntimeHealth;
-using pipeline::Scheduler;
 using pipeline::SupervisorPolicy;
-using pipeline::Task;
 using pipeline::TaskHealth;
 using pipeline::TaskPhase;
-using pipeline::TaskState;
 
 std::shared_ptr<OnlineNuevoMatch> make_online(const RuleSet& rules,
                                               double retrain_threshold = 1.0,
@@ -62,119 +59,159 @@ TaskHealth task_health(const RuntimeHealth& h, const std::string& label) {
   return TaskHealth{};
 }
 
+// A source that never runs dry: a replica built on it ends only when the
+// run stops it. Honors the replica filter like every source.
+class EndlessSource final : public pipeline::SourceElement {
+ public:
+  [[nodiscard]] std::string_view kind() const override { return "EndlessSource"; }
+  [[nodiscard]] bool pump(pipeline::Burst& b) override {
+    for (size_t k = 0; k < pipeline::kBurstSize; ++k, ++pos_) {
+      Packet p{};
+      p.field[0] = static_cast<uint32_t>(pos_);
+      emit(b, p, 0, pos_);
+    }
+    publish_pos(pos_);
+    return true;
+  }
+
+ private:
+  uint64_t pos_ = 0;
+};
+
+// Pass-through that holds each replica's FIRST burst until both replicas
+// hold theirs, then lets the first replica arm `pipeline.push` first:2 and
+// waits until it is armed — so both replicas are inside a step, past every
+// stop check, when their next push evaluates the armed point.
+class MeetThenArm final : public pipeline::Element {
+ public:
+  MeetThenArm(std::latch& meet, std::latch& armed, bool arms)
+      : meet_(meet), armed_(armed), arms_(arms) {}
+  [[nodiscard]] std::string_view kind() const override { return "MeetThenArm"; }
+  void process(pipeline::Burst& b) override {
+    if (first_) {
+      first_ = false;
+      meet_.arrive_and_wait();
+      if (arms_)
+        failpoint::arm(failpoint::kPipelinePush, failpoint::Trigger::first(2));
+      armed_.arrive_and_wait();
+    }
+    forward(b);
+  }
+
+ private:
+  std::latch& meet_;
+  std::latch& armed_;
+  bool arms_;
+  bool first_ = true;
+};
+
+ReplicatedGraph endless_graph(uint32_t replicas) {
+  return ReplicatedGraph(replicas, [](uint32_t, uint32_t) {
+    Graph g;
+    auto& src = g.add(std::make_unique<EndlessSource>(), "src");
+    auto& cnt = g.add(std::make_unique<pipeline::Counter>(), "cnt");
+    g.connect(src, 0, cnt);
+    return g;
+  });
+}
+
 // --- quarantine -------------------------------------------------------------
 
-// A quarantined task is detached, not fatal: its sibling keeps firing to
-// completion and run() returns normally — the stop-the-world behavior is
-// gone under kQuarantine (and ONLY under kQuarantine).
+// A quarantined replica is detached, not fatal: its siblings keep stepping
+// to completion and run() returns normally — the stop-the-world behavior
+// is gone under kQuarantine (and ONLY under kQuarantine).
 TEST(SupervisorQuarantine, IsolatesFailureFromSiblings) {
-  Scheduler sched(1);
-  Task::Options bad_opt;
-  bad_opt.label = "bad";
-  bad_opt.policy = SupervisorPolicy::kQuarantine;
-  Task& bad = sched.add(
-      []() -> TaskState { throw std::runtime_error("isolated crash"); },
-      std::move(bad_opt));
-  uint64_t good_fires = 0;
-  Task& good = sched.add([&]() -> TaskState {
-    return ++good_fires >= 50 ? TaskState::kDone : TaskState::kWorked;
+  std::vector<Packet> trace(40 * pipeline::kBurstSize);
+  for (size_t i = 0; i < trace.size(); ++i)
+    trace[i].field[0] = static_cast<uint32_t>(i);
+  ReplicatedGraph rg(3, [&](uint32_t, uint32_t) {
+    Graph g;
+    auto& src = g.add(std::make_unique<pipeline::TraceSource>(trace), "src");
+    auto& cnt = g.add(std::make_unique<pipeline::Counter>(), "cnt");
+    g.connect(src, 0, cnt);
+    return g;
   });
-  sched.run();
+  const failpoint::Scoped crash(failpoint::kPipelineTaskFire,
+                                failpoint::Trigger::nth(1));
+  ReplicatedRunOptions opts;
+  opts.threads = 1;  // deterministic: step 1 is replica 0's first step
+  opts.policy = SupervisorPolicy::kQuarantine;
+  opts.rejoin = false;
+  rg.run(opts);
 
-  EXPECT_EQ(bad.phase(), TaskPhase::kQuarantined);
-  EXPECT_EQ(bad.quarantines(), 1u);
-  EXPECT_TRUE(good.done());
-  EXPECT_EQ(good_fires, 50u);
-  const RuntimeHealth h = sched.health();
+  const RuntimeHealth h = rg.health().runtime;
+  const TaskHealth bad = task_health(h, "replica@0");
+  EXPECT_EQ(bad.phase, TaskPhase::kQuarantined);
+  EXPECT_EQ(bad.quarantines, 1u);
+  EXPECT_EQ(bad.last_error, "injected: pipeline.task.fire");
+  for (const char* sibling : {"replica@1", "replica@2"}) {
+    const TaskHealth t = task_health(h, sibling);
+    EXPECT_EQ(t.phase, TaskPhase::kDone) << sibling;
+    EXPECT_GT(t.worked, 0u) << sibling;
+    EXPECT_TRUE(t.last_error.empty()) << sibling;
+  }
   EXPECT_EQ(h.quarantines, 1u);
   EXPECT_EQ(h.suppressed_errors, 0u);  // quarantine suppresses NOTHING
-  EXPECT_EQ(task_health(h, "bad").last_error, "isolated crash");
 }
 
-// The on_quarantine hook runs synchronously on the catching thread BEFORE
-// liveness is released: a hook that reinstate()s keeps the scheduler alive
-// through the failure even when the quarantined task was the only live one,
-// and the task then completes its remaining work.
-TEST(SupervisorQuarantine, HookReinstatesAndTaskCompletes) {
-  Scheduler sched(1);
-  uint64_t attempts = 0;
-  Task::Options topt;
-  topt.label = "phoenix";
-  topt.policy = SupervisorPolicy::kQuarantine;
-  Task& t = sched.add(
-      [&]() -> TaskState {
-        if (++attempts == 1) throw std::runtime_error("die once");
-        return attempts >= 6 ? TaskState::kDone : TaskState::kWorked;
-      },
-      std::move(topt));
-  int hook_calls = 0;
-  sched.set_on_quarantine([&](Task& tk) {
-    ++hook_calls;
-    EXPECT_TRUE(sched.reinstate(tk));
-  });
-  sched.run();
+// --- escalation -------------------------------------------------------------
 
-  EXPECT_EQ(hook_calls, 1);
-  EXPECT_TRUE(t.done());
-  EXPECT_EQ(t.quarantines(), 1u);
-  EXPECT_EQ(attempts, 6u);
-  EXPECT_FALSE(sched.reinstate(t));  // done, not quarantined
-}
-
-// --- escalation (the PR 7 semantics, unchanged) -----------------------------
-
-// The default policy preserves stop-and-rethrow exactly: same exception out
-// of run(), the healthy sibling is stopped undone, nothing is suppressed.
+// The default policy is stop-and-rethrow: the first error comes out of
+// run(), and the healthy sibling — on its own thread, over a source that
+// never ends, so only the stop can end it — is stopped undone. Nothing is
+// suppressed, and the ASan leg checks nothing leaks on the way out.
 TEST(SupervisorEscalate, DefaultPolicyPreservesStopAndRethrow) {
-  Scheduler sched(2);
-  uint64_t fires = 0;
-  Task& bomb = sched.add([&]() -> TaskState {
-    if (++fires >= 5) throw std::runtime_error("boom");
-    return TaskState::kWorked;
-  });
-  Task& forever = sched.add([]() -> TaskState { return TaskState::kWorked; });
-
+  ReplicatedGraph rg = endless_graph(2);
+  const failpoint::Scoped crash(failpoint::kPipelineTaskFire,
+                                failpoint::Trigger::nth(5));
+  ReplicatedRunOptions opts;
+  opts.threads = 2;
   try {
-    sched.run();
+    rg.run(opts);
     FAIL() << "escalation must rethrow out of run()";
   } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "boom");
+    EXPECT_STREQ(e.what(), "injected: pipeline.task.fire");
   }
-  EXPECT_TRUE(bomb.done());  // escalation finishes the task (original path)
-  EXPECT_EQ(bomb.phase(), TaskPhase::kDone);
-  EXPECT_FALSE(forever.done());
-  const RuntimeHealth h = sched.health();
+  const RuntimeHealth h = rg.health().runtime;
+  ASSERT_EQ(h.tasks.size(), 2u);
+  const bool first_crashed = !h.tasks[0].last_error.empty();
+  const TaskHealth& bomb = h.tasks[first_crashed ? 0 : 1];
+  const TaskHealth& sibling = h.tasks[first_crashed ? 1 : 0];
+  EXPECT_EQ(bomb.last_error, "injected: pipeline.task.fire");
+  EXPECT_EQ(bomb.phase, TaskPhase::kDone);  // escalation finishes the replica
+  EXPECT_TRUE(sibling.last_error.empty());
+  EXPECT_EQ(sibling.phase, TaskPhase::kRunnable);  // stopped, not done
   EXPECT_EQ(h.quarantines, 0u);
   EXPECT_EQ(h.suppressed_errors, 0u);
 }
 
-// Errors beyond the first used to vanish without a trace. Two tasks that
-// meet inside their fires (so both are mid-fire at once) and then both
-// throw surface as first_error_ plus a counted suppression — a multi-task
-// failure is distinguishable again.
+// Errors beyond the first must not vanish. Two replicas on two threads
+// meet inside their first step and only then arm pipeline.push first:2, so
+// both throw while neither can see the other's stop: the first error is
+// rethrown and the second is counted, each keeping its own last_error.
 TEST(SupervisorEscalate, LaterErrorsAreCountedNotSwallowed) {
-  Scheduler sched(2);
   std::latch meet(2);
-  const char* const labels[] = {"failure A", "failure B"};
-  for (uint32_t i = 0; i < 2; ++i) {
-    const char* what = labels[i];
-    Task::Options opt;
-    opt.home = i;  // one task per thread
-    opt.label = what;
-    sched.add(
-        [what, &meet]() -> TaskState {
-          meet.arrive_and_wait();
-          throw std::runtime_error(what);
-        },
-        std::move(opt));
-  }
+  std::latch armed(2);
+  ReplicatedGraph rg(2, [&](uint32_t i, uint32_t) {
+    Graph g;
+    auto& src = g.add(std::make_unique<EndlessSource>(), "src");
+    auto& m =
+        g.add(std::make_unique<MeetThenArm>(meet, armed, i == 0), "meet");
+    auto& cnt = g.add(std::make_unique<pipeline::Counter>(), "cnt");
+    g.connect(src, 0, m);
+    g.connect(m, 0, cnt);
+    return g;
+  });
+  ReplicatedRunOptions opts;
+  opts.threads = 2;
+  EXPECT_THROW(rg.run(opts), std::runtime_error);
+  failpoint::disarm(failpoint::kPipelinePush);
 
-  EXPECT_THROW(sched.run(), std::runtime_error);
-  const RuntimeHealth h = sched.health();
+  const RuntimeHealth h = rg.health().runtime;
   EXPECT_EQ(h.suppressed_errors, 1u)
       << "the second failure was dropped without being counted";
-  EXPECT_EQ(task_health(h, "failure A").last_error, "failure A");
-  EXPECT_EQ(task_health(h, "failure B").last_error, "failure B");
+  EXPECT_EQ(task_health(h, "replica@0").last_error, "injected: pipeline.push");
+  EXPECT_EQ(task_health(h, "replica@1").last_error, "injected: pipeline.push");
 }
 
 // --- the replicated recovery ladder -----------------------------------------
@@ -234,17 +271,18 @@ struct ReplicatedFixture {
 }  // namespace
 
 // THE acceptance drill: a failpoint kills replica 0 on its very first
-// scheduled fire (the between-bursts seam — the lossless fault domain).
-// The quarantine ladder re-steers its slice, drains its cache and rejoins
-// it — and the merged differential still matches the oracle EXACTLY: every
-// position served exactly once, zero stale decisions.
+// step (the between-bursts seam — the lossless fault domain). The
+// quarantine ladder re-steers its slice, drains its cache and rejoins it;
+// its thread steps it again to the end of stream — and the merged
+// differential still matches the oracle EXACTLY: every position served
+// exactly once, zero stale decisions.
 TEST(ReplicatedRecovery, ReplicaCrashAtFireSeamLosesNothing) {
   const ReplicatedFixture fx(51, 4'000);
   ReplicatedGraph rg = fx.make_graph(2);
   const failpoint::Scoped crash(failpoint::kPipelineTaskFire,
                                 failpoint::Trigger::nth(1));
   ReplicatedRunOptions opts;
-  opts.threads = 1;  // deterministic: fire 1 is replica 0's first fire
+  opts.threads = 1;  // deterministic: step 1 is replica 0's first step
   opts.policy = SupervisorPolicy::kQuarantine;
   const uint64_t total = rg.run(opts);
 
@@ -258,25 +296,30 @@ TEST(ReplicatedRecovery, ReplicaCrashAtFireSeamLosesNothing) {
   EXPECT_EQ(h.replicas[0].rejoins, 1u);
   EXPECT_EQ(h.replicas[1].state, ReplicaHealth::State::kLive);
   EXPECT_EQ(h.runtime.quarantines, 1u);
+  // The rejoined replica ran on to the end of stream.
+  const TaskHealth t0 = task_health(h.runtime, "replica@0");
+  EXPECT_EQ(t0.phase, TaskPhase::kDone);
+  EXPECT_EQ(t0.quarantines, 1u);
+  EXPECT_GT(t0.worked, 0u);
   EXPECT_EQ(h.rejoin_failures, 0u);
   EXPECT_EQ(h.steer_epochs, 3u);  // [0,C) full | [C,C+W) survivor | [C+W,∞) full
   EXPECT_GT(h.recovery_ns, 0u);
   EXPECT_FALSE(h.to_string().empty());
 }
 
-// Two crashes landing near-simultaneously on DIFFERENT scheduler threads:
-// each catching thread runs the full recovery ladder, and the ladders must
-// serialize (recovery_mu_) — concurrent steering appends or a premature
-// un-pause would corrupt the re-steer. Under the
-// TSAN leg this is the regression test for that race. first:2 fires on the
-// first two scheduled fires, whichever threads get there first.
+// Two crashes landing near-simultaneously on DIFFERENT replica threads:
+// each crashed replica's thread runs the full recovery ladder, and the
+// ladders must serialize (recovery_mu_) — concurrent steering appends or a
+// premature un-pause would corrupt the re-steer. Under the TSAN leg this
+// is the regression test for that race. first:2 fires on the first two
+// steps, whichever threads get there first.
 TEST(ReplicatedRecovery, ConcurrentReplicaCrashesSerializeAndLoseNothing) {
   const ReplicatedFixture fx(54, 4'000);
   ReplicatedGraph rg = fx.make_graph(3);
   const failpoint::Scoped crash(failpoint::kPipelineTaskFire,
                                 failpoint::Trigger::first(2));
   ReplicatedRunOptions opts;
-  opts.threads = 3;  // the two crashes race on separate catching threads
+  opts.threads = 3;  // the two crashes race on separate replica threads
   opts.policy = SupervisorPolicy::kQuarantine;
   const uint64_t total = rg.run(opts);
 
@@ -341,7 +384,7 @@ TEST(ReplicatedRecovery, NoRejoinDegradesButServesCorrectly) {
 
   const std::vector<pipeline::Sink::Record> got = rg.merged_records();
   fx.check_records(got, /*complete=*/false);
-  // Crash on fire 1: the cutover is position 0, so the WHOLE dead slice is
+  // Crash on step 1: the cutover is position 0, so the WHOLE dead slice is
   // re-steered to the survivors and nothing at all is missing — degraded
   // mode loses only what sat between the dead replica's position and the
   // cutover (here: nothing).
@@ -416,8 +459,7 @@ TEST(ReplicatedRecovery, AutoRetrainPublishesGenerationAcrossReplicaCrash) {
 
 // Default-policy guard: a supervised option set that never crashes must be
 // byte-identical to the unsupervised run — same records, same totals — and
-// an ESCALATE run with a crash must still rethrow (the PR 7 surface through
-// the ReplicatedGraph layer, not just the bare scheduler).
+// an ESCALATE run with a crash must still rethrow.
 TEST(ReplicatedRecovery, QuietSupervisedRunMatchesUnsupervised) {
   const ReplicatedFixture fx(56, 3'000);
   ReplicatedGraph plain = fx.make_graph(2);
