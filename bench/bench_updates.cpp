@@ -27,12 +27,18 @@
 //       real 2-replica dataplane graph on two replica threads, every
 //       merged record verified against the stable core while a saturated
 //       writer and fire-and-forget retrains race it;
+//   (g) erase latency by location: single erase() calls of ORIGINAL rules
+//       (not churn copies) on the large rule-set, p50/p99 for rules in an
+//       iSet and rules in the base remainder — both are in-place tombstone
+//       flips, so the two rows should read alike — then a LinearSearch
+//       sample check of the erased engine;
 //   plus competitor context for the headline updates/sec: TupleMerge alone,
 //   classic Tuple Space Search (hash-per-tuple — the RVH-style hash-table
 //   baseline family, see PAPERS.md "RVH: Range-Vector Hash"), and a
 //   priority-sorted list (array insert/erase), all update-native.
 // Paper: ~4k updates/sec sustainable on 500K rules at ~half the update-free
 // speedup, assuming minute-long (TF) training.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -665,6 +671,81 @@ int main() {
         .set("records_checked", static_cast<size_t>(f_records))
         .set("mismatches", static_cast<size_t>(f_bad));
   }
+
+  // (g) erase latency of original rules, per location. auto_retrain is off
+  // and nothing is inserted, so every erase is a tombstone in the live
+  // generation: an iSet slot's alive byte or the TupleMerge remainder's.
+  std::printf("\n-- (g) erase latency of original rules, by location --\n");
+  std::printf("%-15s | %7s %10s %10s\n", "location", "erases", "p50 us", "p99 us");
+  uint64_t g_bad = 0;
+  {
+    OnlineConfig ecfg;
+    ecfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
+    ecfg.base.min_iset_coverage = 0.05;
+    ecfg.auto_retrain = false;
+    OnlineNuevoMatch er{ecfg};
+    er.build(rules);
+    std::vector<uint32_t> iset_ids;
+    std::vector<uint32_t> base_ids;
+    {
+      const auto pin = er.pin();
+      for (const IsetIndex& is : pin.nm().isets())
+        for (size_t i = 0; i < is.size(); ++i) iset_ids.push_back(is.rule(i).id);
+      for (const Rule& r : pin.nm().remainder_rules()) base_ids.push_back(r.id);
+    }
+    Rng erng{81};
+    const auto pick = [&](std::vector<uint32_t>& ids, size_t n) {
+      for (size_t i = 0; i < n && i < ids.size(); ++i)
+        std::swap(ids[i], ids[i + erng.below(ids.size() - i)]);
+      ids.resize(std::min(n, ids.size()));
+    };
+    constexpr size_t kErases = 200;
+    pick(iset_ids, kErases);
+    pick(base_ids, kErases);
+    LinearSearch e_oracle;
+    e_oracle.build(rules);
+    std::vector<double> iset_us;
+    std::vector<double> base_us;
+    // Interleaved, so both locations see the same host conditions.
+    for (size_t i = 0; i < kErases; ++i) {
+      for (const bool in_iset : {true, false}) {
+        const std::vector<uint32_t>& ids = in_iset ? iset_ids : base_ids;
+        if (i >= ids.size()) continue;
+        const uint64_t t0 = now_ns();
+        const bool ok = er.erase(ids[i]);
+        const double us = static_cast<double>(now_ns() - t0) / 1e3;
+        if (!ok || !e_oracle.erase(ids[i])) ++g_bad;
+        (in_iset ? iset_us : base_us).push_back(us);
+      }
+    }
+    // Verify before reporting: 1 packet in 8 of the trace against the
+    // oracle that saw the same erases.
+    for (size_t i = 0; i < trace.size(); i += 8) {
+      if (er.match(trace[i]).rule_id != e_oracle.match(trace[i]).rule_id) ++g_bad;
+    }
+    const auto pct = [](std::vector<double> v, double q) {
+      if (v.empty()) return 0.0;
+      std::sort(v.begin(), v.end());
+      return v[static_cast<size_t>(q * static_cast<double>(v.size() - 1))];
+    };
+    for (const bool in_iset : {true, false}) {
+      const std::vector<double>& us = in_iset ? iset_us : base_us;
+      const char* where = in_iset ? "iset" : "base_remainder";
+      std::printf("%-15s | %7zu %10.2f %10.2f\n", where, us.size(), pct(us, 0.50),
+                  pct(us, 0.99));
+      j.row()
+          .set("section", "erase_latency")
+          .set("location", where)
+          .set("rules", rules.size())
+          .set("erases", us.size())
+          .set("p50_us", pct(us, 0.50))
+          .set("p99_us", pct(us, 0.99))
+          .set("mismatches", static_cast<size_t>(g_bad));
+    }
+    std::printf("erase check: %llu mismatches or refused erases (must be 0)\n",
+                static_cast<unsigned long long>(g_bad));
+  }
+  mw_bad_total += g_bad;
 
   j.write("BENCH_updates.json");
 

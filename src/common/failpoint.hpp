@@ -122,9 +122,10 @@ inline constexpr std::string_view kEpochGrow = "epoch.grow";
 inline constexpr std::string_view kSerializeLoad = "serialize.load";
 inline constexpr std::string_view kPcapParse = "pcap.parse";
 // Pipeline runtime seams (DESIGN.md "Failure model" — pipeline supervision).
-// kPipelineTaskFire is evaluated by ReplicatedGraph::run before every
-// replica step, so an injected crash lands BETWEEN bursts — the lossless fault
-// domain the quarantine/rejoin drill relies on. kPipelinePush fires inside
+// kPipelineTaskFire is evaluated by ReplicatedGraph::run at the start of
+// every replica step that passes the quarantine pause gate (a turned-back
+// step does not count), so an injected crash lands BETWEEN bursts — the
+// lossless fault domain the quarantine/rejoin drill relies on. kPipelinePush fires inside
 // element forwarding (mid-burst: at most one in-flight burst is lost).
 inline constexpr std::string_view kPipelinePush = "pipeline.push";
 inline constexpr std::string_view kPipelineCacheInsert = "pipeline.cache.insert";

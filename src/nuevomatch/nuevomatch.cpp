@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "tuplemerge/tuplemerge.hpp"
+
 namespace nuevomatch {
 
 NuevoMatch::NuevoMatch(NuevoMatchConfig cfg) : cfg_(std::move(cfg)) {
@@ -243,11 +245,12 @@ bool NuevoMatch::insert(const Rule& r) {
   return true;
 }
 
-bool NuevoMatch::erase_in_isets(uint32_t rule_id) noexcept {
+bool NuevoMatch::erase_in_place(uint32_t rule_id) noexcept {
   for (IsetIndex& is : isets_) {
     if (is.erase(rule_id)) return true;
   }
-  return false;
+  auto* tm = dynamic_cast<TupleMerge*>(remainder_.get());
+  return tm != nullptr && tm->tombstone(rule_id);
 }
 
 bool NuevoMatch::erase(uint32_t rule_id) {

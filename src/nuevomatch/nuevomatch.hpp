@@ -69,16 +69,16 @@ class NuevoMatch final : public Classifier {
   // tightens to best.tie_floor() after every hit, and is threaded through
   // each iSet and then through each remainder stage in order, so a stage is
   // only asked for a rule that can still win. The remainder stages default
-  // to the built remainder engine; OnlineNuevoMatch passes its pinned update
-  // layer (base remainder or its override, then the churn delta) instead.
+  // to the built remainder engine; OnlineNuevoMatch passes the built
+  // remainder followed by its pinned churn delta instead.
   // A stage is any type with match_with_floor(p, floor) — a Classifier, or
   // a plain view that need not implement build()/size()/name().
   // The remainder skip: the FIRST stage must hold only rules of the built
-  // remainder (or rules added through insert()), which OnlineNuevoMatch's
-  // base remainder and its override are. When the iSet hit that set the
-  // running best has its needs_remainder bit clear (IsetIndex), no such rule
-  // can beat it and the first stage is not asked; every later stage (the
-  // churn delta, whose rules the bits never saw) always runs.
+  // remainder (or rules added through insert()), as OnlineNuevoMatch's
+  // does. When the iSet hit that set the running best has its
+  // needs_remainder bit clear (IsetIndex), no such rule can beat it and the
+  // first stage is not asked; every later stage (the churn delta, whose
+  // rules the bits never saw) always runs.
   // The iSet half runs in three passes — predict every iSet, search every
   // iSet, validate in iSet order — so the candidate loads that search()
   // prefetches for one iSet overlap with the work on the others.
@@ -119,13 +119,15 @@ class NuevoMatch final : public Classifier {
   /// conservative.
   bool erase(uint32_t rule_id) override;
   /// Online-engine deletion primitive: tombstone `rule_id` in whichever
-  /// iSet holds it alive — an atomic in-place byte flip, safe against
-  /// concurrent wait-free lookups — touching NOTHING else. The logical
-  /// rule bookkeeping (rules()/size()/pressure) intentionally goes stale:
-  /// on a frozen generation it belongs to the online wrapper, which tracks
-  /// it on the writer side (DESIGN.md "Update path"). Offline callers want
-  /// erase(), not this.
-  bool erase_in_isets(uint32_t rule_id) noexcept;
+  /// iSet holds it alive, else in a TupleMerge remainder
+  /// (TupleMerge::tombstone) — an atomic in-place byte flip either way,
+  /// safe against concurrent wait-free lookups — touching NOTHING else.
+  /// The logical rule bookkeeping (rules()/size()/pressure) intentionally
+  /// goes stale: on a frozen generation it belongs to the online wrapper,
+  /// which tracks it on the writer side (DESIGN.md "Update path"). Returns
+  /// false when no iSet holds the rule alive and the remainder is not a
+  /// TupleMerge or does not hold it. Offline callers want erase(), not this.
+  bool erase_in_place(uint32_t rule_id) noexcept;
   /// Fraction of rules that have migrated to the remainder since build.
   [[nodiscard]] double update_pressure() const noexcept;
   /// Retrain from the current rule-set (the paper's periodic retraining).

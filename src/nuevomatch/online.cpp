@@ -8,13 +8,27 @@
 
 #include "common/failpoint.hpp"
 #include "common/metrics.hpp"
+#include "tuplemerge/tuplemerge.hpp"
 
 namespace nuevomatch {
+
+namespace {
+
+/// Base-remainder erases are TupleMerge tombstones (OnlineConfig::base).
+void require_tuplemerge(const NuevoMatch& nm) {
+  if (dynamic_cast<const TupleMerge*>(&nm.remainder()) == nullptr)
+    throw std::invalid_argument{
+        "OnlineNuevoMatch: the remainder must be a TupleMerge, got " +
+        nm.remainder().name()};
+}
+
+}  // namespace
 
 OnlineNuevoMatch::OnlineNuevoMatch(OnlineConfig cfg) : cfg_(std::move(cfg)) {
   // An empty generation (with an empty layer) up front means match() never
   // needs a null check.
   gen_owner_ = std::make_shared<Generation>(cfg_.base);
+  require_tuplemerge(gen_owner_->nm);
   layer_owner_ = std::make_shared<const Layer>();
   gen_owner_->layer.store(layer_owner_.get(), std::memory_order_relaxed);
   gen_pub_.store(gen_owner_.get(), std::memory_order_seq_cst);
@@ -36,27 +50,25 @@ OnlineNuevoMatch::~OnlineNuevoMatch() {
 
 const OnlineNuevoMatch::ChurnList OnlineNuevoMatch::kNoChurn{};
 
-const Classifier& OnlineNuevoMatch::Pin::base() const noexcept {
-  return l_->base_override != nullptr ? *l_->base_override : g_->nm.remainder();
-}
-
 const OnlineNuevoMatch::ChurnList& OnlineNuevoMatch::Pin::churn() const noexcept {
   return l_->churn != nullptr ? *l_->churn : kNoChurn;
 }
 
 MatchResult OnlineNuevoMatch::Pin::match(const Packet& p) const {
-  return g_->nm.match_with_floor(p, std::numeric_limits<int32_t>::max(), base(), churn());
+  return g_->nm.match_with_floor(p, std::numeric_limits<int32_t>::max(),
+                                 g_->nm.remainder(), churn());
 }
 
 void OnlineNuevoMatch::Pin::match_batch(std::span<const Packet> packets,
                                         std::span<MatchResult> out) const {
-  g_->nm.match_batch(packets, out, base(), churn());
+  g_->nm.match_batch(packets, out, g_->nm.remainder(), churn());
 }
 
 MatchResult OnlineNuevoMatch::match_with_floor(const Packet& p,
                                                int32_t priority_floor) const {
   const Pin pin{*this};
-  return pin.nm().match_with_floor(p, priority_floor, pin.base(), pin.churn());
+  return pin.nm().match_with_floor(p, priority_floor, pin.nm().remainder(),
+                                   pin.churn());
 }
 
 void OnlineNuevoMatch::match_batch(std::span<const Packet> packets,
@@ -74,7 +86,7 @@ void OnlineNuevoMatch::journal_locked(Op op) {
   }
 }
 
-bool OnlineNuevoMatch::insert_locked(const Rule& r, bool& churn_dirty) {
+bool OnlineNuevoMatch::insert_locked(const Rule& r) {
   // Ids are unique and priority INT32_MAX is the miss sentinel; see header.
   if (r.priority == std::numeric_limits<int32_t>::max() || live_loc_.contains(r.id))
     return false;
@@ -82,12 +94,10 @@ bool OnlineNuevoMatch::insert_locked(const Rule& r, bool& churn_dirty) {
   live_loc_.emplace(r.id, LiveInfo{Loc::kChurn, r.priority});
   ++migrated_;
   live_count_.fetch_add(1, std::memory_order_relaxed);
-  churn_dirty = true;
   return true;
 }
 
-bool OnlineNuevoMatch::erase_locked(uint32_t rule_id, bool& churn_dirty,
-                                    bool& base_dirty, uint32_t& bands) {
+bool OnlineNuevoMatch::erase_locked(uint32_t rule_id, uint32_t& bands) {
   const auto it = live_loc_.find(rule_id);
   if (it == live_loc_.end()) return false;
   // An erase of r can only change answers whose cached decision IS r (a
@@ -97,17 +107,16 @@ bool OnlineNuevoMatch::erase_locked(uint32_t rule_id, bool& churn_dirty,
   bands |= 1u << coherence_band(it->second.priority);
   switch (it->second.loc) {
     case Loc::kIset:
-      // In-place atomic tombstone: visible to readers immediately, no
-      // copy-on-write publication needed.
-      gen_owner_->nm.erase_in_isets(rule_id);
-      break;
     case Loc::kBaseRemainder:
-      erased_base_.insert(rule_id);
-      base_dirty = true;
+      // In-place atomic tombstone (iSet slot or TupleMerge alive byte):
+      // visible to readers immediately, no copy-on-write publication
+      // needed. erased_base_ keeps the base-remainder ids for the
+      // writer-side compositions (compose_rules_locked, with_stable_view).
+      gen_owner_->nm.erase_in_place(rule_id);
+      if (it->second.loc == Loc::kBaseRemainder) erased_base_.insert(rule_id);
       break;
     case Loc::kChurn:
       pending_churn_erases_.push_back(rule_id);
-      churn_dirty = true;
       break;
   }
   live_loc_.erase(it);
@@ -137,55 +146,33 @@ void OnlineNuevoMatch::bump_coherence(uint32_t bands) noexcept {
   }
 }
 
-std::shared_ptr<const Classifier> OnlineNuevoMatch::rebuild_base_locked() const {
-  // Generic base-remainder deletion: rebuild the engine over the surviving
-  // base rules via the configured factory. O(remainder) — the rare path
-  // (iSet deletions are O(1) tombstones, churn deletions O(delta)); a batch
-  // of base deletions pays for ONE rebuild.
-  std::vector<Rule> live;
-  live.reserve(base_rules_.size());
-  for (const Rule& r : base_rules_) {
-    if (!erased_base_.contains(r.id)) live.push_back(r);
-  }
-  auto eng = cfg_.base.remainder_factory();
-  eng->build(live);
-  return std::shared_ptr<const Classifier>(std::move(eng));
-}
-
-void OnlineNuevoMatch::publish_layer_locked(bool churn_dirty, bool base_dirty) {
+void OnlineNuevoMatch::publish_layer_locked() {
+  // Rebuild the flat delta: one merge pass over (previous delta minus this
+  // commit's erases) and (this commit's inserts, sorted). O(delta + burst)
+  // with memcpy-class constants — flat enough that per-commit cost stays
+  // negligible even at single-op commit rates, and independent of reader
+  // behavior (no grace period involved).
   auto fresh = std::make_shared<Layer>();
-  fresh->base_override =
-      base_dirty ? rebuild_base_locked() : layer_owner_->base_override;
-
-  if (!churn_dirty) {
-    fresh->churn = layer_owner_->churn;
-  } else {
-    // Rebuild the flat delta: one merge pass over (previous delta minus
-    // this commit's erases) and (this commit's inserts, sorted). O(delta +
-    // burst) with memcpy-class constants — flat enough that per-commit cost
-    // stays negligible even at single-op commit rates, and independent of
-    // reader behavior (no grace period involved).
-    const auto less = [](const Rule& a, const Rule& b) {
-      return a.priority != b.priority ? a.priority < b.priority : a.id < b.id;
-    };
-    std::sort(pending_inserts_.begin(), pending_inserts_.end(), less);
-    const std::unordered_set<uint32_t> dead(pending_churn_erases_.begin(),
-                                            pending_churn_erases_.end());
-    static const std::vector<Rule> kEmpty;
-    const std::vector<Rule>& old =
-        layer_owner_->churn != nullptr ? layer_owner_->churn->rules : kEmpty;
-    auto list = std::make_shared<ChurnList>();
-    list->rules.reserve(old.size() + pending_inserts_.size());
-    size_t j = 0;
-    for (const Rule& r : old) {
-      if (dead.contains(r.id)) continue;
-      while (j < pending_inserts_.size() && less(pending_inserts_[j], r))
-        list->rules.push_back(pending_inserts_[j++]);
-      list->rules.push_back(r);
-    }
-    for (; j < pending_inserts_.size(); ++j) list->rules.push_back(pending_inserts_[j]);
-    if (!list->rules.empty()) fresh->churn = std::move(list);
+  const auto less = [](const Rule& a, const Rule& b) {
+    return a.priority != b.priority ? a.priority < b.priority : a.id < b.id;
+  };
+  std::sort(pending_inserts_.begin(), pending_inserts_.end(), less);
+  const std::unordered_set<uint32_t> dead(pending_churn_erases_.begin(),
+                                          pending_churn_erases_.end());
+  static const std::vector<Rule> kEmpty;
+  const std::vector<Rule>& old =
+      layer_owner_->churn != nullptr ? layer_owner_->churn->rules : kEmpty;
+  auto list = std::make_shared<ChurnList>();
+  list->rules.reserve(old.size() + pending_inserts_.size());
+  size_t j = 0;
+  for (const Rule& r : old) {
+    if (dead.contains(r.id)) continue;
+    while (j < pending_inserts_.size() && less(pending_inserts_[j], r))
+      list->rules.push_back(pending_inserts_[j++]);
+    list->rules.push_back(r);
   }
+  for (; j < pending_inserts_.size(); ++j) list->rules.push_back(pending_inserts_[j]);
+  if (!list->rules.empty()) fresh->churn = std::move(list);
 
   // One seq_cst store publishes the whole commit; the superseded layer is
   // epoch-stamped and reclaimed once every pinned reader has moved on.
@@ -213,22 +200,23 @@ size_t OnlineNuevoMatch::insert_batch(std::span<const Rule> rules) {
     std::lock_guard lk{wmu_};
     pending_inserts_.clear();
     pending_churn_erases_.clear();
-    bool churn_dirty = false;
     int min_band = kCoherenceCatchAll;
     for (const Rule& r : rules) {
-      if (insert_locked(r, churn_dirty)) {
+      if (insert_locked(r)) {
         journal_locked(Op{Op::Kind::kInsert, r, r.id});
         min_band = std::min(min_band, coherence_band(r.priority));
         ++accepted;
       }
     }
-    if (churn_dirty) publish_layer_locked(churn_dirty, /*base_dirty=*/false);
-    // The commit is reader-visible; invalidate decision caches (the bump
-    // must follow the publication — coherence_stamp()'s contract). An
-    // insert of r only beats cached decisions with WORSE priority, so it
-    // marks r's band and every band above it — plus the catch-all, since
-    // a cached miss can become a hit.
-    if (accepted > 0) bump_coherence((0x1FFFFu << min_band) & 0x1FFFFu);
+    if (accepted > 0) {
+      publish_layer_locked();
+      // The commit is reader-visible; invalidate decision caches (the bump
+      // must follow the publication — coherence_stamp()'s contract). An
+      // insert of r only beats cached decisions with WORSE priority, so it
+      // marks r's band and every band above it — plus the catch-all, since
+      // a cached miss can become a hit.
+      bump_coherence((0x1FFFFu << min_band) & 0x1FFFFu);
+    }
     pressure = built_size_ > 0
                    ? static_cast<double>(migrated_) / static_cast<double>(built_size_)
                    : 0.0;
@@ -257,18 +245,16 @@ size_t OnlineNuevoMatch::erase_batch(std::span<const uint32_t> rule_ids) {
     std::lock_guard lk{wmu_};
     pending_inserts_.clear();
     pending_churn_erases_.clear();
-    bool churn_dirty = false;
-    bool base_dirty = false;
     uint32_t bands = 0;
     for (const uint32_t id : rule_ids) {
-      if (erase_locked(id, churn_dirty, base_dirty, bands)) {
+      if (erase_locked(id, bands)) {
         journal_locked(Op{Op::Kind::kErase, Rule{}, id});
         ++accepted;
       }
     }
-    // iSet tombstones are already visible in place; only churn/base changes
-    // need a copy-on-write publication.
-    if (churn_dirty || base_dirty) publish_layer_locked(churn_dirty, base_dirty);
+    // Tombstones are already visible in place; only churn changes need a
+    // copy-on-write publication.
+    if (!pending_churn_erases_.empty()) publish_layer_locked();
     // Tombstone-only erases mutated the live view too, so any accepted op
     // invalidates decision caches — but only the erased rules' OWN bands
     // (erase_locked's argument): cached decisions elsewhere provably stand.
@@ -424,6 +410,7 @@ void OnlineNuevoMatch::build(std::span<const Rule> rules) {
 }
 
 void OnlineNuevoMatch::adopt(NuevoMatch nm, uint64_t update_ops) {
+  require_tuplemerge(nm);
   publish_fresh(std::make_shared<Generation>(std::move(nm)), update_ops);
 }
 
@@ -510,7 +497,6 @@ void OnlineNuevoMatch::with_stable_view(
 size_t OnlineNuevoMatch::memory_bytes() const {
   const Pin v{*this};
   size_t bytes = v.g_->nm.memory_bytes();
-  if (v.l_->base_override != nullptr) bytes += v.l_->base_override->memory_bytes();
   if (v.l_->churn != nullptr) bytes += v.l_->churn->rules.size() * sizeof(Rule);
   return bytes;
 }

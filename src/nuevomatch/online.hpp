@@ -34,15 +34,20 @@
 //     for writers — the rwlock reader-preference starvation documented by
 //     bench_updates §(d) in PR 3 is gone by construction;
 //   * the generation's trained state is immutable between swaps. Updates
-//     publish through two reader-safe channels only: (1) iSet deletions
-//     flip an ATOMIC tombstone byte in place (monotone 1→0; a concurrent
-//     reader sees the rule either alive or dead, both linearizable), and
-//     (2) everything else lands in an immutable copy-on-write *layer* —
-//     a small delta engine holding churn inserts plus, after a base-
-//     remainder deletion, a replacement remainder engine. A commit builds
-//     the successor layer, publishes it with one release store, and
-//     retires the predecessor through epoch reclamation: it is freed only
-//     once every reader epoch has advanced past the commit;
+//     publish through two reader-safe channels only: (1) deleting a rule
+//     the generation was built with — whether it sits in an iSet or in the
+//     base remainder — flips an ATOMIC tombstone byte in place (monotone
+//     1→0; a concurrent reader sees the rule either alive or dead, both
+//     linearizable), and (2) churn — rules inserted since the swap, and
+//     their deletions — lands in an immutable copy-on-write *layer*. A
+//     commit builds the successor layer, publishes it with one release
+//     store, and retires the predecessor through epoch reclamation: it is
+//     freed only once every reader epoch has advanced past the commit.
+//     The base remainder must therefore be a TupleMerge (TupleSpaceSearch
+//     included), the one remainder whose deletion is a reader-safe byte
+//     flip (TupleMerge::tombstone). Tombstoned rules keep their table
+//     entries, which only makes TupleMerge's pruning conservative, until
+//     the next retrain builds a compact generation;
 //   * writers serialize on one writer-only mutex (never touched by the
 //     data path). A batch commit takes it once, appends its journal entries
 //     (a plain vector — the writer lock already orders writers), and
@@ -81,11 +86,13 @@ namespace nuevomatch {
 
 struct OnlineConfig {
   /// Configuration of every generation (initial build and each retrain).
-  /// base.remainder_factory must build an updatable engine (e.g. TupleMerge
-  /// or CutSplit): journal replay at swap time applies updates to the fresh
-  /// generation's remainder in place. (Between swaps, updates never touch
-  /// the live remainder — they go to the copy-on-write layer — so the
-  /// data-path requirement is only on the replay path.)
+  /// base.remainder_factory must build a TupleMerge (or TupleSpaceSearch);
+  /// the constructor throws std::invalid_argument otherwise. Between swaps
+  /// an erase of a base-remainder rule tombstones it in the live
+  /// remainder (TupleMerge::tombstone, safe against concurrent lookups),
+  /// and nothing is ever inserted into a published remainder: journal
+  /// replay inserts only into the fresh, unpublished generation.
+  /// Tombstoned rules are compacted away at the next retrain.
   NuevoMatchConfig base;
 
   /// Absorption ratio — rules routed to the update layer since the last
@@ -155,6 +162,8 @@ class OnlineNuevoMatch final : public Classifier {
   struct Generation;  // frozen trained index + published layer pointer
 
  public:
+  /// Throws std::invalid_argument unless cfg.base.remainder_factory builds
+  /// a TupleMerge (see OnlineConfig::base).
   explicit OnlineNuevoMatch(OnlineConfig cfg);
   ~OnlineNuevoMatch() override;
   OnlineNuevoMatch(const OnlineNuevoMatch&) = delete;
@@ -168,13 +177,14 @@ class OnlineNuevoMatch final : public Classifier {
   /// Install an already-built classifier as the live generation without
   /// retraining (the serializer's load path), with the applied-op counter
   /// set to `update_ops` (a checkpoint's saved count; 0 for a fresh
-  /// install). Same caveats as build().
+  /// install). Same caveats as build(); throws std::invalid_argument, and
+  /// installs nothing, unless nm's remainder is a TupleMerge.
   void adopt(NuevoMatch nm, uint64_t update_ops = 0);
 
   // --- data path (wait-free; safe from any number of threads) -------------
-  /// NuevoMatch's floored composition over one pinned view, with the update
-  /// layer (base remainder or its override, then the churn delta) as the
-  /// remainder stages; match() is this with no floor.
+  /// NuevoMatch's floored composition over one pinned view, with the base
+  /// remainder and then the churn delta as the remainder stages; match()
+  /// is this with no floor.
   [[nodiscard]] MatchResult match_with_floor(const Packet& p,
                                              int32_t priority_floor) const override;
   /// Batched lookup; out.size() must equal packets.size(). The whole batch
@@ -188,16 +198,18 @@ class OnlineNuevoMatch final : public Classifier {
   /// change (layers are immutable; commits publish successors the pin does
   /// not observe). Unlike the PR 3 rwlock pin, holding one does NOT stall
   /// writers — it only delays memory reclamation — so pins are cheap to
-  /// hold for a batch. Concurrent iSet tombstone flips remain visible
-  /// through a pin (they are in-place and atomic); every existing
+  /// hold for a batch. Concurrent tombstone flips (iSet or base remainder)
+  /// remain visible through a pin (they are in-place and atomic); every
+  /// existing
   /// batch==scalar invariant is preserved because both paths read the same
   /// flags. match_batch() takes one Pin per call — per-batch generation
   /// pinning (DESIGN.md "Update path").
   class Pin {
    public:
     /// The pinned generation's frozen trained index (iSets + base
-    /// remainder). NOTE: lookups against nm() alone ignore the update
-    /// layer; use match()/match_batch() for the full online answer.
+    /// remainder, tombstones included). NOTE: lookups against nm() alone
+    /// ignore the churn delta; use match()/match_batch() for the full
+    /// online answer.
     [[nodiscard]] const NuevoMatch& nm() const noexcept { return g_->nm; }
     /// Sequence number of the pinned generation (1 = first publication).
     [[nodiscard]] uint64_t generation() const noexcept { return g_->seq; }
@@ -216,8 +228,6 @@ class OnlineNuevoMatch final : public Classifier {
 
    private:
     friend class OnlineNuevoMatch;
-    /// The pinned update layer as NuevoMatch's remainder stages.
-    [[nodiscard]] const Classifier& base() const noexcept;
     [[nodiscard]] const ChurnList& churn() const noexcept;
     // Both protected loads are seq_cst: the epoch protocol's Dekker
     // argument (epoch.hpp) needs them ordered after the slot CAS in the
@@ -402,9 +412,6 @@ class OnlineNuevoMatch final : public Classifier {
   /// it builds a successor from the writer's pending state and publishes it
   /// with one release store; readers hold whichever layer they pinned.
   struct Layer {
-    /// Replacement for the generation's base remainder engine after a
-    /// base-remainder deletion; null = use the generation's own.
-    std::shared_ptr<const Classifier> base_override;
     /// The churn delta since the last swap; null while no churn is pending
     /// (readers then scan kNoChurn, which is empty).
     std::shared_ptr<const ChurnList> churn;
@@ -412,7 +419,8 @@ class OnlineNuevoMatch final : public Classifier {
 
   /// One published generation: a frozen trained index plus the current
   /// update layer. nm is never structurally mutated after publication; the
-  /// only in-place writes are the iSets' atomic tombstone bytes.
+  /// only in-place writes are the atomic tombstone bytes of its iSets and
+  /// of its TupleMerge remainder.
   struct Generation {
     NuevoMatch nm;
     std::atomic<const Layer*> layer{nullptr};
@@ -440,17 +448,15 @@ class OnlineNuevoMatch final : public Classifier {
   };
 
   // Writer-side commit machinery; all *_locked functions require wmu_.
-  bool insert_locked(const Rule& r, bool& churn_dirty);
+  bool insert_locked(const Rule& r);
   /// `bands` accumulates the coherence-band bitmask this erase invalidates.
-  bool erase_locked(uint32_t rule_id, bool& churn_dirty, bool& base_dirty,
-                    uint32_t& bands);
+  bool erase_locked(uint32_t rule_id, uint32_t& bands);
   /// Bump the global coherence counter once and mark every band in `bands`
   /// (bit b = band b, bit kCoherenceCatchAll = the miss band) with the
   /// post-bump value. Must run AFTER the commit is reader-visible.
   void bump_coherence(uint32_t bands) noexcept;
-  void publish_layer_locked(bool churn_dirty, bool base_dirty);
+  void publish_layer_locked();
   void journal_locked(Op op);
-  [[nodiscard]] std::shared_ptr<const Classifier> rebuild_base_locked() const;
   [[nodiscard]] std::vector<Rule> compose_rules_locked() const;
   void install_generation_locked(std::shared_ptr<Generation> fresh);
 

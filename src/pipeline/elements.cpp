@@ -446,32 +446,6 @@ std::string Sink::report() const {
              record_ ? " (recorded)" : "");
 }
 
-// --- PcapSink ---------------------------------------------------------------
-
-PcapSink::PcapSink(const std::string& path, PcapWriterOptions opts)
-    : writer_(std::make_unique<PcapWriter>(path, opts)) {
-  if (!writer_->ok()) throw std::runtime_error(writer_->error());
-}
-
-void PcapSink::process(Burst& b) {
-  for (uint32_t i = 0; i < b.size; ++i)
-    writer_->write(b.ts_ns[i], synthesize_frame(b.pkt[i]));
-  packets_ += b.size;
-  forward(b);
-}
-
-void PcapSink::finish() {
-  if (writer_ != nullptr) {
-    if (!writer_->ok()) throw std::runtime_error(writer_->error());
-    writer_->close();
-  }
-}
-
-std::string PcapSink::report() const {
-  return fmt("pcap sink: %llu frames written",
-             static_cast<unsigned long long>(packets_));
-}
-
 // --- ScopedEngineDonor ------------------------------------------------------
 
 namespace {
@@ -563,11 +537,6 @@ std::unique_ptr<Element> make_sink(const std::vector<std::string>& a) {
   usage("Sink([record])");
 }
 
-std::unique_ptr<Element> make_pcap_sink(const std::vector<std::string>& a) {
-  if (a.size() != 1) usage("PcapSink(file.pcap)");
-  return std::make_unique<PcapSink>(a[0]);
-}
-
 }  // namespace
 
 void register_builtin_elements() {
@@ -579,7 +548,6 @@ void register_builtin_elements() {
     register_element("Dispatch", make_dispatch);
     register_element("Counter", make_counter);
     register_element("Sink", make_sink);
-    register_element("PcapSink", make_pcap_sink);
     return true;
   }();
   (void)once;

@@ -19,8 +19,6 @@
 //   Counter([label])                      count packets passing through
 //   Sink([record])                        terminal drop + stats; `record`
 //                                         keeps (index, decision) per packet
-//   PcapSink(file.pcap)                   write synthesized frames, then
-//                                         forward (a tap, not a terminal)
 //
 // Every element also has a programmatic constructor; benches and tests
 // build graphs without config text and attach pre-built engines
@@ -268,19 +266,6 @@ class ScopedEngineDonor {
 
  private:
   const ClassifierElement* prev_;
-};
-
-class PcapSink final : public Element {
- public:
-  explicit PcapSink(const std::string& path, PcapWriterOptions opts = {});
-  [[nodiscard]] std::string_view kind() const override { return "PcapSink"; }
-  void process(Burst& b) override;
-  void finish() override;
-  [[nodiscard]] std::string report() const override;
-
- private:
-  std::unique_ptr<PcapWriter> writer_;
-  uint64_t packets_ = 0;
 };
 
 }  // namespace nuevomatch::pipeline

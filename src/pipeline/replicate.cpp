@@ -170,7 +170,16 @@ bool ReplicatedGraph::quarantine_replica(uint32_t idx,
   //    completion and park on the paused gate. (The pumping_/paused_ pair
   //    is seq_cst: a pump either sees paused and backs out, or its
   //    increment is seen here and we wait it out — never neither.)
+  //    Every exit from here on, the throwing ones included, clears the
+  //    gate and wakes the threads parked on it.
   paused_.store(true, std::memory_order_seq_cst);
+  struct Unpause {
+    std::atomic<bool>& paused;
+    ~Unpause() {
+      paused.store(false, std::memory_order_seq_cst);
+      paused.notify_all();
+    }
+  } const unpause{paused_};
   while (pumping_.load(std::memory_order_seq_cst) != 0)
     std::this_thread::yield();
 
@@ -244,7 +253,6 @@ bool ReplicatedGraph::quarantine_replica(uint32_t idx,
             std::chrono::steady_clock::now() - start)
             .count());
   }
-  paused_.store(false, std::memory_order_seq_cst);
   return rejoining;
 }
 
@@ -306,8 +314,6 @@ uint64_t ReplicatedGraph::run(const ReplicatedRunOptions& opts) {
   // One step of replica i. Throws whatever the step (or the
   // pipeline.task.fire failpoint at its seam) throws.
   const auto step = [&](uint32_t i) -> Step {
-    if (failpoint::should_fire(failpoint::kPipelineTaskFire))
-      throw std::runtime_error("injected: pipeline.task.fire");
     // Pump accounting brackets the step so the quarantine path can
     // quiesce: increment FIRST, then check the gate (seq_cst pairs with
     // quarantine_replica's store/load order).
@@ -323,6 +329,10 @@ uint64_t ReplicatedGraph::run(const ReplicatedRunOptions& opts) {
     uint64_t pumped = 0;
     bool more = false;
     try {
+      // Evaluated only by steps that passed the gate, so an nth:N trigger
+      // counts real steps, not the turned-back ones of a recovery ladder.
+      if (failpoint::should_fire(failpoint::kPipelineTaskFire))
+        throw std::runtime_error("injected: pipeline.task.fire");
       more = graphs_[i].step(&pumped);
     } catch (...) {
       pumping_.fetch_sub(1, std::memory_order_release);
@@ -373,8 +383,9 @@ uint64_t ReplicatedGraph::run(const ReplicatedRunOptions& opts) {
   };
 
   // Thread `tid` steps replicas tid, tid + n_threads, ... one step each per
-  // turn, until every one of them is done or quarantined for good. It
-  // yields when all of them were turned back by a quarantine's pause.
+  // turn, until every one of them is done or quarantined for good. When all
+  // of them were turned back by a quarantine's pause, it parks on the pause
+  // flag until the ladder clears it.
   const auto thread_loop = [&](uint32_t tid) {
     try {
       uint32_t live = 0;
@@ -400,7 +411,7 @@ uint64_t ReplicatedGraph::run(const ReplicatedRunOptions& opts) {
           if (st == Step::kDone) r.phase = TaskPhase::kDone;
           if (r.phase != TaskPhase::kRunnable) --live;
         }
-        if (all_paused) std::this_thread::yield();
+        if (all_paused) paused_.wait(true, std::memory_order_seq_cst);
       }
     } catch (...) {
       escalate();  // the supervision bookkeeping itself failed

@@ -214,7 +214,9 @@ class ReplicatedGraph {
   /// the pause — so the second quarantine must wait out the first
   /// entirely, not interleave with it.
   std::mutex recovery_mu_;
-  std::atomic<bool> paused_{false};    ///< quiesce gate for replica pumps
+  /// Quiesce gate for replica pumps; a thread whose replicas were all
+  /// turned back by it parks on it (atomic wait) until the ladder clears it.
+  std::atomic<bool> paused_{false};
   std::atomic<uint32_t> pumping_{0};   ///< pumps currently in flight
   mutable std::mutex health_mu_;
   std::vector<ReplicaHealth> rhealth_;       // guarded by health_mu_

@@ -1,7 +1,8 @@
 // Libpcap-free pcap file I/O + header parsing for the dataplane pipeline
 // (src/pipeline): PcapSource reads capture files straight into the repo's
-// five-tuple Packet model, PcapSink writes synthesized frames back out, and
-// the golden-trace CI smoke runs the router example over a checked-in file.
+// five-tuple Packet model, PcapWriter / write_pcap write synthesized frames
+// back out, and the golden-trace CI smoke runs the router example over a
+// checked-in file.
 //
 // Format coverage (the classic fixed-header container, not pcapng):
 //

@@ -1,6 +1,7 @@
 #include "tuplemerge/tuple_table.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <unordered_map>
 
 #include "common/prefix.hpp"
@@ -167,16 +168,22 @@ void TupleTable::probe_best(const Packet& p, std::span<const Rule> rules,
   std::array<uint32_t, kNumFields> key{};
   for (int f = 0; f < kNumFields; ++f)
     key[static_cast<size_t>(f)] = mask_field(p[f], f, mask_.len[static_cast<size_t>(f)]);
+  // The alive byte may be cleared concurrently (TupleMerge::tombstone), so
+  // it is read through a relaxed atomic_ref: still one byte load.
+  const auto live = [&](uint32_t pos) {
+    return std::atomic_ref<uint8_t>(const_cast<uint8_t&>(alive[pos]))
+               .load(std::memory_order_relaxed) != 0;
+  };
   const size_t b = bucket_of(key);
   for (uint32_t i = heads_[b], c = 0; c < counts_[b]; ++i, ++c) {
     const Entry& e = entries_[i];
     if (e.rank >= best) break;  // bucket sorted by rank
     if (e.rule_pos == kDead || e.key != key) continue;
-    if (alive[e.rule_pos] && rules[e.rule_pos].matches(p)) best = e.rank;
+    if (live(e.rule_pos) && rules[e.rule_pos].matches(p)) best = e.rank;
   }
   for (const Entry& e : overflow_) {
     if (e.rank >= best || e.key != key) continue;
-    if (alive[e.rule_pos] && rules[e.rule_pos].matches(p)) best = e.rank;
+    if (live(e.rule_pos) && rules[e.rule_pos].matches(p)) best = e.rank;
   }
 }
 

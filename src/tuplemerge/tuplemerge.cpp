@@ -1,27 +1,13 @@
 #include "tuplemerge/tuplemerge.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/mem.hpp"
 
 namespace nuevomatch {
 
 TupleMerge::TupleMerge(TupleMergeConfig cfg) : cfg_(cfg) {}
-
-TupleMerge::TupleMerge(const TupleMerge& o)
-    : cfg_(o.cfg_),
-      rules_(o.rules_),
-      alive_(o.alive_),
-      pos_by_id_(o.pos_by_id_),
-      live_rules_(o.live_rules_) {
-  tables_.reserve(o.tables_.size());
-  for (const auto& t : o.tables_) tables_.push_back(std::make_unique<TupleTable>(*t));
-}
-
-TupleMerge& TupleMerge::operator=(const TupleMerge& o) {
-  if (this != &o) *this = TupleMerge{o};  // copy-construct, then move-assign
-  return *this;
-}
 
 namespace {
 
@@ -159,6 +145,13 @@ bool TupleMerge::erase(uint32_t rule_id) {
     }
   }
   return false;
+}
+
+bool TupleMerge::tombstone(uint32_t rule_id) noexcept {
+  const auto it = pos_by_id_.find(rule_id);
+  if (it == pos_by_id_.end() || alive_[it->second] == 0) return false;
+  std::atomic_ref<uint8_t>(alive_[it->second]).store(0, std::memory_order_relaxed);
+  return true;
 }
 
 size_t TupleMerge::memory_bytes() const {

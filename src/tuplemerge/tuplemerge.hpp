@@ -19,7 +19,8 @@
 // bound, so equal-priority rules resolve to the smaller id exactly as
 // LinearSearch does. Hash tables support O(1) rule insertion/deletion,
 // which is why the paper uses tm as the updatable remainder backend
-// (Section 3.9).
+// (Section 3.9). tombstone() is the reader-safe form of deletion that
+// OnlineNuevoMatch applies to a published generation's remainder.
 #pragma once
 
 #include <memory>
@@ -49,13 +50,6 @@ struct TupleMergeConfig {
 class TupleMerge : public Classifier {
  public:
   explicit TupleMerge(TupleMergeConfig cfg = {});
-  /// Deep copy (tables are cloned). The online engine's copy-on-write
-  /// update layers publish cheap clones of a writer-private mirror, so the
-  /// instance readers see is never mutated in place.
-  TupleMerge(const TupleMerge& o);
-  TupleMerge& operator=(const TupleMerge& o);
-  TupleMerge(TupleMerge&&) noexcept = default;
-  TupleMerge& operator=(TupleMerge&&) noexcept = default;
 
   void build(std::span<const Rule> rules) override;
   [[nodiscard]] MatchResult match_with_floor(const Packet& p,
@@ -68,6 +62,16 @@ class TupleMerge : public Classifier {
   /// O(1) id lookup + hash-bucket removal. Falls back to a linear scan when
   /// the id is not in the map (duplicate-id inserts keep first-wins there).
   bool erase(uint32_t rule_id) override;
+  /// Deletion safe against concurrent match_with_floor(): one relaxed
+  /// atomic store clears the rule's alive byte, which every probe reads
+  /// before it checks a candidate. Nothing else changes — pos_by_id_, the
+  /// tables and their best ranks stay as they are (a dead entry only makes
+  /// the table order and the bucket early exit conservative), so size()
+  /// and memory_bytes() keep counting the rule until the next build().
+  /// The caller must guarantee no insert() runs concurrently with readers:
+  /// one would grow rules_/alive_ under them. Returns false for an unknown
+  /// or already-dead id.
+  bool tombstone(uint32_t rule_id) noexcept;
 
   [[nodiscard]] size_t memory_bytes() const override;
   [[nodiscard]] size_t size() const override { return live_rules_; }
@@ -87,7 +91,7 @@ class TupleMerge : public Classifier {
 
   TupleMergeConfig cfg_;
   std::vector<Rule> rules_;                // rule bodies (not counted as index)
-  std::vector<uint8_t> alive_;
+  std::vector<uint8_t> alive_;  // 1 live, 0 erased; see tombstone()
   std::unordered_map<uint32_t, uint32_t> pos_by_id_;  // first-wins on dup ids
   size_t live_rules_ = 0;
   std::vector<std::unique_ptr<TupleTable>> tables_;  // sorted by best rank

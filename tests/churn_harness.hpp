@@ -45,7 +45,6 @@
 #include "classifiers/linear.hpp"
 #include "common/failpoint.hpp"
 #include "common/rng.hpp"
-#include "cutsplit/cutsplit.hpp"
 #include "nuevomatch/online.hpp"
 #include "pipeline/flow_cache.hpp"
 #include "pipeline/replicate.hpp"
@@ -134,18 +133,14 @@ struct ChurnConfig {
   /// generation swaps have been published, so every configuration exercises
   /// the snapshot → journal → merge → swap cycle even with auto-retrain off.
   uint64_t min_swaps = 3;
-  /// Remainder engine behind the online classifier: TupleMerge (default) or
-  /// CutSplit — the two §3.9 remainder backends, with very different
-  /// base-deletion internals for the layer's rebuild path to chew on.
-  bool cutsplit_remainder = false;
 };
 
 /// Fuzzer mode (ROADMAP "Churn harness as a fuzzer"): one seeded draw of the
-/// whole knob space — rule-set shape, writer/reader mix, retrain policy,
-/// remainder engine. A long-running loop over successive draws
-/// (tests/test_churn.cpp, ChurnFuzzer; iterations via
-/// NM_CHURN_FUZZ_ITERS, base seed via NM_CHURN_FUZZ_SEED) turns the harness
-/// into an overnight concurrency fuzzer; the TSAN CI leg runs a short smoke
+/// whole knob space — rule-set shape, writer/reader mix, retrain policy.
+/// A long-running loop over successive draws (tests/test_churn.cpp,
+/// ChurnFuzzer; iterations via NM_CHURN_FUZZ_ITERS, base seed via
+/// NM_CHURN_FUZZ_SEED) turns the harness into an overnight concurrency
+/// fuzzer; the TSAN CI leg runs a short smoke
 /// slice of the same loop on every PR.
 [[nodiscard]] inline ChurnConfig randomized_churn_config(Rng& rng) {
   ChurnConfig c;
@@ -167,7 +162,6 @@ struct ChurnConfig {
   c.retrain_threshold = kThresholds[rng.below(4)];
   c.auto_retrain = rng.chance(0.5);
   c.min_swaps = rng.between(1, 3);
-  c.cutsplit_remainder = rng.chance(0.35);
   c.n_cache_readers = static_cast<int>(rng.between(0, 2));
   if (rng.chance(0.5)) {
     c.n_replica_readers = 1;
@@ -250,11 +244,7 @@ class ChurnHarness {
   /// config (up to thread interleaving, which the invariants absorb).
   ChurnResult run() {
     OnlineConfig ocfg;
-    if (cfg_.cutsplit_remainder) {
-      ocfg.base.remainder_factory = [] { return std::make_unique<CutSplit>(); };
-    } else {
-      ocfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
-    }
+    ocfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
     ocfg.base.min_iset_coverage = 0.05;
     ocfg.retrain_threshold = cfg_.retrain_threshold;
     ocfg.auto_retrain = cfg_.auto_retrain;

@@ -70,9 +70,8 @@ INSTANTIATE_TEST_SUITE_P(
         ChurnCase{33, 1.0, false}));
 
 // Fuzzer mode: seeded draws over the whole knob space — rule-set shape,
-// writer/reader mix, retrain policy, TupleMerge vs CutSplit
-// remainder. Every draw must satisfy the same invariants as the fixed sweep
-// above. Defaults to a 2-iteration smoke slice (what the TSAN CI leg runs on
+// writer/reader mix, retrain policy. Every draw must satisfy the same
+// invariants as the fixed sweep above. Defaults to a 2-iteration smoke slice (what the TSAN CI leg runs on
 // every PR); an overnight run is
 //   NM_CHURN_FUZZ_ITERS=500 [NM_CHURN_FUZZ_SEED=...] ./test_churn \
 //       --gtest_filter='ChurnFuzzer.*'
@@ -90,8 +89,7 @@ TEST(ChurnFuzzer, EnvSeededRandomizedConfigs) {
                  << static_cast<int>(cfg.app) << "/" << cfg.app_variant << " n "
                  << cfg.n_rules << " w " << cfg.n_writers << " r "
                  << cfg.n_scalar_readers << "+" << cfg.n_batch_readers << " thr "
-                 << cfg.retrain_threshold << (cfg.auto_retrain ? " auto" : " manual")
-                 << (cfg.cutsplit_remainder ? " cutsplit" : " tuplemerge"));
+                 << cfg.retrain_threshold << (cfg.auto_retrain ? " auto" : " manual"));
     ChurnHarness harness{cfg};
     ASSERT_GT(harness.core().packets.size(), 0u);
     const ChurnResult res = harness.run();

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <latch>
 #include <memory>
 #include <string>
@@ -338,6 +339,44 @@ TEST(ReplicatedRecovery, ConcurrentReplicaCrashesSerializeAndLoseNothing) {
   EXPECT_EQ(quarantines, 2u);
   EXPECT_EQ(rejoins, 2u);
   EXPECT_EQ(h.rejoin_failures, 0u);
+}
+
+// Two nth:N crashes in one supervised run, on two replica threads. The
+// pipeline.task.fire point is evaluated only by steps that pass the pause
+// gate, and a thread whose replicas were all turned back parks until the
+// ladder clears the gate. So however long a ladder runs, it turns back at
+// most one step of the replica on the other thread, and the second
+// trigger, armed once the first has fired, lands on its 5th real step.
+TEST(ReplicatedRecovery, NthCrashesLandOnStepsPastThePauseGate) {
+  const ReplicatedFixture fx(57, 8'000);
+  ReplicatedGraph rg = fx.make_graph(2);
+  const failpoint::Scoped crash(failpoint::kPipelineTaskFire,
+                                failpoint::Trigger::nth(3));
+  std::atomic<bool> rearmed{false};
+  ReplicatedRunOptions opts;
+  opts.threads = 2;
+  opts.policy = SupervisorPolicy::kQuarantine;
+  opts.tick = [&](uint64_t) {
+    if (!rearmed.load() && failpoint::fires(failpoint::kPipelineTaskFire) == 1 &&
+        !rearmed.exchange(true))
+      failpoint::arm(failpoint::kPipelineTaskFire, failpoint::Trigger::nth(5));
+  };
+  const uint64_t total = rg.run(opts);
+
+  EXPECT_EQ(total, fx.trace.size());
+  fx.check_records(rg.merged_records(), /*complete=*/true);
+  ASSERT_TRUE(rearmed.load());
+  EXPECT_EQ(failpoint::fires(failpoint::kPipelineTaskFire), 1u)
+      << "the second trigger never fired";
+  const PipelineHealth h = rg.health();
+  EXPECT_EQ(h.runtime.quarantines, 2u);
+  for (const ReplicaHealth& r : h.replicas)
+    EXPECT_NE(r.state, ReplicaHealth::State::kQuarantined);
+  // One turned-back step per ladder at most: the other thread parks.
+  EXPECT_LE(rg.last_stats().idle_fires, 2u);
+  EXPECT_EQ(rg.last_stats().fires,
+            rg.last_stats().worked + rg.last_stats().idle_fires + 2 /*crashes*/ +
+                2 /*end-of-stream steps*/);
 }
 
 // Crash mid-burst instead (pipeline.push, inside element forwarding): the

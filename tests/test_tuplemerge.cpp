@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <limits>
+#include <thread>
 #include <vector>
 
 #include "classbench/generator.hpp"
@@ -83,7 +87,24 @@ TEST(TupleMerge, InsertThenMatch) {
   EXPECT_EQ(tm.size(), rules.size() + 1);
 }
 
-TEST(TupleMerge, EraseRemovesOnlyTarget) {
+// The two deletion paths: erase() restructures the tables; tombstone()
+// only clears the rule's alive byte (the online engine's reader-safe form).
+// Each erase test below runs through both.
+enum class ErasePath { kErase, kTombstone };
+
+bool erase_via(TupleMerge& tm, uint32_t id, ErasePath path) {
+  return path == ErasePath::kErase ? tm.erase(id) : tm.tombstone(id);
+}
+
+class TupleMergeErase : public ::testing::TestWithParam<ErasePath> {};
+
+INSTANTIATE_TEST_SUITE_P(Paths, TupleMergeErase,
+                         ::testing::Values(ErasePath::kErase, ErasePath::kTombstone),
+                         [](const auto& info) {
+                           return info.param == ErasePath::kErase ? "erase" : "tombstone";
+                         });
+
+TEST_P(TupleMergeErase, EraseRemovesOnlyTarget) {
   RuleSet rules = generate_classbench(AppClass::kFw, 2, 800, 10);
   TupleMerge tm;
   tm.build(rules);
@@ -93,7 +114,7 @@ TEST(TupleMerge, EraseRemovesOnlyTarget) {
   Rng rng{11};
   for (int i = 0; i < 50; ++i) {
     const auto victim = static_cast<uint32_t>(rng.below(rules.size()));
-    const bool a = tm.erase(victim);
+    const bool a = erase_via(tm, victim, GetParam());
     const bool b = oracle.erase(victim);
     EXPECT_EQ(a, b);
   }
@@ -110,7 +131,9 @@ TEST(TupleMerge, EraseRemovesOnlyTarget) {
 // rule raises that table's best_priority, and the table array must be
 // re-sorted or match_with_floor's early-termination break skips later
 // tables that still hold better matches — plain match() misses live rules.
-TEST(TupleMerge, EraseOfTableBestKeepsFloorSearchExact) {
+// A tombstone leaves best_priority at the dead rule's, which keeps the
+// order conservative instead.
+TEST_P(TupleMergeErase, EraseOfTableBestKeepsFloorSearchExact) {
   const RuleSet rules = generate_classbench(AppClass::kAcl, 1, 1200, 51);
   TupleMerge tm;
   tm.build(rules);
@@ -128,13 +151,84 @@ TEST(TupleMerge, EraseOfTableBestKeepsFloorSearchExact) {
   tc.seed = 52;
   const auto trace = generate_trace(rules, tc);
   for (size_t i = 0; i < 60; ++i) {
-    ASSERT_EQ(tm.erase(order[i]), oracle.erase(order[i]));
+    ASSERT_EQ(erase_via(tm, order[i], GetParam()), oracle.erase(order[i]));
     for (const Packet& p : trace) {
       ASSERT_EQ(tm.match(p).rule_id, oracle.match(p).rule_id)
           << "after erasing the " << i << " best rules: " << to_string(p);
     }
     expect_floor_consistency(tm, rules, 60 + i);
   }
+}
+
+// tombstone() races lookups: reader threads run match_with_floor while a
+// writer tombstones the best rules one at a time. A flip is one byte store
+// the probes read atomically, so every answer is LinearSearch's answer
+// with some prefix of the flips applied — one no earlier than the flips
+// published before the lookup began, none later than the flip in flight
+// when it ended. Runs under the TSAN CI leg.
+TEST(TupleMerge, TombstoneRacesLookups) {
+  const RuleSet rules =
+      with_tied_priorities(generate_classbench(AppClass::kAcl, 1, 1500, 70), 200, 71);
+  TupleMerge tm;
+  tm.build(rules);
+  TraceConfig tc;
+  tc.n_packets = 400;
+  tc.seed = 72;
+  const auto trace = generate_trace(rules, tc);
+
+  // Victims: the best rules first, so most flips change some answer.
+  constexpr size_t kFlips = 48;
+  std::vector<Rule> victims(rules.begin(), rules.end());
+  std::sort(victims.begin(), victims.end(), [](const Rule& a, const Rule& b) {
+    return MatchResult{static_cast<int32_t>(a.id), a.priority}.beats(
+        MatchResult{static_cast<int32_t>(b.id), b.priority});
+  });
+  victims.resize(kFlips);
+  // expected[k][i]: the answer for trace[i] after the first k flips.
+  std::vector<std::vector<int32_t>> expected(kFlips + 1);
+  LinearSearch oracle;
+  oracle.build(rules);
+  for (size_t k = 0; k <= kFlips; ++k) {
+    if (k > 0) ASSERT_TRUE(oracle.erase(victims[k - 1].id));
+    for (const Packet& p : trace) expected[k].push_back(oracle.match(p).rule_id);
+  }
+
+  std::atomic<size_t> flips{0};
+  std::atomic<bool> done{false};
+  std::atomic<size_t> bad{0};
+  std::atomic<size_t> lookups{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      size_t i = static_cast<size_t>(t);
+      while (!done.load(std::memory_order_acquire)) {
+        i = (i + 1) % trace.size();
+        const size_t lo = flips.load(std::memory_order_acquire);
+        const int32_t got =
+            tm.match_with_floor(trace[i], std::numeric_limits<int32_t>::max()).rule_id;
+        const size_t hi = std::min(kFlips, flips.load(std::memory_order_acquire) + 1);
+        bool ok = false;
+        for (size_t k = lo; k <= hi && !ok; ++k) ok = got == expected[k][i];
+        if (!ok) bad.fetch_add(1, std::memory_order_relaxed);
+        lookups.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (size_t k = 0; k < kFlips; ++k) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    ASSERT_TRUE(tm.tombstone(victims[k].id));
+    flips.store(k + 1, std::memory_order_release);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  done.store(true, std::memory_order_release);
+  for (std::thread& r : readers) r.join();
+  EXPECT_EQ(bad.load(), 0u) << "of " << lookups.load() << " lookups";
+  EXPECT_GT(lookups.load(), 0u);
+  // A second flip of the same rule is refused, and the final state is the
+  // oracle's.
+  EXPECT_FALSE(tm.tombstone(victims[0].id));
+  for (size_t i = 0; i < trace.size(); ++i)
+    ASSERT_EQ(tm.match(trace[i]).rule_id, expected[kFlips][i]) << to_string(trace[i]);
 }
 
 TEST(TupleMerge, SupportsUpdatesFlag) {

@@ -4,6 +4,7 @@
 // through arbitrary update sequences.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -17,8 +18,10 @@
 #include "classifiers/linear.hpp"
 #include "common/failpoint.hpp"
 #include "common/rng.hpp"
+#include "cutsplit/cutsplit.hpp"
 #include "nuevomatch/nuevomatch.hpp"
 #include "nuevomatch/online.hpp"
+#include "oracle_check.hpp"
 #include "serialize/serialize.hpp"
 #include "trace/trace.hpp"
 #include "trace/verification.hpp"
@@ -683,6 +686,114 @@ TEST(OnlineUpdates, SerializeRoundTripWithPendingRemainderRules) {
   tc.seed = 31;
   for (const Packet& p : generate_trace(rules, tc))
     ASSERT_EQ(back->match(p).rule_id, nm.match(p).rule_id) << to_string(p);
+}
+
+// Erases of every kind of live rule — iSet rules and base-remainder rules
+// (both in-place tombstones in the live generation) and churn rules (the
+// copy-on-write delta) — against LinearSearch, per key and batched. Rule
+// bodies are shared across the three places with tied priorities, so
+// answers hinge on the id tie-break: churn copies with a smaller id beat
+// their base twin, copies with a larger id lose to it until it is erased.
+TEST(OnlineUpdates, EraseAcrossIsetsBaseRemainderAndChurnMatchesLinearSearch) {
+  constexpr uint32_t kIdShift = 50'000;  // leaves room for smaller churn ids
+  RuleSet rules =
+      testing_support::with_tied_priorities(generate_classbench(AppClass::kAcl, 1, 3000, 90),
+                                            40, 91);
+  for (Rule& r : rules) r.id += kIdShift;
+  OnlineNuevoMatch online{make_online_cfg(/*threshold=*/1.0, /*auto_retrain=*/false)};
+  online.build(rules);
+  LinearSearch oracle;
+  oracle.build(rules);
+
+  std::vector<uint32_t> iset_ids;
+  std::vector<Rule> base;
+  {
+    const auto pin = online.pin();
+    for (const IsetIndex& is : pin.nm().isets())
+      for (size_t i = 0; i < is.size(); ++i) iset_ids.push_back(is.rule(i).id);
+    base = pin.nm().remainder_rules();
+  }
+  ASSERT_GE(iset_ids.size(), 60u);
+  ASSERT_GE(base.size(), 60u);
+
+  // Churn: twins of base-remainder and iSet rules at the same priority.
+  Rng rng{92};
+  std::vector<uint32_t> churn_ids;
+  for (uint32_t k = 0; k < 120; ++k) {
+    Rule twin = base[rng.below(base.size())];
+    if (k % 3 == 0) {
+      const uint32_t id = iset_ids[rng.below(iset_ids.size())];
+      twin = *std::find_if(rules.begin(), rules.end(),
+                           [&](const Rule& r) { return r.id == id; });
+    }
+    twin.id = k % 2 == 0 ? k : 200'000 + k;  // wins / loses the tie
+    ASSERT_TRUE(online.insert(twin));
+    ASSERT_TRUE(oracle.insert(twin));
+    churn_ids.push_back(twin.id);
+  }
+
+  TraceConfig tc;
+  tc.n_packets = 3000;
+  tc.seed = 93;
+  const auto trace = generate_trace(rules, tc);
+  const auto expect_oracle = [&](const char* when) {
+    std::vector<MatchResult> batched(trace.size());
+    online.match_batch(trace, batched);
+    for (size_t i = 0; i < trace.size(); ++i) {
+      const MatchResult want = oracle.match(trace[i]);
+      ASSERT_EQ(online.match(trace[i]).rule_id, want.rule_id)
+          << when << ": " << to_string(trace[i]);
+      ASSERT_EQ(batched[i].rule_id, want.rule_id) << when << " (batched)";
+    }
+    EXPECT_EQ(online.size(), oracle.size()) << when;
+  };
+  expect_oracle("after churn inserts");
+
+  // 40 of each, iSet and base erases alternating with churn erases, part
+  // through erase_batch (one commit) and part one by one.
+  std::vector<uint32_t> victims;
+  for (size_t k = 0; k < 40; ++k) {
+    victims.push_back(iset_ids[(k * 7919) % iset_ids.size()]);
+    victims.push_back(base[(k * 104729) % base.size()].id);
+    victims.push_back(churn_ids[k * 3 % churn_ids.size()]);
+  }
+  std::sort(victims.begin(), victims.end());
+  victims.erase(std::unique(victims.begin(), victims.end()), victims.end());
+  const size_t half = victims.size() / 2;
+  EXPECT_EQ(online.erase_batch(std::span(victims).first(half)), half);
+  for (size_t k = half; k < victims.size(); ++k) ASSERT_TRUE(online.erase(victims[k]));
+  for (const uint32_t id : victims) ASSERT_TRUE(oracle.erase(id));
+  expect_oracle("after erases");
+  // A second erase of any of them is refused.
+  for (const uint32_t id : victims) EXPECT_FALSE(online.erase(id)) << id;
+
+  // The base-remainder erases left the live remainder engine in place (no
+  // rebuild): the generation did not change, and the next retrain compacts.
+  EXPECT_EQ(online.generations(), 1u);
+  online.retrain_now();
+  online.quiesce();
+  EXPECT_EQ(online.generations(), 2u);
+  expect_oracle("after retrain");
+}
+
+// Only TupleMerge (and TupleSpaceSearch) remainders have reader-safe
+// tombstones; any other remainder is refused up front, by the constructor
+// and by adopt().
+TEST(OnlineUpdates, ConstructorRejectsNonTupleMergeRemainder) {
+  OnlineConfig cfg = make_online_cfg();
+  cfg.base.remainder_factory = [] { return std::make_unique<CutSplit>(); };
+  EXPECT_THROW(OnlineNuevoMatch{cfg}, std::invalid_argument);
+
+  cfg.base.remainder_factory = [] { return std::make_unique<TupleSpaceSearch>(); };
+  EXPECT_NO_THROW(OnlineNuevoMatch{cfg});
+
+  NuevoMatchConfig ncfg = make_online_cfg().base;
+  ncfg.remainder_factory = [] { return std::make_unique<CutSplit>(); };
+  NuevoMatch cut{ncfg};
+  cut.build(generate_classbench(AppClass::kAcl, 1, 300, 94));
+  OnlineNuevoMatch online{make_online_cfg()};
+  EXPECT_THROW(online.adopt(std::move(cut)), std::invalid_argument);
+  EXPECT_EQ(online.generations(), 0u);  // nothing was installed
 }
 
 }  // namespace
