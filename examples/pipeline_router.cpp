@@ -313,12 +313,12 @@ int main(int argc, char** argv) {
                   "recovery %llu us)%s, %llu stale-served\n",
                   i, static_cast<unsigned long long>(rh.drained_entries),
                   static_cast<unsigned long long>(ph.recovery_ns / 1000),
-                  rh.state == pipeline::ReplicaHealth::State::kRejoined
-                      ? ", rejoined"
-                      : " and stayed down",
+                  rh.phase == pipeline::ReplicaPhase::kQuarantined
+                      ? " and stayed down"
+                      : ", rejoined",
                   static_cast<unsigned long long>(rstale));
     }
-    if (fault_drill) std::printf("runtime health:\n%s", ph.to_string().c_str());
+    if (fault_drill) std::printf("pipeline health:\n%s", ph.to_string().c_str());
 
     ok = ok && diverged == 0 && rpumped == pumped && rstale == 0;
   }

@@ -38,7 +38,6 @@ class Classifier {
   }
 
   /// --- Incremental updates (paper Section 3.9) -------------------------
-  [[nodiscard]] virtual bool supports_updates() const { return false; }
   virtual bool insert(const Rule&) { return false; }
   virtual bool erase(uint32_t /*rule_id*/) { return false; }
 

@@ -14,7 +14,6 @@ class LinearSearch final : public Classifier {
   [[nodiscard]] MatchResult match_with_floor(const Packet& p,
                                              int32_t priority_floor) const override;
 
-  [[nodiscard]] bool supports_updates() const override { return true; }
   bool insert(const Rule& r) override;
   bool erase(uint32_t rule_id) override;
 

@@ -26,8 +26,8 @@
 // are paid on 1-in-N events, not per packet.
 //
 // The registry is deliberately dependency-free (no pipeline/ or nuevomatch/
-// types): the join with the health surfaces (EngineHealth, RuntimeHealth,
-// PipelineHealth, FlowCache::Stats) lives in pipeline/telemetry.hpp.
+// types): the join with the health surfaces (EngineHealth, PipelineHealth,
+// FlowCache::Stats) lives in pipeline/telemetry.hpp.
 #pragma once
 
 #include <array>

@@ -39,7 +39,6 @@ class CutSplit final : public Classifier {
   /// remainder, where a background retrain folds it back in periodically).
   /// Deletions tombstone in the owning tree (CutTree::erase) or drop the
   /// rule from the overflow list.
-  [[nodiscard]] bool supports_updates() const override { return true; }
   bool insert(const Rule& r) override;
   bool erase(uint32_t rule_id) override;
   [[nodiscard]] size_t overflow_size() const noexcept { return overflow_.size(); }

@@ -231,8 +231,6 @@ void NuevoMatch::match_batch(std::span<const Packet> packets,
   match_batch(packets, out, *remainder_);
 }
 
-bool NuevoMatch::supports_updates() const { return remainder_->supports_updates(); }
-
 bool NuevoMatch::insert(const Rule& r) {
   // Ids are unique and priority INT32_MAX is the miss sentinel; see header.
   if (r.priority == std::numeric_limits<int32_t>::max() || pos_by_id_.contains(r.id))

@@ -105,7 +105,6 @@ class NuevoMatch final : public Classifier {
   // Synchronous, single-threaded update primitives. The concurrent wrapper
   // (OnlineNuevoMatch, nuevomatch/online.hpp) layers reader/writer exclusion
   // and background retraining on top of these.
-  [[nodiscard]] bool supports_updates() const override;
   /// New rules are absorbed by the remainder classifier (§3.9 insertion
   /// path). Rule ids must be unique across the live rule-set; inserting a
   /// duplicate id fails, and so does priority INT32_MAX (reserved for the

@@ -22,15 +22,29 @@ void require_tuplemerge(const NuevoMatch& nm) {
         nm.remainder().name()};
 }
 
+/// Commit telemetry shared by insert_batch and erase_batch: one commit of
+/// `accepted` ops that started at `t0`.
+void record_commit(uint64_t t0, size_t accepted) {
+  static telemetry::Counter& mc = telemetry::registry().counter(
+      "nm_engine_commits_total", "batch commits accepted (insert + erase)");
+  static telemetry::Counter& mo = telemetry::registry().counter(
+      "nm_engine_commit_ops_total", "individual ops accepted by commits");
+  static telemetry::Histogram& mh = telemetry::registry().histogram(
+      "nm_engine_commit_ns", "commit latency, call to publication");
+  mc.add(1);
+  mo.add(accepted);
+  mh.record(telemetry::now_ns() - t0);
+}
+
 }  // namespace
 
 OnlineNuevoMatch::OnlineNuevoMatch(OnlineConfig cfg) : cfg_(std::move(cfg)) {
-  // An empty generation (with an empty layer) up front means match() never
-  // needs a null check.
+  // An empty generation (with an empty churn delta) up front means match()
+  // never needs a null check.
   gen_owner_ = std::make_shared<Generation>(cfg_.base);
   require_tuplemerge(gen_owner_->nm);
-  layer_owner_ = std::make_shared<const Layer>();
-  gen_owner_->layer.store(layer_owner_.get(), std::memory_order_relaxed);
+  churn_owner_ = std::make_shared<const ChurnList>();
+  gen_owner_->churn.store(churn_owner_.get(), std::memory_order_relaxed);
   gen_pub_.store(gen_owner_.get(), std::memory_order_seq_cst);
   worker_ = std::thread([this] { worker_loop(); });
 }
@@ -47,12 +61,6 @@ OnlineNuevoMatch::~OnlineNuevoMatch() {
 }
 
 // --- data path --------------------------------------------------------------
-
-const OnlineNuevoMatch::ChurnList OnlineNuevoMatch::kNoChurn{};
-
-const OnlineNuevoMatch::ChurnList& OnlineNuevoMatch::Pin::churn() const noexcept {
-  return l_->churn != nullptr ? *l_->churn : kNoChurn;
-}
 
 MatchResult OnlineNuevoMatch::Pin::match(const Packet& p) const {
   return g_->nm.match_with_floor(p, std::numeric_limits<int32_t>::max(),
@@ -134,7 +142,7 @@ void OnlineNuevoMatch::bump_coherence(uint32_t bands) noexcept {
   // One global bump covers the whole commit; each affected band is marked
   // with the post-bump value. Callers hold wmu_, so marks are monotone per
   // band. Ordering: the fetch_add is the release fence for the commit's
-  // publications (layer store / tombstones / band map); the mark stores
+  // publications (churn store / tombstones / band map); the mark stores
   // after it are what lets OTHER bands keep serving — a probe that reads a
   // not-yet-stored mark serves a decision the in-flight call has not yet
   // invalidated, which linearizes before that call's return exactly like a
@@ -146,22 +154,19 @@ void OnlineNuevoMatch::bump_coherence(uint32_t bands) noexcept {
   }
 }
 
-void OnlineNuevoMatch::publish_layer_locked() {
+void OnlineNuevoMatch::publish_churn_locked() {
   // Rebuild the flat delta: one merge pass over (previous delta minus this
   // commit's erases) and (this commit's inserts, sorted). O(delta + burst)
   // with memcpy-class constants — flat enough that per-commit cost stays
   // negligible even at single-op commit rates, and independent of reader
   // behavior (no grace period involved).
-  auto fresh = std::make_shared<Layer>();
   const auto less = [](const Rule& a, const Rule& b) {
     return a.priority != b.priority ? a.priority < b.priority : a.id < b.id;
   };
   std::sort(pending_inserts_.begin(), pending_inserts_.end(), less);
   const std::unordered_set<uint32_t> dead(pending_churn_erases_.begin(),
                                           pending_churn_erases_.end());
-  static const std::vector<Rule> kEmpty;
-  const std::vector<Rule>& old =
-      layer_owner_->churn != nullptr ? layer_owner_->churn->rules : kEmpty;
+  const std::vector<Rule>& old = churn_owner_->rules;
   auto list = std::make_shared<ChurnList>();
   list->rules.reserve(old.size() + pending_inserts_.size());
   size_t j = 0;
@@ -172,16 +177,13 @@ void OnlineNuevoMatch::publish_layer_locked() {
     list->rules.push_back(r);
   }
   for (; j < pending_inserts_.size(); ++j) list->rules.push_back(pending_inserts_[j]);
-  if (!list->rules.empty()) fresh->churn = std::move(list);
 
-  // One seq_cst store publishes the whole commit; the superseded layer is
+  // One seq_cst store publishes the whole commit; the superseded delta is
   // epoch-stamped and reclaimed once every pinned reader has moved on.
-  gen_owner_->layer.store(fresh.get(), std::memory_order_seq_cst);
-  retired_.retire(layer_owner_, epochs_.retire_stamp());
-  layer_owner_ = std::move(fresh);
-  churn_size_.store(
-      layer_owner_->churn != nullptr ? layer_owner_->churn->rules.size() : 0,
-      std::memory_order_relaxed);
+  gen_owner_->churn.store(list.get(), std::memory_order_seq_cst);
+  retired_.retire(churn_owner_, epochs_.retire_stamp());
+  churn_owner_ = std::move(list);
+  churn_size_.store(churn_owner_->rules.size(), std::memory_order_relaxed);
   retired_.collect(epochs_.min_active());
   if (NM_METRICS_ENABLED) {
     static telemetry::Gauge& g = telemetry::registry().gauge(
@@ -209,7 +211,7 @@ size_t OnlineNuevoMatch::insert_batch(std::span<const Rule> rules) {
       }
     }
     if (accepted > 0) {
-      publish_layer_locked();
+      publish_churn_locked();
       // The commit is reader-visible; invalidate decision caches (the bump
       // must follow the publication — coherence_stamp()'s contract). An
       // insert of r only beats cached decisions with WORSE priority, so it
@@ -223,17 +225,7 @@ size_t OnlineNuevoMatch::insert_batch(std::span<const Rule> rules) {
   }
   if (accepted > 0 && cfg_.auto_retrain && pressure >= cfg_.retrain_threshold)
     request_retrain(/*forced=*/false);
-  if (NM_METRICS_ENABLED && accepted > 0) {
-    static telemetry::Counter& mc = telemetry::registry().counter(
-        "nm_engine_commits_total", "batch commits accepted (insert + erase)");
-    static telemetry::Counter& mo = telemetry::registry().counter(
-        "nm_engine_commit_ops_total", "individual ops accepted by commits");
-    static telemetry::Histogram& mh = telemetry::registry().histogram(
-        "nm_engine_commit_ns", "commit latency, call to publication");
-    mc.add(1);
-    mo.add(accepted);
-    mh.record(telemetry::now_ns() - m_t0);
-  }
+  if (NM_METRICS_ENABLED && accepted > 0) record_commit(m_t0, accepted);
   return accepted;
 }
 
@@ -254,23 +246,13 @@ size_t OnlineNuevoMatch::erase_batch(std::span<const uint32_t> rule_ids) {
     }
     // Tombstones are already visible in place; only churn changes need a
     // copy-on-write publication.
-    if (!pending_churn_erases_.empty()) publish_layer_locked();
+    if (!pending_churn_erases_.empty()) publish_churn_locked();
     // Tombstone-only erases mutated the live view too, so any accepted op
     // invalidates decision caches — but only the erased rules' OWN bands
     // (erase_locked's argument): cached decisions elsewhere provably stand.
     if (accepted > 0) bump_coherence(bands);
   }
-  if (NM_METRICS_ENABLED && accepted > 0) {
-    static telemetry::Counter& mc = telemetry::registry().counter(
-        "nm_engine_commits_total", "batch commits accepted (insert + erase)");
-    static telemetry::Counter& mo = telemetry::registry().counter(
-        "nm_engine_commit_ops_total", "individual ops accepted by commits");
-    static telemetry::Histogram& mh = telemetry::registry().histogram(
-        "nm_engine_commit_ns", "commit latency, call to publication");
-    mc.add(1);
-    mo.add(accepted);
-    mh.record(telemetry::now_ns() - m_t0);
-  }
+  if (NM_METRICS_ENABLED && accepted > 0) record_commit(m_t0, accepted);
   return accepted;
 }
 
@@ -283,8 +265,8 @@ bool OnlineNuevoMatch::erase(uint32_t rule_id) {
 // --- generation installation ------------------------------------------------
 
 void OnlineNuevoMatch::install_generation_locked(std::shared_ptr<Generation> fresh) {
-  auto fresh_layer = std::make_shared<const Layer>();
-  fresh->layer.store(fresh_layer.get(), std::memory_order_relaxed);
+  auto fresh_churn = std::make_shared<const ChurnList>();
+  fresh->churn.store(fresh_churn.get(), std::memory_order_relaxed);
   fresh->seq = generation_count_.fetch_add(1, std::memory_order_relaxed) + 1;
 
   // Rebuild the writer-side routing state from the frozen index. O(n), under
@@ -333,14 +315,14 @@ void OnlineNuevoMatch::install_generation_locked(std::shared_ptr<Generation> fre
   journal_open_ = false;
   journal_.clear();
   journal_depth_.store(0, std::memory_order_relaxed);
-  churn_size_.store(0, std::memory_order_relaxed);  // fresh layer is empty
+  churn_size_.store(0, std::memory_order_relaxed);  // fresh delta is empty
 
   gen_pub_.store(fresh.get(), std::memory_order_seq_cst);
   const uint64_t stamp = epochs_.retire_stamp();
-  retired_.retire(layer_owner_, stamp);
+  retired_.retire(churn_owner_, stamp);
   retired_.retire(gen_owner_, stamp);
   gen_owner_ = std::move(fresh);
-  layer_owner_ = std::move(fresh_layer);
+  churn_owner_ = std::move(fresh_churn);
   retired_.collect(epochs_.min_active());
   if (NM_METRICS_ENABLED) {
     static telemetry::Gauge& g = telemetry::registry().gauge(
@@ -453,7 +435,7 @@ void OnlineNuevoMatch::quiesce() const {
 std::vector<Rule> OnlineNuevoMatch::compose_rules_locked() const {
   // The logical rule-set: live iSet rules + surviving base-remainder rules +
   // the churn delta. (The frozen nm's own rules() is NOT authoritative here:
-  // in-place tombstones and layered updates supersede it.)
+  // in-place tombstones and the churn delta supersede it.)
   std::vector<Rule> out;
   out.reserve(live_count_.load(std::memory_order_relaxed));
   for (const IsetIndex& is : gen_owner_->nm.isets()) {
@@ -464,30 +446,27 @@ std::vector<Rule> OnlineNuevoMatch::compose_rules_locked() const {
   for (const Rule& r : base_rules_) {
     if (!erased_base_.contains(r.id)) out.push_back(r);
   }
-  if (layer_owner_->churn != nullptr) {
-    const auto& churn = layer_owner_->churn->rules;
-    out.insert(out.end(), churn.begin(), churn.end());
-  }
+  const std::vector<Rule>& churn = churn_owner_->rules;
+  out.insert(out.end(), churn.begin(), churn.end());
   return out;
 }
 
 void OnlineNuevoMatch::with_stable_view(
     const std::function<void(const NuevoMatch&)>& fn) const {
   // Compose an offline classifier equivalent to the live view: copies of the
-  // iSets (tombstones included) + the layered remainder folded back into one
-  // rule list. Writers are excluded for the duration, so the composition is
-  // consistent; O(n) + the remainder rebuild, bounded even under sustained
-  // churn (no quiesce).
+  // iSets (tombstones included) + the base remainder and churn delta folded
+  // back into one rule list. Writers are excluded for the duration, so the
+  // composition is consistent; O(n) + the remainder rebuild, bounded even
+  // under sustained churn (no quiesce).
   std::lock_guard lk{wmu_};
   std::vector<IsetIndex> isets_copy = gen_owner_->nm.isets();
   std::vector<Rule> rem;
-  const std::vector<Rule>* churn =
-      layer_owner_->churn != nullptr ? &layer_owner_->churn->rules : nullptr;
-  rem.reserve(base_rules_.size() + (churn != nullptr ? churn->size() : 0));
+  const std::vector<Rule>& churn = churn_owner_->rules;
+  rem.reserve(base_rules_.size() + churn.size());
   for (const Rule& r : base_rules_) {
     if (!erased_base_.contains(r.id)) rem.push_back(r);
   }
-  if (churn != nullptr) rem.insert(rem.end(), churn->begin(), churn->end());
+  rem.insert(rem.end(), churn.begin(), churn.end());
   NuevoMatch tmp{cfg_.base};
   tmp.restore(std::move(isets_copy), std::move(rem),
               /*erased_ids=*/{}, built_size_, migrated_);
@@ -496,9 +475,7 @@ void OnlineNuevoMatch::with_stable_view(
 
 size_t OnlineNuevoMatch::memory_bytes() const {
   const Pin v{*this};
-  size_t bytes = v.g_->nm.memory_bytes();
-  if (v.l_->churn != nullptr) bytes += v.l_->churn->rules.size() * sizeof(Rule);
-  return bytes;
+  return v.g_->nm.memory_bytes() + v.c_->rules.size() * sizeof(Rule);
 }
 
 std::string OnlineNuevoMatch::name() const {

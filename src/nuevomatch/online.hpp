@@ -6,8 +6,8 @@
 //   * insert()/erase() — and their batched forms insert_batch()/
 //     erase_batch(), which amortize one writer-lock acquisition and one
 //     copy-on-write commit over a controller's whole update burst — route
-//     updates into the live generation's update layer and track the
-//     absorption ratio;
+//     updates into the live generation's churn delta (or tombstone rules it
+//     was built with) and track the absorption ratio;
 //   * when the ratio crosses `retrain_threshold`, a background worker
 //     retrains a fresh NuevoMatch on a snapshot of the rule-set (reusing
 //     trained models for iSets whose rule arrays are unchanged) and
@@ -39,8 +39,8 @@
 //     base remainder — flips an ATOMIC tombstone byte in place (monotone
 //     1→0; a concurrent reader sees the rule either alive or dead, both
 //     linearizable), and (2) churn — rules inserted since the swap, and
-//     their deletions — lands in an immutable copy-on-write *layer*. A
-//     commit builds the successor layer, publishes it with one release
+//     their deletions — lands in an immutable copy-on-write *churn delta*.
+//     A commit builds the successor delta, publishes it with one seq_cst
 //     store, and retires the predecessor through epoch reclamation: it is
 //     freed only once every reader epoch has advanced past the commit.
 //     The base remainder must therefore be a TupleMerge (TupleSpaceSearch
@@ -95,7 +95,7 @@ struct OnlineConfig {
   /// Tombstoned rules are compacted away at the next retrain.
   NuevoMatchConfig base;
 
-  /// Absorption ratio — rules routed to the update layer since the last
+  /// Absorption ratio — rules routed to the churn delta since the last
   /// swap over the rules the live index was trained on — at which a
   /// background retrain is triggered. The paper sizes this so the delta
   /// stays small enough to keep the speedup (§5: throughput degrades
@@ -158,8 +158,7 @@ struct EngineHealth {
 class OnlineNuevoMatch final : public Classifier {
  private:
   struct ChurnList;   // immutable churn delta (rules inserted since the swap)
-  struct Layer;       // immutable copy-on-write update overlay
-  struct Generation;  // frozen trained index + published layer pointer
+  struct Generation;  // frozen trained index + published churn delta
 
  public:
   /// Throws std::invalid_argument unless cfg.base.remainder_factory builds
@@ -192,10 +191,10 @@ class OnlineNuevoMatch final : public Classifier {
   /// batches.
   void match_batch(std::span<const Packet> packets, std::span<MatchResult> out) const;
 
-  /// An epoch-pinned, consistent view of one generation + one update layer.
+  /// An epoch-pinned, consistent view of one generation + one churn delta.
   /// While a Pin is alive neither can be reclaimed (the pin's epoch slot
-  /// blocks the writer's retire protocol) and the layer's contents cannot
-  /// change (layers are immutable; commits publish successors the pin does
+  /// blocks the writer's retire protocol) and the delta's contents cannot
+  /// change (deltas are immutable; commits publish successors the pin does
   /// not observe). Unlike the PR 3 rwlock pin, holding one does NOT stall
   /// writers — it only delays memory reclamation — so pins are cheap to
   /// hold for a batch. Concurrent tombstone flips (iSet or base remainder)
@@ -215,7 +214,7 @@ class OnlineNuevoMatch final : public Classifier {
     [[nodiscard]] uint64_t generation() const noexcept { return g_->seq; }
 
     /// Full online lookup against the pinned view (iSets + remainder +
-    /// update layer), identical to OnlineNuevoMatch::match resolved at pin
+    /// churn delta), identical to OnlineNuevoMatch::match resolved at pin
     /// time.
     [[nodiscard]] MatchResult match(const Packet& p) const;
     /// Batched form; element-for-element identical to match().
@@ -228,7 +227,7 @@ class OnlineNuevoMatch final : public Classifier {
 
    private:
     friend class OnlineNuevoMatch;
-    [[nodiscard]] const ChurnList& churn() const noexcept;
+    [[nodiscard]] const ChurnList& churn() const noexcept { return *c_; }
     // Both protected loads are seq_cst: the epoch protocol's Dekker
     // argument (epoch.hpp) needs them ordered after the slot CAS in the
     // seq_cst total order, so a writer whose slot scan missed this reader
@@ -237,15 +236,14 @@ class OnlineNuevoMatch final : public Classifier {
     explicit Pin(const OnlineNuevoMatch& o)
         : guard_(o.epochs_),
           g_(o.gen_pub_.load(std::memory_order_seq_cst)),
-          l_(g_->layer.load(std::memory_order_seq_cst)) {}
+          c_(g_->churn.load(std::memory_order_seq_cst)) {}
     epoch::Guard guard_;
     const Generation* g_;
-    const Layer* l_;
+    const ChurnList* c_;
   };
   [[nodiscard]] Pin pin() const { return Pin{*this}; }
 
   // --- update path (safe from any number of threads) ----------------------
-  [[nodiscard]] bool supports_updates() const override { return true; }
   bool insert(const Rule& r) override;
   bool erase(uint32_t rule_id) override;
   /// Batched writer commits: one writer-lock acquisition and ONE
@@ -261,7 +259,7 @@ class OnlineNuevoMatch final : public Classifier {
   size_t erase_batch(std::span<const uint32_t> rule_ids);
 
   // --- retraining ---------------------------------------------------------
-  /// Absorption ratio of the live generation (update-layer inserts over the
+  /// Absorption ratio of the live generation (churn-delta inserts over the
   /// rules the index was trained on).
   [[nodiscard]] double absorption() const;
   /// True while a retrain is requested or running: health().retrain_pending
@@ -291,7 +289,7 @@ class OnlineNuevoMatch final : public Classifier {
 
   /// Run `fn` against an update-stable composition of the live view:
   /// writers are excluded while fn runs, and the composed classifier folds
-  /// the update layer back in (churn inserts in the remainder rule-set,
+  /// the churn delta back in (churn inserts in the remainder rule-set,
   /// tombstones re-applied), so the view round-trips through the serializer
   /// exactly. Deliberately does NOT quiesce — under sustained churn a
   /// retrain may always be pending, and a checkpoint must stay bounded.
@@ -308,7 +306,7 @@ class OnlineNuevoMatch final : public Classifier {
   static constexpr int kCoherenceCatchAll = kCoherenceBands;  // index 16
 
   /// Monotone stamp bumped (release) AFTER every completed mutation becomes
-  /// reader-visible: each insert/erase commit (copy-on-write layer publish
+  /// reader-visible: each insert/erase commit (copy-on-write churn publish
   /// and/or in-place iSet tombstone flips) and each generation install
   /// (build/adopt/retrain swap). A decision cache in front of this engine
   /// (pipeline::FlowCache) reads the stamp BEFORE classifying a missed
@@ -405,25 +403,16 @@ class OnlineNuevoMatch final : public Classifier {
       return MatchResult{};
     }
   };
-  /// Stands in for a null Layer::churn on the read path.
-  static const ChurnList kNoChurn;
-
-  /// Immutable update overlay. A commit never mutates the published layer —
-  /// it builds a successor from the writer's pending state and publishes it
-  /// with one release store; readers hold whichever layer they pinned.
-  struct Layer {
-    /// The churn delta since the last swap; null while no churn is pending
-    /// (readers then scan kNoChurn, which is empty).
-    std::shared_ptr<const ChurnList> churn;
-  };
-
   /// One published generation: a frozen trained index plus the current
-  /// update layer. nm is never structurally mutated after publication; the
+  /// churn delta. nm is never structurally mutated after publication; the
   /// only in-place writes are the atomic tombstone bytes of its iSets and
-  /// of its TupleMerge remainder.
+  /// of its TupleMerge remainder. `churn` is never null once installed (an
+  /// install publishes an empty delta); a commit never mutates the
+  /// published delta — it builds a successor and publishes it with one
+  /// seq_cst store, and readers scan whichever delta they pinned.
   struct Generation {
     NuevoMatch nm;
-    std::atomic<const Layer*> layer{nullptr};
+    std::atomic<const ChurnList*> churn{nullptr};
     uint64_t seq = 0;
     explicit Generation(NuevoMatchConfig c) : nm(std::move(c)) {}
     explicit Generation(NuevoMatch m) : nm(std::move(m)) {}
@@ -455,7 +444,7 @@ class OnlineNuevoMatch final : public Classifier {
   /// (bit b = band b, bit kCoherenceCatchAll = the miss band) with the
   /// post-bump value. Must run AFTER the commit is reader-visible.
   void bump_coherence(uint32_t bands) noexcept;
-  void publish_layer_locked();
+  void publish_churn_locked();
   void journal_locked(Op op);
   [[nodiscard]] std::vector<Rule> compose_rules_locked() const;
   void install_generation_locked(std::shared_ptr<Generation> fresh);
@@ -472,7 +461,7 @@ class OnlineNuevoMatch final : public Classifier {
   /// install already closed the journal (the cycle was moot, not broken).
   [[nodiscard]] CycleOutcome abandon_cycle(const char* what);
   /// build()/adopt(): cancel pending retrains, install `fresh` as the live
-  /// generation and reset the whole update path (journal, layer, the
+  /// generation and reset the whole update path (journal, churn delta, the
   /// applied-op counter set to `update_ops`; failure state cleared —
   /// a fresh install is a clean slate).
   void publish_fresh(std::shared_ptr<Generation> fresh, uint64_t update_ops = 0);
@@ -505,7 +494,7 @@ class OnlineNuevoMatch final : public Classifier {
   /// touch it.
   mutable std::mutex wmu_;
   std::shared_ptr<Generation> gen_owner_;        // owns what gen_pub_ points at
-  std::shared_ptr<const Layer> layer_owner_;     // owns what gen->layer points at
+  std::shared_ptr<const ChurnList> churn_owner_;  // owns what gen->churn points at
   epoch::RetireList retired_;
   std::unordered_map<uint32_t, LiveInfo> live_loc_;  // id → residence+priority
   std::vector<Rule> base_rules_;                 // base-remainder rules at swap

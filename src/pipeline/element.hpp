@@ -58,7 +58,6 @@ inline constexpr size_t kBurstSize = 32;
 /// downstream Classifier skips those lanes.
 struct Burst {
   std::array<Packet, kBurstSize> pkt;
-  std::array<uint64_t, kBurstSize> ts_ns;    ///< capture/synthesis timestamp
   std::array<uint64_t, kBurstSize> index;    ///< source-assigned packet number
   std::array<MatchResult, kBurstSize> result;
   std::array<int32_t, kBurstSize> action;    ///< resolved rule action; -1 = none
@@ -307,10 +306,9 @@ class SourceElement : public Element {
   /// not branched on: rss_hash % n is a coin flip per flow, so a branch
   /// would mispredict on about half the packets. Returns the keep bit.
   /// Requires b.size < kBurstSize.
-  uint32_t emit(Burst& b, const Packet& p, uint64_t ts_ns, uint64_t pos) const noexcept {
+  uint32_t emit(Burst& b, const Packet& p, uint64_t pos) const noexcept {
     const uint32_t i = b.size;
     b.pkt[i] = p;
-    b.ts_ns[i] = ts_ns;
     b.index[i] = pos;
     b.result[i] = MatchResult{};
     b.action[i] = -1;

@@ -78,7 +78,7 @@ bool PcapSource::pump(Burst& b) {
     // The stream position advances for every parseable frame, kept or not:
     // Burst::index is the GLOBAL capture position, so decisions from
     // different replicas merge 1:1 against a scalar run of the same file.
-    packets += emit(b, *p, rec.ts_ns, stream_pos_++);
+    packets += emit(b, *p, stream_pos_++);
   }
   publish_add(packets_, packets);
   publish_add(skipped_, skipped);
@@ -115,7 +115,7 @@ TraceSource::TraceSource(const std::string& rules_path, size_t n_packets,
 bool TraceSource::pump(Burst& b) {
   while (b.size < kBurstSize && next_ < packets_.size()) {
     const uint64_t pos = next_++;  // index stays global — see PcapSource
-    emit(b, packets_[pos], pos * 1'000, pos);
+    emit(b, packets_[pos], pos);
   }
   publish_pos(next_);
   return b.size > 0;
@@ -386,7 +386,6 @@ void Dispatch::process(Burst& b) {
     Burst& s = split_[port];
     const uint32_t j = s.size++;
     s.pkt[j] = b.pkt[i];
-    s.ts_ns[j] = b.ts_ns[i];
     s.index[j] = b.index[i];
     s.result[j] = b.result[i];
     s.action[j] = b.action[i];

@@ -132,12 +132,9 @@ bool Graph::step(uint64_t* pumped) {
   const uint64_t t0 = lat_sampled ? telemetry::now_ns() : 0;
   if (!step_src_->pump(step_burst_)) {
     step_eos_ = true;
-    health_.eos = true;
     return false;
   }
   if (pumped != nullptr) *pumped += step_burst_.size;
-  ++health_.steps;
-  health_.packets += step_burst_.size;
   if (step_burst_.size > 0) step_src_->forward(step_burst_);
   if (NM_METRICS_ENABLED) {
     // Batch the per-burst counts locally: a registry add is a TLS-shard
@@ -181,7 +178,6 @@ void Graph::finish_run() {
       if (first_error == nullptr) first_error = std::current_exception();
     }
   }
-  health_.finished = true;
   if (first_error != nullptr) std::rethrow_exception(first_error);
 }
 

@@ -28,17 +28,6 @@
 
 namespace nuevomatch::pipeline {
 
-/// Lightweight per-graph runtime telemetry (the per-replica slice of the
-/// pipeline's RuntimeHealth report). Plain fields: read it only while the
-/// graph is not being stepped — after run()/finish_run(), or from the
-/// replication supervisor while the replica is quiesced.
-struct GraphHealth {
-  uint64_t steps = 0;     ///< bursts pumped through step()/run()
-  uint64_t packets = 0;   ///< packets those bursts carried
-  bool eos = false;       ///< source exhausted (step() latched false)
-  bool finished = false;  ///< finish_run() completed
-};
-
 class Graph {
  public:
   Graph() = default;
@@ -99,9 +88,6 @@ class Graph {
   /// Per-element stats lines (elements with empty report() are skipped).
   [[nodiscard]] std::string report() const;
 
-  /// Runtime telemetry (see GraphHealth for when it is safe to read).
-  [[nodiscard]] const GraphHealth& health() const noexcept { return health_; }
-
  private:
   void add_impl(std::unique_ptr<Element> e, std::string name);
   void check_acyclic() const;
@@ -115,7 +101,6 @@ class Graph {
   SourceElement* step_src_ = nullptr;
   bool step_eos_ = false;
   Burst step_burst_;
-  GraphHealth health_;
   // Telemetry accumulators: bursts/packets batch locally and flush every
   // 64 bursts (and in finish_run()) — a live scrape lags by at most that.
   void flush_metrics_acc();

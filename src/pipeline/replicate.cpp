@@ -18,49 +18,33 @@ namespace {
 /// served by survivors (C = a cutover ahead of every source's quiesced
 /// position), after which the rejoined replica owns its slice again.
 constexpr uint64_t kResteerWindow = 4 * kBurstSize;
-
-const char* replica_state_name(ReplicaHealth::State s) {
-  switch (s) {
-    case ReplicaHealth::State::kLive: return "live";
-    case ReplicaHealth::State::kQuarantined: return "quarantined";
-    case ReplicaHealth::State::kRejoined: return "rejoined";
-  }
-  return "?";
-}
-
-const char* phase_name(TaskPhase p) {
-  switch (p) {
-    case TaskPhase::kRunnable: return "runnable";
-    case TaskPhase::kQuarantined: return "quarantined";
-    case TaskPhase::kDone: return "done";
-  }
-  return "?";
-}
 }  // namespace
 
-std::string PipelineHealth::to_string() const {
-  std::string out = "runtime: " + std::to_string(runtime.tasks.size()) +
-                    " tasks, " + std::to_string(runtime.quarantines) +
-                    " quarantines, " + std::to_string(runtime.suppressed_errors) +
-                    " suppressed errors\n";
-  for (const TaskHealth& t : runtime.tasks) {
-    out += "  task " + t.label + ": " + phase_name(t.phase) +
-           ", fires=" + std::to_string(t.fires) +
-           " worked=" + std::to_string(t.worked) +
-           " quarantines=" + std::to_string(t.quarantines);
-    if (!t.last_error.empty()) out += " last_error=\"" + t.last_error + "\"";
-    out += "\n";
+const char* phase_name(ReplicaPhase p) noexcept {
+  switch (p) {
+    case ReplicaPhase::kRunning: return "running";
+    case ReplicaPhase::kDone: return "done";
+    case ReplicaPhase::kQuarantined: return "quarantined";
   }
+  return "?";
+}
+
+std::string PipelineHealth::to_string() const {
+  std::string out;
   for (size_t i = 0; i < replicas.size(); ++i) {
     const ReplicaHealth& r = replicas[i];
-    out += "  replica " + std::to_string(i) + ": " +
-           replica_state_name(r.state) +
-           ", quarantines=" + std::to_string(r.quarantines) +
+    out += "  replica " + std::to_string(i) + ": " + phase_name(r.phase) +
+           ", fires=" + std::to_string(r.fires) +
+           " steps=" + std::to_string(r.steps) +
+           " idle=" + std::to_string(r.idle_fires) +
+           " quarantines=" + std::to_string(r.quarantines) +
            " rejoins=" + std::to_string(r.rejoins) +
-           " drained=" + std::to_string(r.drained_entries) +
-           " steps=" + std::to_string(r.steps) + "\n";
+           " drained=" + std::to_string(r.drained_entries);
+    if (!r.last_error.empty()) out += " last_error=\"" + r.last_error + "\"";
+    out += "\n";
   }
-  out += "  rejoin failures=" + std::to_string(rejoin_failures) +
+  out += "  suppressed errors=" + std::to_string(suppressed_errors) +
+         ", rejoin failures=" + std::to_string(rejoin_failures) +
          ", steer epochs=" + std::to_string(steer_epochs) +
          ", recovery=" + std::to_string(recovery_ns / 1000) + " us\n";
   return out;
@@ -70,7 +54,7 @@ ReplicatedGraph::ReplicatedGraph(std::vector<Graph> graphs)
     : graphs_(std::move(graphs)) {
   if (graphs_.empty())
     throw std::runtime_error("ReplicatedGraph needs at least one replica");
-  rhealth_.resize(graphs_.size());
+  health_.replicas.resize(graphs_.size());
   install_filters();
 }
 
@@ -241,14 +225,16 @@ bool ReplicatedGraph::quarantine_replica(uint32_t idx,
   // 6. Respawn: a rejoining replica is simply stepped again by this thread.
   {
     const std::lock_guard<std::mutex> lk(health_mu_);
-    ReplicaHealth& rh = rhealth_[idx];
-    rh.state = rejoining ? ReplicaHealth::State::kRejoined
-                         : ReplicaHealth::State::kQuarantined;
+    ReplicaHealth& rh = health_.replicas[idx];
     ++rh.quarantines;
-    if (rejoining) ++rh.rejoins;
+    if (rejoining)
+      ++rh.rejoins;
+    else
+      rh.phase = ReplicaPhase::kQuarantined;
     rh.drained_entries += drained;
-    if (opts.rejoin && !rejoining) ++rejoin_failures_;
-    recovery_ns_ += static_cast<uint64_t>(
+    if (opts.rejoin && !rejoining) ++health_.rejoin_failures;
+    health_.steer_epochs = steering_->epochs();
+    health_.recovery_ns += static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start)
             .count());
@@ -280,15 +266,14 @@ uint64_t ReplicatedGraph::run(const ReplicatedRunOptions& opts) {
 
   const auto n_threads =
       static_cast<uint32_t>(std::clamp<size_t>(opts.threads, 1, n));
-  // Each replica's record is written only by its own thread and read after
-  // the join; one cache line each, so neighbouring replicas on different
-  // threads do not share a line.
+  // Each replica's step counts are written only by its own thread and
+  // published to its ReplicaHealth at the join; one cache line each, so
+  // neighbouring replicas on different threads do not share a line.
   struct alignas(64) ReplicaRun {
-    TaskPhase phase = TaskPhase::kRunnable;
+    ReplicaPhase phase = ReplicaPhase::kRunning;
     uint64_t fires = 0;
-    uint64_t worked = 0;
+    uint64_t steps = 0;
     uint64_t idle = 0;
-    uint32_t quarantines = 0;
     std::string last_error;
   };
   std::vector<ReplicaRun> runs(n);
@@ -363,10 +348,9 @@ uint64_t ReplicatedGraph::run(const ReplicatedRunOptions& opts) {
     }
     if (opts.policy == SupervisorPolicy::kEscalate) {
       escalate();
-      r.phase = TaskPhase::kDone;
+      r.phase = ReplicaPhase::kDone;
       return Step::kFailed;
     }
-    ++r.quarantines;
     if (NM_METRICS_ENABLED) {
       static telemetry::Counter& m = telemetry::registry().counter(
           "nm_sched_quarantines_total", "replica quarantine entries");
@@ -378,7 +362,7 @@ uint64_t ReplicatedGraph::run(const ReplicatedRunOptions& opts) {
     } catch (...) {
       escalate();  // a broken recovery ladder is fatal
     }
-    if (!rejoined) r.phase = TaskPhase::kQuarantined;
+    if (!rejoined) r.phase = ReplicaPhase::kQuarantined;
     return Step::kFailed;
   };
 
@@ -394,7 +378,7 @@ uint64_t ReplicatedGraph::run(const ReplicatedRunOptions& opts) {
         bool all_paused = true;
         for (uint32_t i = tid; i < n; i += n_threads) {
           ReplicaRun& r = runs[i];
-          if (r.phase != TaskPhase::kRunnable) continue;
+          if (r.phase != ReplicaPhase::kRunning) continue;
           ++r.fires;
           Step st = Step::kFailed;
           try {
@@ -407,9 +391,9 @@ uint64_t ReplicatedGraph::run(const ReplicatedRunOptions& opts) {
             continue;
           }
           all_paused = false;
-          if (st == Step::kWorked) ++r.worked;
-          if (st == Step::kDone) r.phase = TaskPhase::kDone;
-          if (r.phase != TaskPhase::kRunnable) --live;
+          if (st == Step::kWorked) ++r.steps;
+          if (st == Step::kDone) r.phase = ReplicaPhase::kDone;
+          if (r.phase != ReplicaPhase::kRunning) --live;
         }
         if (all_paused) paused_.wait(true, std::memory_order_seq_cst);
       }
@@ -434,18 +418,22 @@ uint64_t ReplicatedGraph::run(const ReplicatedRunOptions& opts) {
 
   stats_ = SchedulerStats{};
   stats_.fires_per_thread.assign(n_threads, 0);
-  RuntimeHealth rt;
-  rt.suppressed_errors = suppressed;
-  for (uint32_t i = 0; i < n; ++i) {
-    const ReplicaRun& r = runs[i];
-    stats_.fires += r.fires;
-    stats_.worked += r.worked;
-    stats_.idle_fires += r.idle;
-    stats_.fires_per_thread[i % n_threads] += r.fires;
-    rt.quarantines += r.quarantines;
-    rt.tasks.push_back(TaskHealth{"replica@" + std::to_string(i), r.phase,
-                                  r.fires, r.worked, r.quarantines,
-                                  r.last_error});
+  {
+    const std::lock_guard<std::mutex> lk(health_mu_);
+    health_.suppressed_errors = suppressed;
+    for (uint32_t i = 0; i < n; ++i) {
+      ReplicaRun& r = runs[i];
+      ReplicaHealth& h = health_.replicas[i];
+      h.phase = r.phase;
+      h.fires = r.fires;
+      h.steps = r.steps;
+      h.idle_fires = r.idle;
+      h.last_error = std::move(r.last_error);
+      stats_.fires += r.fires;
+      stats_.steps += r.steps;
+      stats_.idle_fires += r.idle;
+      stats_.fires_per_thread[i % n_threads] += r.fires;
+    }
   }
   // Registry totals in one bulk add per run — the per-step hot path keeps
   // its thread-private counts and pays nothing for these.
@@ -457,14 +445,8 @@ uint64_t ReplicatedGraph::run(const ReplicatedRunOptions& opts) {
     static telemetry::Counter& mi = telemetry::registry().counter(
         "nm_sched_idle_fires_total", "replica steps turned back by a pause");
     mf.add(stats_.fires);
-    mw.add(stats_.worked);
+    mw.add(stats_.steps);
     mi.add(stats_.idle_fires);
-  }
-  {
-    const std::lock_guard<std::mutex> lk(health_mu_);
-    runtime_health_ = std::move(rt);
-    for (uint32_t i = 0; i < n; ++i)
-      rhealth_[i].steps = graphs_[i].health().steps;
   }
   // An escalated error is rethrown without finishing the graphs.
   if (first_error != nullptr) std::rethrow_exception(first_error);
@@ -473,14 +455,8 @@ uint64_t ReplicatedGraph::run(const ReplicatedRunOptions& opts) {
 }
 
 PipelineHealth ReplicatedGraph::health() const {
-  PipelineHealth h;
   const std::lock_guard<std::mutex> lk(health_mu_);
-  h.runtime = runtime_health_;
-  h.replicas = rhealth_;
-  h.rejoin_failures = rejoin_failures_;
-  h.steer_epochs = steering_ != nullptr ? steering_->epochs() : 1;
-  h.recovery_ns = recovery_ns_;
-  return h;
+  return health_;
 }
 
 std::vector<Sink::Record> ReplicatedGraph::merged_records() const {
@@ -519,15 +495,6 @@ uint64_t ReplicatedGraph::total_sink_packets() const {
     }
   }
   return total;
-}
-
-std::string ReplicatedGraph::report() const {
-  std::string out;
-  for (size_t i = 0; i < graphs_.size(); ++i) {
-    out += "replica " + std::to_string(i) + ":\n";
-    out += graphs_[i].report();
-  }
-  return out;
 }
 
 }  // namespace nuevomatch::pipeline

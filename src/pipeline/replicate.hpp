@@ -47,42 +47,24 @@ enum class SupervisorPolicy : uint8_t {
   kQuarantine,  ///< quarantine the replica; siblings keep stepping
 };
 
-/// Where a replica is in its run: stepping, quarantined for good, or done.
-enum class TaskPhase : uint8_t {
-  kRunnable,     ///< being stepped (a rejoined replica is runnable again)
-  kQuarantined,  ///< quarantined and not rejoining
+/// Where a replica is in its run.
+enum class ReplicaPhase : uint8_t {
+  kRunning,      ///< being stepped (a rejoined replica is running again)
   kDone,         ///< reached end of stream (or was finished by escalation)
+  kQuarantined,  ///< quarantined and not rejoining
 };
+/// "running", "done" or "quarantined".
+[[nodiscard]] const char* phase_name(ReplicaPhase p) noexcept;
 
-/// Step totals of the last run(). `steals` is always 0 — a replica never
-/// changes threads — and stays because perfbench's `sched.steals` row
-/// reads it.
+/// Step totals of the last run(), summed over the replicas' records.
+/// `steals` is always 0 — a replica never changes threads — and stays
+/// because perfbench's `sched.steals` row reads it.
 struct SchedulerStats {
   uint64_t fires = 0;       ///< replica steps across all threads
-  uint64_t worked = 0;      ///< steps that pumped a burst
+  uint64_t steps = 0;       ///< steps that pushed a burst through
   uint64_t idle_fires = 0;  ///< steps turned back by a quarantine's pause
   uint64_t steals = 0;
   std::vector<uint64_t> fires_per_thread;
-};
-
-/// One replica's step record (RuntimeHealth::tasks).
-struct TaskHealth {
-  std::string label;  ///< "replica@<i>"
-  TaskPhase phase = TaskPhase::kRunnable;
-  uint64_t fires = 0;
-  uint64_t worked = 0;
-  uint32_t quarantines = 0;
-  std::string last_error;  ///< what() of the replica's most recent failure
-};
-
-/// Step-level supervision report of the last run().
-struct RuntimeHealth {
-  std::vector<TaskHealth> tasks;
-  uint32_t quarantines = 0;  ///< quarantine entries across all replicas
-  /// Escalated errors after the first: only the first is rethrown from
-  /// run(), the rest are counted here (and keep their per-replica
-  /// last_error) so a multi-replica failure is not mistaken for one.
-  uint64_t suppressed_errors = 0;
 };
 
 struct ReplicatedRunOptions {
@@ -108,28 +90,37 @@ struct ReplicatedRunOptions {
   bool rejoin = true;
 };
 
-/// Per-replica supervision state (PipelineHealth).
+/// One replica's record. The recovery ladder's counters (quarantines,
+/// rejoins, drained_entries, and the phase of a replica that stays down)
+/// are written under the health lock and can be read during a run; the
+/// step counts are kept thread-private while the replica runs and
+/// published when run() joins its threads. A replica has rejoined iff
+/// rejoins > 0.
 struct ReplicaHealth {
-  enum class State : uint8_t { kLive, kQuarantined, kRejoined };
-  State state = State::kLive;
+  ReplicaPhase phase = ReplicaPhase::kRunning;
+  uint64_t fires = 0;            ///< turns its thread gave it
+  uint64_t steps = 0;            ///< turns that pushed a burst through
+  uint64_t idle_fires = 0;       ///< turns turned back by a quarantine's pause
   uint32_t quarantines = 0;      ///< times this replica was quarantined
   uint32_t rejoins = 0;          ///< successful respawn+reinstate cycles
   uint64_t drained_entries = 0;  ///< live cache entries dropped by drains
-  uint64_t steps = 0;            ///< bursts stepped (GraphHealth)
+  std::string last_error;        ///< what() of its most recent failure
 };
 
-/// The replicated dataplane's full supervision report: the per-replica
-/// step records (RuntimeHealth) plus the recovery ladder's counters.
-/// Complete after run() returns (the runtime part is snapshotted then); the
-/// replica-layer counters are live during the run as well.
+/// The replicated dataplane's supervision report: one record per replica
+/// plus the run-wide counters.
 struct PipelineHealth {
-  RuntimeHealth runtime;
   std::vector<ReplicaHealth> replicas;
+  /// Escalated errors after the first: only the first is rethrown from
+  /// run(), the rest are counted here (and keep their per-replica
+  /// last_error) so a multi-replica failure is not mistaken for one.
+  uint64_t suppressed_errors = 0;
   uint32_t rejoin_failures = 0;    ///< rejoins aborted (failpoint/adopt)
   uint64_t steer_epochs = 1;       ///< steering-table epochs installed
   uint64_t recovery_ns = 0;        ///< wall time inside quarantine handling
 
-  /// Human-readable multi-line report (pipeline_router prints this).
+  /// Human-readable report, one line per replica (pipeline_router prints
+  /// this).
   [[nodiscard]] std::string to_string() const;
 };
 
@@ -181,12 +172,9 @@ class ReplicatedGraph {
   /// by addition — order never matters for counts).
   [[nodiscard]] uint64_t total_counter_packets() const;
   [[nodiscard]] uint64_t total_sink_packets() const;
-  /// Per-replica reports concatenated, replica-tagged.
-  [[nodiscard]] std::string report() const;
 
-  /// Supervision report (step records + replica layer). The runtime part
-  /// is snapshotted when run() returns; replica-layer counters are
-  /// maintained live by the quarantine path.
+  /// Supervision report (see ReplicaHealth for which fields are live
+  /// during a run and which are published when run() returns).
   [[nodiscard]] PipelineHealth health() const;
 
  private:
@@ -219,10 +207,7 @@ class ReplicatedGraph {
   std::atomic<bool> paused_{false};
   std::atomic<uint32_t> pumping_{0};   ///< pumps currently in flight
   mutable std::mutex health_mu_;
-  std::vector<ReplicaHealth> rhealth_;       // guarded by health_mu_
-  uint32_t rejoin_failures_ = 0;             // guarded by health_mu_
-  uint64_t recovery_ns_ = 0;                 // guarded by health_mu_
-  RuntimeHealth runtime_health_;             // guarded by health_mu_
+  PipelineHealth health_;  // guarded by health_mu_
 };
 
 }  // namespace nuevomatch::pipeline

@@ -11,7 +11,7 @@ namespace {
 
 using pipeline::PipelineHealth;
 using pipeline::ReplicaHealth;
-using pipeline::RuntimeHealth;
+using pipeline::ReplicaPhase;
 
 std::string u64s(uint64_t v) {
   char buf[32];
@@ -46,19 +46,10 @@ void render_engine_prom(std::string& out, const EngineHealth& e) {
                    "fraction of churn absorbed without retrain", e.absorption);
 }
 
-void render_runtime_prom(std::string& out, const RuntimeHealth& r) {
-  prometheus_counter(out, "nm_runtime_quarantines_total",
-                     "replica quarantine entries across all replicas",
-                     r.quarantines);
-  prometheus_counter(out, "nm_runtime_suppressed_errors_total",
-                     "replica errors dropped after the first recorded one",
-                     r.suppressed_errors);
-  prometheus_gauge(out, "nm_runtime_tasks", "replicas run",
-                   static_cast<double>(r.tasks.size()));
-}
-
 void render_pipeline_prom(std::string& out, const PipelineHealth& p) {
-  render_runtime_prom(out, p.runtime);
+  prometheus_counter(out, "nm_pipeline_suppressed_errors_total",
+                     "replica errors dropped after the first recorded one",
+                     p.suppressed_errors);
   prometheus_counter(out, "nm_pipeline_rejoin_failures_total",
                      "replica rejoin attempts aborted", p.rejoin_failures);
   prometheus_gauge(out, "nm_pipeline_steer_epochs",
@@ -98,7 +89,7 @@ void render_pipeline_prom(std::string& out, const PipelineHealth& p) {
            u64s(r.drained_entries) + '\n';
     out += "nm_replica_steps_total" + lbl + ' ' + u64s(r.steps) + '\n';
     out += "nm_replica_live" + lbl + ' ' +
-           (r.state == ReplicaHealth::State::kQuarantined ? "0" : "1") + '\n';
+           (r.phase == ReplicaPhase::kQuarantined ? "0" : "1") + '\n';
   }
 }
 
@@ -178,22 +169,10 @@ std::string engine_json(const EngineHealth& e) {
   return out;
 }
 
-std::string runtime_json(const RuntimeHealth& r) {
-  std::string out = "{";
-  bool f = true;
-  json_kv(out, f, "quarantines", r.quarantines);
-  json_kv(out, f, "suppressed_errors", r.suppressed_errors);
-  json_kv(out, f, "tasks", r.tasks.size());
-  out += '}';
-  return out;
-}
-
 std::string pipeline_json(const PipelineHealth& p) {
   std::string out = "{";
   bool f = true;
-  if (!f) out += ',';  // keep structure uniform with json_kv usage below
-  f = false;
-  out += "\"runtime\":" + runtime_json(p.runtime);
+  json_kv(out, f, "suppressed_errors", p.suppressed_errors);
   json_kv(out, f, "rejoin_failures", p.rejoin_failures);
   json_kv(out, f, "steer_epochs", p.steer_epochs);
   json_kv(out, f, "recovery_ns", p.recovery_ns);
@@ -203,14 +182,14 @@ std::string pipeline_json(const PipelineHealth& p) {
     if (i) out += ',';
     std::string ro = "{";
     bool rf = true;
-    json_kv_s(ro, rf, "state",
-              r.state == ReplicaHealth::State::kLive        ? "live"
-              : r.state == ReplicaHealth::State::kRejoined ? "rejoined"
-                                                           : "quarantined");
+    json_kv_s(ro, rf, "phase", pipeline::phase_name(r.phase));
+    json_kv(ro, rf, "fires", r.fires);
+    json_kv(ro, rf, "steps", r.steps);
+    json_kv(ro, rf, "idle_fires", r.idle_fires);
     json_kv(ro, rf, "quarantines", r.quarantines);
     json_kv(ro, rf, "rejoins", r.rejoins);
     json_kv(ro, rf, "drained_entries", r.drained_entries);
-    json_kv(ro, rf, "steps", r.steps);
+    json_kv_s(ro, rf, "last_error", r.last_error);
     ro += '}';
     out += ro;
   }

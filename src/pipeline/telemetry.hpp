@@ -1,8 +1,7 @@
 // telemetry::Snapshot — the join between the generic metric registry
-// (common/metrics.hpp) and the four structured health surfaces the dataplane
-// already exposes: EngineHealth (nuevomatch/online.hpp), RuntimeHealth and
-// PipelineHealth (pipeline/replicate.hpp) and FlowCache::Stats
-// (pipeline/flow_cache.hpp).
+// (common/metrics.hpp) and the three structured health surfaces the dataplane
+// already exposes: EngineHealth (nuevomatch/online.hpp), PipelineHealth
+// (pipeline/replicate.hpp) and FlowCache::Stats (pipeline/flow_cache.hpp).
 //
 // Division of labour (and why there are no duplicate series): the registry
 // holds EVENT metrics — things that happen on hot paths and must be counted
@@ -34,7 +33,7 @@ struct Snapshot {
   RegistrySnapshot registry;
 
   std::optional<EngineHealth> engine;
-  /// Replica supervision layer, including the per-replica RuntimeHealth.
+  /// Replica supervision layer: one record per replica.
   std::optional<pipeline::PipelineHealth> pipeline;
   /// Summed across every FlowCache feeding this snapshot.
   std::optional<pipeline::FlowCache::Stats> cache;

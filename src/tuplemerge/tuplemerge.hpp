@@ -55,7 +55,6 @@ class TupleMerge : public Classifier {
   [[nodiscard]] MatchResult match_with_floor(const Packet& p,
                                              int32_t priority_floor) const override;
 
-  [[nodiscard]] bool supports_updates() const override { return true; }
   /// O(1) hash insert (plus a possible table split) — the property that
   /// makes tm the paper's updatable remainder backend (§3.9).
   bool insert(const Rule& r) override;

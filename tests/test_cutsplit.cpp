@@ -136,7 +136,6 @@ TEST(CutSplit, MemoryAccountedAndUpdateSupport) {
   CutSplit cs;
   cs.build(rules);
   EXPECT_GT(cs.memory_bytes(), 0u);
-  EXPECT_TRUE(cs.supports_updates());
   EXPECT_EQ(cs.name(), "cutsplit");
   EXPECT_EQ(cs.size(), rules.size());
 }

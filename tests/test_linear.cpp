@@ -69,10 +69,9 @@ TEST(Linear, EraseRemovesRule) {
   EXPECT_EQ(cls.size(), 4u);
 }
 
-TEST(Linear, SupportsUpdatesAndAccounting) {
+TEST(Linear, Accounting) {
   LinearSearch cls;
   cls.build(figure2_rules());
-  EXPECT_TRUE(cls.supports_updates());
   EXPECT_EQ(cls.size(), 5u);
   EXPECT_EQ(cls.memory_bytes(), 5 * sizeof(Rule));
   EXPECT_EQ(cls.name(), "linear");

@@ -288,9 +288,11 @@ TEST(TelemetrySnapshot, JoinsHealthSurfacesInBothFormats) {
   s.cache_entries = 10;
   s.cache_capacity = 1024;
   pipeline::PipelineHealth ph;
-  ph.runtime.quarantines = 2;
+  ph.suppressed_errors = 3;
   ph.replicas.resize(2);
-  ph.replicas[1].state = pipeline::ReplicaHealth::State::kQuarantined;
+  ph.replicas[0].quarantines = 1;
+  ph.replicas[0].rejoins = 1;
+  ph.replicas[1].phase = pipeline::ReplicaPhase::kQuarantined;
   ph.replicas[1].quarantines = 1;
   s.pipeline = ph;
 
@@ -299,18 +301,29 @@ TEST(TelemetrySnapshot, JoinsHealthSurfacesInBothFormats) {
   EXPECT_NE(prom.find("nm_flowcache_hits_total 42"), std::string::npos);
   EXPECT_NE(prom.find("nm_flowcache_retained_total 17"), std::string::npos);
   EXPECT_NE(prom.find("nm_flowcache_capacity 1024"), std::string::npos);
-  EXPECT_NE(prom.find("nm_runtime_quarantines_total 2"), std::string::npos);
-  EXPECT_NE(prom.find("nm_replica_live{replica=\"0\"} 1"), std::string::npos);
-  EXPECT_NE(prom.find("nm_replica_live{replica=\"1\"} 0"), std::string::npos);
+  EXPECT_NE(prom.find("nm_pipeline_suppressed_errors_total 3"),
+            std::string::npos);
+  // Quarantines are counted per replica only; their run-wide sum is not a
+  // series of its own.
+  EXPECT_NE(prom.find("nm_replica_quarantines_total{replica=\"0\"} 1"),
+            std::string::npos);
   EXPECT_NE(prom.find("nm_replica_quarantines_total{replica=\"1\"} 1"),
             std::string::npos);
+  EXPECT_NE(prom.find("nm_replica_rejoins_total{replica=\"0\"} 1"),
+            std::string::npos);
+  EXPECT_NE(prom.find("nm_replica_live{replica=\"0\"} 1"), std::string::npos);
+  EXPECT_NE(prom.find("nm_replica_live{replica=\"1\"} 0"), std::string::npos);
+  EXPECT_EQ(prom.find("nm_runtime_"), std::string::npos);
 
   const std::string json = s.to_json();
   EXPECT_NE(json.find("\"engine\":{"), std::string::npos);
   EXPECT_NE(json.find("\"generation\":3"), std::string::npos);
   EXPECT_NE(json.find("\"flowcache\":{"), std::string::npos);
   EXPECT_NE(json.find("\"hits\":42"), std::string::npos);
-  EXPECT_NE(json.find("\"state\":\"quarantined\""), std::string::npos);
+  EXPECT_NE(json.find("\"suppressed_errors\":3"), std::string::npos);
+  EXPECT_NE(json.find("\"phase\":\"running\""), std::string::npos);
+  EXPECT_NE(json.find("\"phase\":\"quarantined\""), std::string::npos);
+  EXPECT_EQ(json.find("\"runtime\""), std::string::npos);
 }
 
 // The replicated join sums every replica's cache: a 2-replica run's

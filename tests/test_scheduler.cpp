@@ -112,10 +112,10 @@ TEST(ReplicaThreads, EachReplicaStaysOnItsOwnThread) {
     }
     // Thread i steps exactly replica i: its step count is the replica's.
     const pipeline::SchedulerStats& st = rg.last_stats();
-    const pipeline::RuntimeHealth h = rg.health().runtime;
+    const pipeline::PipelineHealth h = rg.health();
     ASSERT_EQ(st.fires_per_thread.size(), n);
     for (uint32_t r = 0; r < n; ++r)
-      EXPECT_EQ(st.fires_per_thread[r], h.tasks[r].fires) << "replica " << r;
+      EXPECT_EQ(st.fires_per_thread[r], h.replicas[r].fires) << "replica " << r;
     EXPECT_EQ(st.steals, 0u);
   }
 }

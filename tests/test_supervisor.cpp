@@ -32,12 +32,10 @@ namespace {
 using pipeline::Graph;
 using pipeline::PipelineHealth;
 using pipeline::ReplicaHealth;
+using pipeline::ReplicaPhase;
 using pipeline::ReplicatedGraph;
 using pipeline::ReplicatedRunOptions;
-using pipeline::RuntimeHealth;
 using pipeline::SupervisorPolicy;
-using pipeline::TaskHealth;
-using pipeline::TaskPhase;
 
 std::shared_ptr<OnlineNuevoMatch> make_online(const RuleSet& rules,
                                               double retrain_threshold = 1.0,
@@ -52,14 +50,6 @@ std::shared_ptr<OnlineNuevoMatch> make_online(const RuleSet& rules,
   return online;
 }
 
-TaskHealth task_health(const RuntimeHealth& h, const std::string& label) {
-  for (const TaskHealth& t : h.tasks) {
-    if (t.label == label) return t;
-  }
-  ADD_FAILURE() << "no task labeled " << label;
-  return TaskHealth{};
-}
-
 // A source that never runs dry: a replica built on it ends only when the
 // run stops it. Honors the replica filter like every source.
 class EndlessSource final : public pipeline::SourceElement {
@@ -69,7 +59,7 @@ class EndlessSource final : public pipeline::SourceElement {
     for (size_t k = 0; k < pipeline::kBurstSize; ++k, ++pos_) {
       Packet p{};
       p.field[0] = static_cast<uint32_t>(pos_);
-      emit(b, p, 0, pos_);
+      emit(b, p, pos_);
     }
     publish_pos(pos_);
     return true;
@@ -140,18 +130,20 @@ TEST(SupervisorQuarantine, IsolatesFailureFromSiblings) {
   opts.rejoin = false;
   rg.run(opts);
 
-  const RuntimeHealth h = rg.health().runtime;
-  const TaskHealth bad = task_health(h, "replica@0");
-  EXPECT_EQ(bad.phase, TaskPhase::kQuarantined);
+  const PipelineHealth h = rg.health();
+  ASSERT_EQ(h.replicas.size(), 3u);
+  const ReplicaHealth& bad = h.replicas[0];
+  EXPECT_EQ(bad.phase, ReplicaPhase::kQuarantined);
   EXPECT_EQ(bad.quarantines, 1u);
+  EXPECT_EQ(bad.rejoins, 0u);
   EXPECT_EQ(bad.last_error, "injected: pipeline.task.fire");
-  for (const char* sibling : {"replica@1", "replica@2"}) {
-    const TaskHealth t = task_health(h, sibling);
-    EXPECT_EQ(t.phase, TaskPhase::kDone) << sibling;
-    EXPECT_GT(t.worked, 0u) << sibling;
-    EXPECT_TRUE(t.last_error.empty()) << sibling;
+  for (size_t i = 1; i < 3; ++i) {
+    const ReplicaHealth& r = h.replicas[i];
+    EXPECT_EQ(r.phase, ReplicaPhase::kDone) << "replica " << i;
+    EXPECT_GT(r.steps, 0u) << "replica " << i;
+    EXPECT_EQ(r.quarantines, 0u) << "replica " << i;
+    EXPECT_TRUE(r.last_error.empty()) << "replica " << i;
   }
-  EXPECT_EQ(h.quarantines, 1u);
   EXPECT_EQ(h.suppressed_errors, 0u);  // quarantine suppresses NOTHING
 }
 
@@ -173,16 +165,16 @@ TEST(SupervisorEscalate, DefaultPolicyPreservesStopAndRethrow) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "injected: pipeline.task.fire");
   }
-  const RuntimeHealth h = rg.health().runtime;
-  ASSERT_EQ(h.tasks.size(), 2u);
-  const bool first_crashed = !h.tasks[0].last_error.empty();
-  const TaskHealth& bomb = h.tasks[first_crashed ? 0 : 1];
-  const TaskHealth& sibling = h.tasks[first_crashed ? 1 : 0];
+  const PipelineHealth h = rg.health();
+  ASSERT_EQ(h.replicas.size(), 2u);
+  const bool first_crashed = !h.replicas[0].last_error.empty();
+  const ReplicaHealth& bomb = h.replicas[first_crashed ? 0 : 1];
+  const ReplicaHealth& sibling = h.replicas[first_crashed ? 1 : 0];
   EXPECT_EQ(bomb.last_error, "injected: pipeline.task.fire");
-  EXPECT_EQ(bomb.phase, TaskPhase::kDone);  // escalation finishes the replica
+  EXPECT_EQ(bomb.phase, ReplicaPhase::kDone);  // escalation finishes the replica
   EXPECT_TRUE(sibling.last_error.empty());
-  EXPECT_EQ(sibling.phase, TaskPhase::kRunnable);  // stopped, not done
-  EXPECT_EQ(h.quarantines, 0u);
+  EXPECT_EQ(sibling.phase, ReplicaPhase::kRunning);  // stopped, not done
+  for (const ReplicaHealth& r : h.replicas) EXPECT_EQ(r.quarantines, 0u);
   EXPECT_EQ(h.suppressed_errors, 0u);
 }
 
@@ -208,11 +200,12 @@ TEST(SupervisorEscalate, LaterErrorsAreCountedNotSwallowed) {
   EXPECT_THROW(rg.run(opts), std::runtime_error);
   failpoint::disarm(failpoint::kPipelinePush);
 
-  const RuntimeHealth h = rg.health().runtime;
+  const PipelineHealth h = rg.health();
   EXPECT_EQ(h.suppressed_errors, 1u)
       << "the second failure was dropped without being counted";
-  EXPECT_EQ(task_health(h, "replica@0").last_error, "injected: pipeline.push");
-  EXPECT_EQ(task_health(h, "replica@1").last_error, "injected: pipeline.push");
+  ASSERT_EQ(h.replicas.size(), 2u);
+  EXPECT_EQ(h.replicas[0].last_error, "injected: pipeline.push");
+  EXPECT_EQ(h.replicas[1].last_error, "injected: pipeline.push");
 }
 
 // --- the replicated recovery ladder -----------------------------------------
@@ -292,16 +285,15 @@ TEST(ReplicatedRecovery, ReplicaCrashAtFireSeamLosesNothing) {
 
   const PipelineHealth h = rg.health();
   ASSERT_EQ(h.replicas.size(), 2u);
-  EXPECT_EQ(h.replicas[0].state, ReplicaHealth::State::kRejoined);
+  // The rejoined replica ran on to the end of stream.
+  EXPECT_EQ(h.replicas[0].phase, ReplicaPhase::kDone);
   EXPECT_EQ(h.replicas[0].quarantines, 1u);
   EXPECT_EQ(h.replicas[0].rejoins, 1u);
-  EXPECT_EQ(h.replicas[1].state, ReplicaHealth::State::kLive);
-  EXPECT_EQ(h.runtime.quarantines, 1u);
-  // The rejoined replica ran on to the end of stream.
-  const TaskHealth t0 = task_health(h.runtime, "replica@0");
-  EXPECT_EQ(t0.phase, TaskPhase::kDone);
-  EXPECT_EQ(t0.quarantines, 1u);
-  EXPECT_GT(t0.worked, 0u);
+  EXPECT_GT(h.replicas[0].steps, 0u);
+  EXPECT_EQ(h.replicas[0].last_error, "injected: pipeline.task.fire");
+  EXPECT_EQ(h.replicas[1].phase, ReplicaPhase::kDone);
+  EXPECT_EQ(h.replicas[1].quarantines, 0u);
+  EXPECT_EQ(h.replicas[1].rejoins, 0u);
   EXPECT_EQ(h.rejoin_failures, 0u);
   EXPECT_EQ(h.steer_epochs, 3u);  // [0,C) full | [C,C+W) survivor | [C+W,∞) full
   EXPECT_GT(h.recovery_ns, 0u);
@@ -328,12 +320,11 @@ TEST(ReplicatedRecovery, ConcurrentReplicaCrashesSerializeAndLoseNothing) {
   fx.check_records(rg.merged_records(), /*complete=*/true);
 
   const PipelineHealth h = rg.health();
-  EXPECT_EQ(h.runtime.quarantines, 2u);
   uint32_t quarantines = 0, rejoins = 0;
   for (const ReplicaHealth& r : h.replicas) {
     quarantines += r.quarantines;
     rejoins += r.rejoins;
-    EXPECT_NE(r.state, ReplicaHealth::State::kQuarantined)
+    EXPECT_EQ(r.phase, ReplicaPhase::kDone)
         << "a crashed replica never rejoined";
   }
   EXPECT_EQ(quarantines, 2u);
@@ -369,13 +360,21 @@ TEST(ReplicatedRecovery, NthCrashesLandOnStepsPastThePauseGate) {
   EXPECT_EQ(failpoint::fires(failpoint::kPipelineTaskFire), 1u)
       << "the second trigger never fired";
   const PipelineHealth h = rg.health();
-  EXPECT_EQ(h.runtime.quarantines, 2u);
-  for (const ReplicaHealth& r : h.replicas)
-    EXPECT_NE(r.state, ReplicaHealth::State::kQuarantined);
+  uint32_t quarantines = 0;
+  for (size_t i = 0; i < h.replicas.size(); ++i) {
+    const ReplicaHealth& r = h.replicas[i];
+    EXPECT_EQ(r.phase, ReplicaPhase::kDone) << "replica " << i;
+    // Every turn is a burst, a turned-back step, a crash or the final
+    // end-of-stream step — per replica, not just summed over them.
+    EXPECT_EQ(r.fires, r.steps + r.idle_fires + r.quarantines + 1)
+        << "replica " << i;
+    quarantines += r.quarantines;
+  }
+  EXPECT_EQ(quarantines, 2u);
   // One turned-back step per ladder at most: the other thread parks.
   EXPECT_LE(rg.last_stats().idle_fires, 2u);
   EXPECT_EQ(rg.last_stats().fires,
-            rg.last_stats().worked + rg.last_stats().idle_fires + 2 /*crashes*/ +
+            rg.last_stats().steps + rg.last_stats().idle_fires + 2 /*crashes*/ +
                 2 /*end-of-stream steps*/);
 }
 
@@ -401,7 +400,6 @@ TEST(ReplicatedRecovery, MidBurstCrashLosesAtMostOneBurst) {
   fx.check_records(got, /*complete=*/false);
 
   const PipelineHealth h = rg.health();
-  EXPECT_EQ(h.runtime.quarantines, 1u);
   EXPECT_EQ(h.replicas[0].quarantines + h.replicas[1].quarantines, 1u);
 }
 
@@ -430,7 +428,7 @@ TEST(ReplicatedRecovery, NoRejoinDegradesButServesCorrectly) {
   EXPECT_EQ(got.size(), fx.trace.size());
 
   const PipelineHealth h = rg.health();
-  EXPECT_EQ(h.replicas[0].state, ReplicaHealth::State::kQuarantined);
+  EXPECT_EQ(h.replicas[0].phase, ReplicaPhase::kQuarantined);
   EXPECT_EQ(h.replicas[0].rejoins, 0u);
   EXPECT_EQ(h.steer_epochs, 2u);  // no rejoin → no restore epoch
 }
@@ -452,7 +450,7 @@ TEST(ReplicatedRecovery, InjectedRejoinFailureIsCountedAndSurvivable) {
   fx.check_records(rg.merged_records(), /*complete=*/true);  // cutover was 0
   const PipelineHealth h = rg.health();
   EXPECT_EQ(h.rejoin_failures, 1u);
-  EXPECT_EQ(h.replicas[0].state, ReplicaHealth::State::kQuarantined);
+  EXPECT_EQ(h.replicas[0].phase, ReplicaPhase::kQuarantined);
   EXPECT_EQ(h.replicas[0].rejoins, 0u);
 }
 
@@ -489,8 +487,9 @@ TEST(ReplicatedRecovery, AutoRetrainPublishesGenerationAcrossReplicaCrash) {
   EXPECT_GT(gen_mid, gen0)
       << "the auto-retrain worker never published a generation mid-run";
   const PipelineHealth h = rg.health();
-  EXPECT_EQ(h.replicas[0].state, ReplicaHealth::State::kRejoined);
-  EXPECT_EQ(h.runtime.quarantines, 1u);
+  EXPECT_EQ(h.replicas[0].phase, ReplicaPhase::kDone);
+  EXPECT_EQ(h.replicas[0].quarantines, 1u);
+  EXPECT_EQ(h.replicas[0].rejoins, 1u);
   // Churn rules are WORSE-priority than every base rule, so the oracle
   // differential is unchanged by the mid-run inserts.
   fx.check_records(rg.merged_records(), /*complete=*/true);
@@ -518,7 +517,7 @@ TEST(ReplicatedRecovery, QuietSupervisedRunMatchesUnsupervised) {
     EXPECT_EQ(got[i].priority, want[i].priority);
   }
   const PipelineHealth h = supervised.health();
-  EXPECT_EQ(h.runtime.quarantines, 0u);
+  for (const ReplicaHealth& r : h.replicas) EXPECT_EQ(r.quarantines, 0u);
   EXPECT_EQ(h.steer_epochs, 1u);
 
   ReplicatedGraph escalating = fx.make_graph(2);

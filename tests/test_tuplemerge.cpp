@@ -231,11 +231,6 @@ TEST(TupleMerge, TombstoneRacesLookups) {
     ASSERT_EQ(tm.match(trace[i]).rule_id, expected[kFlips][i]) << to_string(trace[i]);
 }
 
-TEST(TupleMerge, SupportsUpdatesFlag) {
-  TupleMerge tm;
-  EXPECT_TRUE(tm.supports_updates());
-}
-
 TEST(TupleMerge, MemoryGrowsWithRules) {
   TupleMerge small;
   TupleMerge big;

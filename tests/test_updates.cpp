@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <latch>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -479,15 +480,24 @@ TEST(OnlineUpdates, WritersProgressUnderSaturatedReaders) {
   std::atomic<bool> abort_writer{false};
   std::atomic<uint64_t> lookups{0};
   std::atomic<uint64_t> mismatches{0};
+  // The writer starts only once every reader has finished a lookup, so the
+  // writer's ops really do run under saturated readers.
+  constexpr int kReaders = 3;
+  std::latch readers_ran{kReaders};
   std::vector<std::thread> readers;
-  for (int t = 0; t < 3; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
       size_t i = static_cast<size_t>(t) * 17;
+      bool first = true;
       while (!stop.load(std::memory_order_relaxed)) {  // fully saturated
         const size_t k = i++ % core.packets.size();
         if (nm.match(core.packets[k]).rule_id != core.expected[k])
           mismatches.fetch_add(1);
         lookups.fetch_add(1, std::memory_order_relaxed);
+        if (first) {
+          readers_ran.count_down();
+          first = false;
+        }
       }
     });
   }
@@ -497,6 +507,7 @@ TEST(OnlineUpdates, WritersProgressUnderSaturatedReaders) {
   std::condition_variable done_cv;
   bool done = false;
   std::thread writer([&] {
+    readers_ran.wait();
     Rng rng{63};
     std::vector<uint32_t> live;
     for (size_t i = 0; i < kOps && !abort_writer.load(); ++i) {
@@ -766,6 +777,19 @@ TEST(OnlineUpdates, EraseAcrossIsetsBaseRemainderAndChurnMatchesLinearSearch) {
   expect_oracle("after erases");
   // A second erase of any of them is refused.
   for (const uint32_t id : victims) EXPECT_FALSE(online.erase(id)) << id;
+
+  // Erase the rest of the churn: the published delta is then empty (never
+  // null), and the engine answers from the frozen index alone.
+  std::vector<uint32_t> rest;
+  for (const uint32_t id : churn_ids) {
+    if (!std::binary_search(victims.begin(), victims.end(), id)) rest.push_back(id);
+  }
+  ASSERT_FALSE(rest.empty());
+  EXPECT_EQ(online.erase_batch(rest), rest.size());
+  for (const uint32_t id : rest) ASSERT_TRUE(oracle.erase(id));
+  EXPECT_EQ(online.health().churn_rules, 0u);
+  EXPECT_EQ(online.memory_bytes(), online.pin().nm().memory_bytes());
+  expect_oracle("after every churn erase");
 
   // The base-remainder erases left the live remainder engine in place (no
   // rebuild): the generation did not change, and the next retrain compacts.
